@@ -21,7 +21,7 @@ import os
 import sys
 
 from .errors import (BudgetError, ConfigurationError, DomainError,
-                     UnluckyPointError)
+                     InvariantError, UnluckyPointError)
 from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
                         good_words_report, mtx_report, parse_int_seq,
                         stats_sweep, stats_to_csv, verify_conjecture)
@@ -163,6 +163,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"budget: {exc}\n")
         return EXIT_BUDGET
+    except InvariantError as exc:
+        sys.stderr.write(f"invariant violated: {exc}\n")
+        return EXIT_VIOLATION
     except (ConfigurationError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -21,6 +21,11 @@ class ConditionError(ValueError):
         self.chain_max = chain_max
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant that must always hold was found broken;
+    the result cannot be trusted."""
+
+
 class BudgetError(RuntimeError):
     """A sweep would exceed the configured size budget."""
 

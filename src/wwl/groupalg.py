@@ -54,9 +54,6 @@ def vp_add(a: VPoly, b: VPoly) -> VPoly:
 def vp_neg(a: VPoly) -> VPoly:
     return tuple(-x for x in a)
 
-def vp_sub(a: VPoly, b: VPoly) -> VPoly:
-    return vp_add(a, vp_neg(b))
-
 
 def vp_mul(a: VPoly, b: VPoly) -> VPoly:
     if not a or not b:

@@ -245,9 +245,6 @@ class RootSystem:
         k = self.root_pairing(beta, alpha)
         return tuple(b - k * c for b, c in zip(beta, alpha))
 
-    def zero_weight(self) -> Weight:
-        return (0,) * self.rank
-
     def rho(self) -> Weight:
         return (1,) * self.rank
 

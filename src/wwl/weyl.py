@@ -8,17 +8,42 @@ matrices, so elements work as dictionary keys independently of any chosen
 word.
 
 For sweeps, a WeylGroup lazily builds an indexed layer: the full element
-list in breadth-first order, generator multiplication tables, and the Bruhat
-order as one bitmask per element.  The tables are built once and read-only
-afterwards, so they can be shared freely across parallel workers.
+list, generator multiplication tables, inverses, canonical words, and the
+Bruhat order as one bitmask per element.  The tables are built once and
+read-only afterwards, so they can be shared freely across parallel workers.
+
+The element list is found on the W-orbit of rho.  Each element w is keyed
+by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
+because rho is regular.  Right multiplication by s_i sends the key to
+u - u[i] alpha_i, and it is an ascent exactly when u[i] > 0 (w s_i > w iff
+<w^-1 rho, alpha_i_vee> > 0), so a breadth-first search over keys finds
+each length level from the previous one with O(r) work per edge.  Each
+element's matrix pair is computed once, from its parent, by a rank-one
+update (`_times_simple`).  The key of w^-1 is w rho, the row sums of the
+weight matrix, which gives the inverse table and with it left
+multiplication, s_i w = (w^-1 s_i)^-1.
+
+The table order is by length, then by root-action matrix within a length.
+That is the order of a breadth-first search over matrix products sorted
+per level, so element indices, canonical words and interval order do not
+depend on how the tables were built.
+
+Groups too large to tabulate fail fast with BudgetError before anything is
+allocated: the element tables stop at MAX_TABLE_ORDER (E6), the Bruhat
+masks at MAX_BRUHAT_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError, InvariantError
 from .roots import Coords, Matrix, RootSystem, Weight
+
+# Largest group whose element tables are built: the order of E6.
+MAX_TABLE_ORDER = 51_840
+# Largest Bruhat mask table, |W|^2 / 8 bytes.
+MAX_BRUHAT_BYTES = 64 << 20
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -32,6 +57,24 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 def _identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n))
                  for i in range(n))
+
+
+def _times_simple(w: "WeylElement", i: int, cartan: Matrix) -> "WeylElement":
+    """w * s_i (0-based i) by rank-one updates of both matrices, O(r^2).
+
+    The root action of s_i is the identity with row i replaced, so the root
+    matrix moves by (column i of it) times (row i of the Cartan matrix).
+    The weight action of s_i is the identity with column i replaced, so
+    only column i of the weight matrix changes."""
+    ci = cartan[i]
+    root = tuple(tuple(x - row[i] * c for x, c in zip(row, ci))
+                 for row in w.root_action)
+    weight = tuple(
+        row[:i]
+        + (row[i] - sum(x * a[i] for x, a in zip(row, cartan)),)
+        + row[i + 1:]
+        for row in w.weight_action)
+    return WeylElement(root, weight)
 
 
 @dataclass(frozen=True)
@@ -80,6 +123,7 @@ class WeylGroup:
         self._lmul: list[list[int]] | None = None
         self._rmul: list[list[int]] | None = None
         self._canon: list[tuple[int, ...]] | None = None
+        self._inv: list[int] | None = None
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
 
@@ -153,11 +197,6 @@ class WeylGroup:
         return [i for i in range(1, self.rs.rank + 1)
                 if self.length(self._gens[i - 1] * w) < lw]
 
-    def right_descents(self, w: WeylElement) -> list[int]:
-        lw = self.length(w)
-        return [i for i in range(1, self.rs.rank + 1)
-                if self.length(w * self._gens[i - 1]) < lw]
-
     def canonical_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lexicographically least reduced word (smallest left descent
         first); the canonical serialization of an element."""
@@ -180,7 +219,8 @@ class WeylGroup:
         return self.length(self.element_from_word(letters)) == len(letters)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        return self.element_from_word(tuple(reversed(self.canonical_word(w))))
+        idx = self.idx_of(w)  # builds the tables on first use
+        return self._elements[self._inv[idx]]
 
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
         if self._bruhat is not None:
@@ -258,46 +298,76 @@ class WeylGroup:
     def ensure_tables(self) -> None:
         if self._elements is not None:
             return
-        n = self.rs.rank
+        rs = self.rs
+        if rs.group_order > MAX_TABLE_ORDER:
+            raise BudgetError(
+                f"{rs.type_letter}{rs.rank} has {rs.group_order} elements; "
+                f"element tables stop at {MAX_TABLE_ORDER}")
+        n = rs.rank
+        rng = range(n)
+        cartan = rs.cartan
+        # alpha_i in fundamental-weight coordinates: column i of the Cartan
+        alphas = [tuple(row[i] for row in cartan) for i in rng]
+        keys = [rs.rho()]  # keys[k] = elements[k]^-1 rho
+        key_index = {keys[0]: 0}
         elements = [self.identity]
-        index = {self.identity.root_action: 0}
         lengths = [0]
-        frontier = [self.identity]
-        while frontier:
-            nxt = {}
-            for w in frontier:
-                for g in self._gens:
-                    u = w * g
-                    if u.root_action not in index and u.root_action not in nxt:
-                        nxt[u.root_action] = u
-            frontier = [nxt[k] for k in sorted(nxt)]
-            level = lengths[-1] + 1
-            for u in frontier:
-                index[u.root_action] = len(elements)
-                elements.append(u)
-                lengths.append(level)
-        assert len(elements) == self.rs.group_order
-        self._elements = elements
-        self._index = index
-        self._len = lengths
+        start = 0
+        while start < len(elements):
+            end = len(elements)
+            level: dict[Weight, WeylElement] = {}
+            for k in range(start, end):
+                u = keys[k]
+                for i in rng:
+                    ui = u[i]
+                    if ui > 0:
+                        v = tuple(x - ui * a for x, a in zip(u, alphas[i]))
+                        if v not in level:
+                            level[v] = _times_simple(elements[k], i, cartan)
+            length = lengths[-1] + 1
+            for v, elem in sorted(level.items(),
+                                  key=lambda kv: kv[1].root_action):
+                key_index[v] = len(elements)
+                keys.append(v)
+                elements.append(elem)
+                lengths.append(length)
+            start = end
+        if len(elements) != rs.group_order:
+            raise InvariantError(
+                f"found {len(elements)} elements of {rs.type_letter}"
+                f"{rs.rank}, expected {rs.group_order}")
         size = len(elements)
-        self._rmul = [[index[(elements[k] * g).root_action]
-                       for k in range(size)] for g in self._gens]
-        self._lmul = [[index[(g * elements[k]).root_action]
-                       for k in range(size)] for g in self._gens]
+        rmul = [[key_index[tuple(x - u[i] * a for x, a in zip(u, alphas[i]))]
+                 for u in keys] for i in rng]
+        # the key of w^-1 is w rho: the row sums of w's weight matrix
+        inv = [key_index[tuple(sum(row) for row in e.weight_action)]
+               for e in elements]
+        lmul = [[inv[rm[inv[k]]] for k in range(size)] for rm in rmul]
         canon: list[tuple[int, ...]] = [()] * size
         for k in range(1, size):  # ascending length: s_i * w already resolved
             lw = lengths[k]
-            for i in range(n):
-                j = self._lmul[i][k]
+            for i in rng:
+                j = lmul[i][k]
                 if lengths[j] < lw:
                     canon[k] = (i + 1,) + canon[j]
                     break
+        self._elements = elements
+        self._index = {e.root_action: k for k, e in enumerate(elements)}
+        self._len = lengths
+        self._rmul = rmul
+        self._lmul = lmul
+        self._inv = inv
         self._canon = canon
 
     def ensure_bruhat(self) -> None:
         if self._bruhat is not None:
             return
+        order = self.rs.group_order
+        if order * order // 8 > MAX_BRUHAT_BYTES:
+            raise BudgetError(
+                f"Bruhat masks of {self.rs.type_letter}{self.rs.rank} would "
+                f"take {order * order // 8} bytes; the limit is "
+                f"{MAX_BRUHAT_BYTES}")
         self.ensure_tables()
         size = len(self._elements)
         lengths = self._len

@@ -1,6 +1,7 @@
 """Group arithmetic checked against independent oracles: one-line
 permutations for type A, the subword criterion and the rank-matrix
-criterion for the Bruhat order."""
+criterion for the Bruhat order, and a matrix-product breadth-first search
+for the element tables."""
 
 import itertools
 import random
@@ -8,6 +9,8 @@ import random
 import pytest
 
 from wwl import DomainError, WeylGroup, build_root_system
+from wwl.errors import BudgetError
+from wwl.weyl import _times_simple
 
 
 # -- oracles -------------------------------------------------------------------
@@ -56,6 +59,101 @@ def subword_leq(group, x, word):
         if group.word_to_idx(sub) == target:
             return True
     return False
+
+
+def matrix_bfs_tables(G):
+    """The element tables built by dense matrix products: a breadth-first
+    search over w * s_i, each level sorted by root-action matrix, whose
+    products also give rmul; lmul by one product per (element, generator);
+    canonical words from the smallest left descent; inverses by reversing
+    the canonical word.  Returns (elements, index, lengths, rmul, lmul,
+    canon, inv)."""
+    n = G.rs.rank
+    gens = [G.simple_reflection(i) for i in range(1, n + 1)]
+    elements = [G.identity]
+    index = {G.identity.root_action: 0}
+    lengths = [0]
+    frontier = [G.identity]
+    right = []  # root actions of w * s_i, one row per element in index order
+    while frontier:
+        nxt = {}
+        for w in frontier:
+            products = [w * g for g in gens]
+            right.append([u.root_action for u in products])
+            for u in products:
+                if u.root_action not in index and u.root_action not in nxt:
+                    nxt[u.root_action] = u
+        frontier = [nxt[k] for k in sorted(nxt)]
+        level = lengths[-1] + 1
+        for u in frontier:
+            index[u.root_action] = len(elements)
+            elements.append(u)
+            lengths.append(level)
+    rmul = [[index[row[i]] for row in right] for i in range(n)]
+    lmul = [[index[(g * w).root_action] for w in elements] for g in gens]
+    canon = [()] * len(elements)
+    for k in range(1, len(elements)):
+        for i in range(n):
+            j = lmul[i][k]
+            if lengths[j] < lengths[k]:
+                canon[k] = (i + 1,) + canon[j]
+                break
+    inv = []
+    for word in canon:
+        cur = 0
+        for letter in reversed(word):
+            cur = rmul[letter - 1][cur]
+        inv.append(cur)
+    return elements, index, lengths, rmul, lmul, canon, inv
+
+
+# -- element tables ------------------------------------------------------------------
+
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("F", 4), ("G", 2)])
+def test_tables_match_matrix_bfs_oracle(group_for, type_letter, rank):
+    G = group_for(type_letter, rank)
+    elements, index, lengths, rmul, lmul, canon, inv = matrix_bfs_tables(G)
+    assert G.enumerate_group() == elements
+    assert G._index == index
+    assert G._len == lengths
+    assert G._rmul == rmul
+    assert G._lmul == lmul
+    assert G._canon == canon
+    assert [G.idx_of(G.inverse(w)) for w in elements] == inv
+
+
+def test_b5_sampled_products_and_inverses(group_for):
+    G = group_for("B", 5)
+    elements = G.enumerate_group()
+    gens = [G.simple_reflection(i) for i in range(1, 6)]
+    for k in random.Random(3).sample(range(len(elements)), 200):
+        w = elements[k]
+        for i, g in enumerate(gens, 1):
+            assert G.elem_of(G.rmul_idx(i, k)) == w * g
+            assert G.elem_of(G.lmul_idx(i, k)) == g * w
+        assert w * G.inverse(w) == G.identity
+
+
+@pytest.mark.parametrize("type_letter,rank", [("B", 3), ("D", 4), ("G", 2)])
+def test_rank_one_step_matches_product(group_for, type_letter, rank):
+    G = group_for(type_letter, rank)
+    for w in G.enumerate_group():
+        for i in range(rank):
+            assert _times_simple(w, i, G.rs.cartan) == \
+                w * G.simple_reflection(i + 1)
+
+
+def test_size_gates_fire_before_building():
+    e7 = WeylGroup(build_root_system("E", 7))
+    with pytest.raises(BudgetError):
+        e7.ensure_tables()
+    e6 = WeylGroup(build_root_system("E", 6))
+    with pytest.raises(BudgetError):
+        e6.ensure_bruhat()
+    assert e7._elements is None and e6._elements is None
 
 
 # -- elements and words ----------------------------------------------------------
@@ -126,6 +224,9 @@ def test_inverse_and_products(group_for):
     for w in G.enumerate_group():
         assert w * G.inverse(w) == G.identity
         assert G.length(G.inverse(w)) == G.length(w)
+    fresh = WeylGroup(build_root_system("A", 2))
+    assert fresh.inverse(fresh.element_from_word((1, 2))) == \
+        fresh.element_from_word((2, 1))
 
 
 # -- Bruhat order ------------------------------------------------------------------

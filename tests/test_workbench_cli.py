@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from wwl import WeylGroup, build_root_system
+from wwl import WeylGroup, build_root_system, roots
 from wwl.cli import main
 from wwl.workbench import (SweepConfig, load_group_cache, parse_int_seq,
                            pct_string, save_group_cache, stats_sweep,
@@ -93,6 +94,35 @@ def test_coeff_non_reduced_word(capsys):
 def test_unknown_flag(capsys):
     code, _, _ = run_cli(capsys, "coeff", "--nope", "1")
     assert code == 4
+
+
+def _too_large_runs():
+    for rank in (7, 8):
+        zero = ",".join(["0"] * rank)
+        for command, *extra in (["verify-conjecture"], ["stats", "--large"],
+                                ["coeff", "--w", "1,3"], ["mtx"],
+                                ["cs-check", "--lambda", zero], ["good-words"]):
+            yield [command, "--type", "E", "--rank", str(rank), *extra]
+    yield ["coeff", "--type", "E", "--rank", "6", "--w", "1,3"]
+
+
+@pytest.mark.parametrize("argv", list(_too_large_runs()),
+                         ids=lambda argv: f"{argv[0]}-E{argv[4]}")
+def test_too_large_groups_exit_3_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget:")
+
+
+def test_group_order_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(roots._GROUP_ORDER, "G", lambda n: 13)
+    code, out, err = run_cli(capsys, "good-words", "--type", "G", "--rank", "2")
+    assert code == 2
+    assert out == ""
+    assert "expected 13" in err
 
 
 # -- stats ---------------------------------------------------------------------------
