@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConditionError, DomainError
+from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
                        t_op, weyl_act)
 from .roots import Weight
@@ -135,8 +135,10 @@ def atom_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable
     entries = {group.elem_of(xi): val for xi, val in table.items()}
     result = CoefficientTable(anchor=w, entries=entries)
     ident = group.identity
-    assert entries[ident], "coefficient at the identity vanished"
-    assert entries[w], "coefficient at the anchor vanished"
+    if not entries[ident]:
+        raise InvariantError("coefficient at the identity vanished")
+    if not entries[w]:
+        raise InvariantError("coefficient at the anchor vanished")
     for x, val in entries.items():
         if not val:
             result.zero_keys.append(x)

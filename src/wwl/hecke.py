@@ -98,11 +98,13 @@ def hecke_left_mul_gen(group: WeylGroup, letter: int, f: HeckeElement,
     """t_i * f by the generator rule, extended linearly."""
     p, q = pt.p, pt.q
     qm1 = (q - 1) % p
-    s = group.simple_reflection(letter)
+    group.simple_reflection(letter)  # range check
     out: HeckeElement = {}
     for w, c in f.items():
-        sw = s * w
-        if group.length(sw) > group.length(w):
+        wi = group.idx_of(w)
+        swi = group.lmul_idx(letter, wi)
+        sw = group.elem_of(swi)
+        if group.len_of_idx(swi) > group.len_of_idx(wi):
             out[sw] = (out.get(sw, 0) + c) % p
         else:
             out[w] = (out.get(w, 0) + qm1 * c) % p
@@ -153,10 +155,9 @@ def mu(group: WeylGroup, w: WeylElement, pt: SpectralPoint) -> HeckeElement:
     if not word:
         return {group.identity: 1}
     letter = word[-1]
-    s = group.simple_reflection(letter)
-    head = group.element_from_word(word[:-1])
+    head = group.elem_of(group.rmul_idx(letter, group.idx_of(w)))
     factor = _mu_gen(group, letter, pt)
-    rest = mu(group, head, pt.translate(group, s))
+    rest = mu(group, head, pt.translate(group, group.simple_reflection(letter)))
     return hecke_mul(group, factor, rest, pt)
 
 

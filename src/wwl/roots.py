@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, InvariantError
 
 Coords = tuple[int, ...]   # vector in the simple-root basis
 Weight = tuple[int, ...]   # vector in the fundamental-weight basis
@@ -105,7 +105,8 @@ def _symmetrizer(cartan, rank) -> tuple[int, ...]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 stack.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram not connected"
+    if any(x is None for x in d):
+        raise InvariantError("Dynkin diagram not connected")
     mult = math.lcm(*(x.denominator for x in d))
     ints = [int(x * mult) for x in d]
     g = math.gcd(*ints)
@@ -138,7 +139,11 @@ class RootSystem:
             self._simple_weight_matrix(i) for i in range(rank))
 
         self.positive_roots: tuple[Coords, ...] = self._generate_positives()
-        assert len(self.positive_roots) == _POSITIVE_COUNT[type_letter](rank)
+        expected = _POSITIVE_COUNT[type_letter](rank)
+        if len(self.positive_roots) != expected:
+            raise InvariantError(
+                f"found {len(self.positive_roots)} positive roots of "
+                f"{type_letter}{rank}, expected {expected}")
 
         self._positive_set = frozenset(self.positive_roots)
         self._root_set = self._positive_set | frozenset(
@@ -193,7 +198,8 @@ class RootSystem:
             coro = []
             for j in range(n):
                 num = 2 * c[j] * d[j]
-                assert num % norm == 0
+                if num % norm:
+                    raise InvariantError(f"coroot of {c} is not integral")
                 coro.append(num // norm)
             table[c] = tuple(coro)
             table[tuple(-x for x in c)] = tuple(-x for x in coro)

@@ -12,7 +12,7 @@ w = s_1...s_n and x <= w:
   original positions deleted.  There is a unique chain with strictly
   increasing label (also the lexicographically least one) and a unique
   chain with strictly decreasing label (the lexicographically greatest);
-  both are found greedily, and monotonicity of the result is asserted.
+  both are found greedily, and monotonicity of the result is checked.
 * The per-word conditions compare, all computed independently:
       (i)   lambda_set equals the reversed decreasing-chain label,
       (ii)  the increasing-chain label equals the reversed decreasing one,
@@ -24,7 +24,7 @@ w = s_1...s_n and x <= w:
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .roots import Coords
 from .weyl import WeylElement, WeylGroup
 
@@ -53,10 +53,23 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     lam_set = set(lam)
     residual = [a for i, a in enumerate(word, start=1) if i not in lam_set]
     good = group.word_to_idx(residual) == xi
-    if good:
-        assert len(residual) == group.len_of_idx(xi)
-        assert len(lam) == group.len_of_idx(wi) - group.len_of_idx(xi)
+    if good and (len(residual) != group.len_of_idx(xi) or
+                 len(lam) != group.len_of_idx(wi) - group.len_of_idx(xi)):
+        raise InvariantError(
+            "good word whose residual or deletion set has the wrong length")
     return good
+
+
+def lower_reflections_idx(group: WeylGroup, wi: int) -> list[tuple[Coords, int]]:
+    """(alpha, index of w*s_alpha) for every positive root alpha with
+    w*s_alpha < w, in positive-root order."""
+    lw = group.len_of_idx(wi)
+    out = []
+    for alpha in group.rs.positive_roots:
+        ri = group.idx_mul(wi, group.idx_of(group.reflection(alpha)))
+        if group.len_of_idx(ri) < lw:
+            out.append((alpha, ri))
+    return out
 
 
 def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...]:
@@ -65,13 +78,8 @@ def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...
     xi, wi = group.idx_of(x), group.idx_of(w)
     if not group.leq_idx(xi, wi):
         raise DomainError("x is not below w")
-    lw = group.len_of_idx(wi)
-    out = []
-    for alpha in group.rs.positive_roots:
-        ws = group.idx_of(w * group.reflection(alpha))
-        if group.len_of_idx(ws) < lw and group.leq_idx(xi, ws):
-            out.append(alpha)
-    return tuple(out)
+    return tuple(alpha for alpha, ri in lower_reflections_idx(group, wi)
+                 if group.leq_idx(xi, ri))
 
 
 def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
@@ -83,12 +91,13 @@ def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
+    group.word_to_idx(word)  # checks the letters, builds the tables
     gammas: dict[int, Coords] = {}
-    tail = group.identity
+    tail = 0  # the identity
     for i in range(n, 0, -1):
         if i in lam_set:
-            gammas[i] = tail.apply_root(rs.simple_root(word[i - 1]))
-        tail = tail * group.simple_reflection(word[i - 1])
+            gammas[i] = group.elem_of(tail).apply_root(rs.simple_root(word[i - 1]))
+        tail = group.rmul_idx(word[i - 1], tail)
     return tuple(gammas[i] for i in sorted(gammas))
 
 
@@ -100,12 +109,13 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
+    group.word_to_idx(word)  # checks the letters, builds the tables
     betas = []
-    prefix = group.identity
+    prefix = 0  # the identity
     for i in range(1, n + 1):
-        betas.append(prefix.apply_root(rs.simple_root(word[i - 1])))
+        betas.append(group.elem_of(prefix).apply_root(rs.simple_root(word[i - 1])))
         if i not in lam_set:
-            prefix = prefix * group.simple_reflection(word[i - 1])
+            prefix = group.rmul_idx(word[i - 1], prefix)
     return tuple(betas)
 
 
@@ -133,7 +143,9 @@ def _greedy_chain_idx(group: WeylGroup, xi: int, word, pick_max: bool) -> tuple[
                 chosen = k
                 chosen_idx = di
                 break
-        assert chosen >= 0, "no cover stays above x: chain invariant violated"
+        if chosen < 0:
+            raise InvariantError(
+                "no cover stays above x: chain invariant violated")
         label.append(cur[chosen][0])
         del cur[chosen]
         cur_idx = chosen_idx
@@ -144,7 +156,8 @@ def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
     xi, _ = _checked_word_idx(group, x, word)
     label = _greedy_chain_idx(group, xi, word, pick_max=False)
-    assert all(a < b for a, b in zip(label, label[1:]))
+    if any(a >= b for a, b in zip(label, label[1:])):
+        raise InvariantError(f"increasing chain label {label} not increasing")
     return label
 
 
@@ -152,7 +165,8 @@ def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
     xi, _ = _checked_word_idx(group, x, word)
     label = _greedy_chain_idx(group, xi, word, pick_max=True)
-    assert all(a > b for a, b in zip(label, label[1:]))
+    if any(a <= b for a, b in zip(label, label[1:])):
+        raise InvariantError(f"decreasing chain label {label} not decreasing")
     return label
 
 

@@ -5,12 +5,16 @@ An element is stored as its integer action matrix on the root lattice (plus
 the matching action on the weight lattice, carried along so that neither
 matrix ever needs to be inverted).  Equality and hashing go through the
 matrices, so elements work as dictionary keys independently of any chosen
-word.
+word.  The matrices are actions only (`apply_root`, `apply_weight`): no
+query multiplies two elements, and `WeylElement.__mul__` is kept as the
+matrix oracle the tests check the tables against.
 
-For sweeps, a WeylGroup lazily builds an indexed layer: the full element
-list, generator multiplication tables, inverses, canonical words, and the
-Bruhat order as one bitmask per element.  The tables are built once and
-read-only afterwards, so they can be shared freely across parallel workers.
+Every element query (length, canonical word, Bruhat order, inverse,
+products, words) reads an indexed layer that a WeylGroup builds on first
+use: the full element list, generator multiplication tables, inverses,
+canonical words, and the Bruhat order as one bitmask per element.  The
+tables are built once and read-only afterwards, so they can be shared
+freely across parallel workers.
 
 The element list is found on the W-orbit of rho.  Each element w is keyed
 by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
@@ -30,7 +34,8 @@ depend on how the tables were built.
 
 Groups too large to tabulate fail fast with BudgetError before anything is
 allocated: the element tables stop at MAX_TABLE_ORDER (E6), the Bruhat
-masks at MAX_BRUHAT_BYTES.
+masks at MAX_BRUHAT_BYTES.  So groups above E6 answer no element query;
+only their generators, reflections and root data are available.
 """
 
 from __future__ import annotations
@@ -113,10 +118,8 @@ class WeylGroup:
         self._gens = tuple(
             WeylElement(rs.simple_root_matrices[i], rs.simple_weight_matrices[i])
             for i in range(n))
-        self._len_memo: dict[Matrix, int] = {self.identity.root_action: 0}
-        self._leq_memo: dict[tuple[Matrix, Matrix], bool] = {}
         self._refl_cache: dict[Coords, WeylElement] = {}
-        # indexed layer, built on first full-group use
+        # indexed layer, built on first element query
         self._elements: list[WeylElement] | None = None
         self._index: dict[Matrix, int] | None = None
         self._len: list[int] | None = None
@@ -138,10 +141,8 @@ class WeylGroup:
         return self._gens[letter - 1]
 
     def element_from_word(self, letters) -> WeylElement:
-        w = self.identity
-        for letter in letters:
-            w = w * self.simple_reflection(letter)
-        return w
+        idx = self.word_to_idx(letters)  # builds the tables on first use
+        return self._elements[idx]
 
     def reflection(self, alpha: Coords) -> WeylElement:
         """Reflection s_alpha for an arbitrary positive root."""
@@ -167,20 +168,8 @@ class WeylGroup:
         return elem
 
     def length(self, w: WeylElement) -> int:
-        cached = self._len_memo.get(w.root_action)
-        if cached is not None:
-            return cached
-        if self._index is not None:
-            idx = self._index.get(w.root_action)
-            if idx is not None:
-                return self._len[idx]
-        count = 0
-        for alpha in self.rs.positive_roots:
-            image = w.apply_root(alpha)
-            if not self.rs.is_positive_root(image):
-                count += 1
-        self._len_memo[w.root_action] = count
-        return count
+        idx = self.idx_of(w)
+        return self._len[idx]
 
     def inversion_set(self, w: WeylElement) -> tuple[Coords, ...]:
         """Positive roots sent negative by w^-1 (the set usually written
@@ -192,64 +181,25 @@ class WeylGroup:
                 out.append(tuple(-c for c in image))
         return tuple(sorted(out, key=lambda c: (sum(c), c)))
 
-    def left_descents(self, w: WeylElement) -> list[int]:
-        lw = self.length(w)
-        return [i for i in range(1, self.rs.rank + 1)
-                if self.length(self._gens[i - 1] * w) < lw]
-
     def canonical_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lexicographically least reduced word (smallest left descent
         first); the canonical serialization of an element."""
-        if self._index is not None:
-            idx = self._index.get(w.root_action)
-            if idx is not None:
-                return self._canon[idx]
-        word = []
-        cur = w
-        while True:
-            descents = self.left_descents(cur)
-            if not descents:
-                break
-            i = descents[0]
-            word.append(i)
-            cur = self._gens[i - 1] * cur
-        return tuple(word)
+        idx = self.idx_of(w)
+        return self._canon[idx]
 
     def is_reduced(self, letters) -> bool:
-        return self.length(self.element_from_word(letters)) == len(letters)
+        idx = self.word_to_idx(letters)
+        return self._len[idx] == len(letters)
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        idx = self.idx_of(w)  # builds the tables on first use
+        idx = self.idx_of(w)
         return self._elements[self._inv[idx]]
 
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
-        if self._bruhat is not None:
-            return self.leq_idx(self.idx_of(x), self.idx_of(w))
-        return self._leq_rec(x, w)
-
-    def _leq_rec(self, x: WeylElement, w: WeylElement) -> bool:
-        lw = self.length(w)
-        if lw == 0:
-            return self.length(x) == 0
-        if self.length(x) > lw:
-            return False
-        key = (x.root_action, w.root_action)
-        cached = self._leq_memo.get(key)
-        if cached is not None:
-            return cached
-        s = self._gens[self.left_descents(w)[0] - 1]
-        sw = s * w
-        sx = s * x
-        if self.length(sx) < self.length(x):
-            result = self._leq_rec(sx, sw)
-        else:
-            result = self._leq_rec(x, sw)
-        self._leq_memo[key] = result
-        return result
+        return self.leq_idx(self.idx_of(x), self.idx_of(w))
 
     def iter_reduced_words(self, w: WeylElement):
         """All reduced words of w, streamed in lexicographic order."""
-        self.ensure_tables()
         yield from self._iter_words_idx(self.idx_of(w))
 
     def all_reduced_words(self, w: WeylElement) -> list[tuple[int, ...]]:
@@ -286,7 +236,6 @@ class WeylGroup:
 
     def covers_down(self, w: WeylElement) -> list[WeylElement]:
         """All y covered by w, i.e. y < w with l(y) = l(w) - 1."""
-        self.ensure_tables()
         wi = self.idx_of(w)
         target = self._len[wi] - 1
         seen = sorted({di for di in self.deleted_word_elements_idx(self._canon[wi])

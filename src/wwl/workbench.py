@@ -24,12 +24,12 @@ from fractions import Fraction
 
 from .coeffs import atom_coeffs, casselman_shalika_check, char_coeffs, \
     closed_form_coeff
-from .errors import BudgetError, ConditionError, DomainError
+from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product, sample_spectral_point
 from .roots import build_root_system
 from .shellability import (_greedy_chain_idx, chain_realizes_idx,
                            condition_B, is_good_word, lambda_positions_idx,
-                           s_set)
+                           lower_reflections_idx)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -92,13 +92,25 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write_json_atomic(path: str, obj) -> None:
+    """Write obj as JSON to a temporary file beside path, then move it into
+    place, so an interrupted write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_group_cache(group: WeylGroup, cache_dir: str) -> str:
     os.makedirs(cache_dir, exist_ok=True)
     payload = _cache_payload(group)
     path = _cache_path(cache_dir, group.rs.type_letter, group.rs.rank)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"payload": payload, "sha256": _payload_digest(payload)},
-                  fh, sort_keys=True)
+    _write_json_atomic(path, {"payload": payload,
+                              "sha256": _payload_digest(payload)})
     return path
 
 
@@ -194,12 +206,11 @@ def _verify_w(group: WeylGroup, wi: int):
                     "chain_max": list(dec),
                     "flags": list(flags),
                 })
-    w_el = group.elem_of(wi)
+    lower = lower_reflections_idx(group, wi)
     deodhar_failures = []
     for xi in xs:
-        x_el = group.elem_of(xi)
-        if len(s_set(group, x_el, w_el)) < \
-                group.len_of_idx(wi) - group.len_of_idx(xi):
+        size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
+        if size_s < group.len_of_idx(wi) - group.len_of_idx(xi):
             deodhar_failures.append({
                 "w": list(group.canon_of_idx(wi)),
                 "x": list(group.canon_of_idx(xi)),
@@ -255,14 +266,11 @@ def _stats_row_fast(group: WeylGroup, wi: int):
     mask = group.bruhat_mask(wi)
     xs = [xi for xi in range(group.order()) if (mask >> xi) & 1]
     lw = group.len_of_idx(wi)
-    w_el = group.elem_of(wi)
-    lower = [group.idx_of(w_el * group.reflection(alpha))
-             for alpha in group.rs.positive_roots]
-    lower = [ri for ri in lower if group.len_of_idx(ri) < lw]
+    lower = lower_reflections_idx(group, wi)
     unsat = set()
     for xi in xs:
         d = lw - group.len_of_idx(xi)
-        size_s = sum(1 for ri in lower if group.leq_idx(xi, ri))
+        size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
         if size_s == d:
             unsat.add(xi)
     n_candidates = len(unsat)
@@ -292,8 +300,9 @@ def _stats_row_independent(group: WeylGroup, wi: int):
         satisfied = []
         for xi in unsat:
             _, _, _, flags = _flags_idx(group, xi, word, dels)
-            assert flags[0] == flags[1] == flags[2], \
-                "per-word flags disagree: equivalence violated"
+            if not flags[0] == flags[1] == flags[2]:
+                raise InvariantError(
+                    "per-word flags disagree: equivalence violated")
             if flags[0]:
                 satisfied.append(xi)
         unsat.difference_update(satisfied)
@@ -311,8 +320,8 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     """One row per element: how many x below it satisfy the chain condition
     for some reduced word.  Large groups checkpoint per element block and
     resume from the progress file."""
-    group.ensure_bruhat()
     require_small_or_large(group, config)
+    group.ensure_bruhat()
     size = group.order()
     row_fn = _stats_row_fast if config.mode == "fast" else _stats_row_independent
 
@@ -336,10 +345,9 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
             done[wi] = (n_leq, n_cond)
         if progress_path:
             os.makedirs(config.cache_dir, exist_ok=True)
-            with open(progress_path, "w", encoding="utf-8") as fh:
-                json.dump({"order": size,
-                           "done": {str(k): list(v) for k, v in done.items()}},
-                          fh, sort_keys=True)
+            _write_json_atomic(progress_path, {
+                "order": size,
+                "done": {str(k): list(v) for k, v in done.items()}})
 
     rows = []
     for wi in sorted(range(size), key=group.canon_of_idx):
@@ -493,6 +501,7 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
 # -- remaining commands -----------------------------------------------------------
 
 def cs_report(group: WeylGroup, lam) -> dict:
+    group.ensure_bruhat()
     lam = tuple(lam)
     return {
         "type": group.rs.type_letter,
@@ -512,12 +521,13 @@ def good_words_report(group: WeylGroup) -> dict:
     for wi in range(size):
         w = group.elem_of(wi)
         mask = group.bruhat_mask(wi)
+        lower = lower_reflections_idx(group, wi)
         for xi in range(size):
             if not (mask >> xi) & 1:
                 continue
             x = group.elem_of(xi)
-            if len(s_set(group, x, w)) != \
-                    group.len_of_idx(wi) - group.len_of_idx(xi):
+            size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
+            if size_s != group.len_of_idx(wi) - group.len_of_idx(xi):
                 continue
             has_good = any(is_good_word(group, x, word)
                            for word in group.iter_reduced_words(w))

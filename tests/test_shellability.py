@@ -134,6 +134,22 @@ def test_s_set_examples(group_for):
     assert len(s_set(G3, x, w)) == 4
 
 
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def test_s_set_matches_matrix_definition(group_for, type_letter, rank):
+    """S(x,w) against its definition, with w*s_alpha formed as a matrix
+    product rather than through the index tables."""
+    G = group_for(type_letter, rank)
+    for w in G.enumerate_group():
+        lower = [(alpha, w * G.reflection(alpha))
+                 for alpha in G.rs.positive_roots]
+        lower = [(alpha, ws) for alpha, ws in lower
+                 if G.length(ws) < G.length(w)]
+        for x in G.interval(G.identity, w):
+            expected = tuple(alpha for alpha, ws in lower
+                             if G.bruhat_leq(x, ws))
+            assert s_set(G, x, w) == expected
+
+
 def test_gamma_bijection(group_for):
     """gamma maps the deletion set onto S(x,w), and deleting position i
     equals multiplying by the reflection of gamma_i."""

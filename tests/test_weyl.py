@@ -150,6 +150,10 @@ def test_size_gates_fire_before_building():
     e7 = WeylGroup(build_root_system("E", 7))
     with pytest.raises(BudgetError):
         e7.ensure_tables()
+    with pytest.raises(BudgetError):
+        e7.element_from_word((1,))
+    with pytest.raises(BudgetError):
+        e7.length(e7.identity)
     e6 = WeylGroup(build_root_system("E", 6))
     with pytest.raises(BudgetError):
         e6.ensure_bruhat()
@@ -271,17 +275,25 @@ def test_bruhat_matches_rank_matrix_oracle(group_for):
             assert G.bruhat_leq(x, w) == rank_matrix_leq(perms[x], perms[w])
 
 
-def test_point_query_recursion_matches_table():
-    # a fresh group without tables answers through the descent recursion
-    fresh = WeylGroup(build_root_system("A", 2))
-    tabled = WeylGroup(build_root_system("A", 2))
-    tabled.ensure_bruhat()
-    words = [(), (1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
-    for wx in words:
-        for ww in words:
-            x1, w1 = fresh.element_from_word(wx), fresh.element_from_word(ww)
-            x2, w2 = tabled.element_from_word(wx), tabled.element_from_word(ww)
-            assert fresh.bruhat_leq(x1, w1) == tabled.bruhat_leq(x2, w2)
+@pytest.mark.parametrize("query", ["length", "canonical_word", "bruhat_leq",
+                                   "inverse", "element_from_word",
+                                   "is_reduced"])
+def test_query_on_fresh_group_builds_tables(group_for, query):
+    """Each element query works as the first call on a new group."""
+    tabled = group_for("B", 2)
+    fresh = WeylGroup(build_root_system("B", 2))
+    w = tabled.element_from_word((1, 2, 1))
+    x = tabled.element_from_word((2,))
+    calls = {
+        "length": lambda G: G.length(w),
+        "canonical_word": lambda G: G.canonical_word(w),
+        "bruhat_leq": lambda G: G.bruhat_leq(x, w),
+        "inverse": lambda G: G.inverse(w),
+        "element_from_word": lambda G: G.element_from_word((2, 1, 2)),
+        "is_reduced": lambda G: G.is_reduced((1, 2, 1)),
+    }
+    assert fresh._elements is None
+    assert calls[query](fresh) == calls[query](tabled)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 2)])

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from wwl import WeylGroup, build_root_system, roots
+from wwl import WeylGroup, build_root_system, roots, workbench
 from wwl.cli import main
+from wwl.errors import InvariantError
 from wwl.workbench import (SweepConfig, load_group_cache, parse_int_seq,
                            pct_string, save_group_cache, stats_sweep,
                            verify_conjecture)
@@ -104,10 +105,14 @@ def _too_large_runs():
                                 ["cs-check", "--lambda", zero], ["good-words"]):
             yield [command, "--type", "E", "--rank", str(rank), *extra]
     yield ["coeff", "--type", "E", "--rank", "6", "--w", "1,3"]
+    yield ["cs-check", "--type", "E", "--rank", "6", "--lambda", "0,0,0,0,0,0"]
+    # above the --large threshold: refused before any table is built
+    yield ["stats", "--type", "B", "--rank", "5"]
+    yield ["stats", "--type", "A", "--rank", "6"]
 
 
 @pytest.mark.parametrize("argv", list(_too_large_runs()),
-                         ids=lambda argv: f"{argv[0]}-E{argv[4]}")
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}{argv[4]}")
 def test_too_large_groups_exit_3_fast(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -210,6 +215,16 @@ def test_stats_independent_mode_cli(capsys):
     assert report["rows"] == fast["rows"]
 
 
+def test_stats_independent_flag_disagreement_raises(monkeypatch):
+    def disagreeing(group, xi, word, dels):
+        return (), (), (), (True, False, True)
+
+    monkeypatch.setattr(workbench, "_flags_idx", disagreeing)
+    group = WeylGroup(build_root_system("A", 2))
+    with pytest.raises(InvariantError):
+        stats_sweep(group, SweepConfig("A", 2, mode="independent"))
+
+
 def test_verify_threads_do_not_change_output():
     one = run_proc("verify-conjecture", "--type", "B", "--rank", "2",
                    "--threads", "1")
@@ -241,6 +256,25 @@ def test_cache_rejects_corruption(tmp_path):
     json.dump(blob, open(path, "w"))
     other = WeylGroup(build_root_system("A", 2))
     assert not load_group_cache(other, str(tmp_path))
+
+
+def test_interrupted_cache_rewrite_keeps_old_cache(tmp_path, monkeypatch):
+    group = WeylGroup(build_root_system("B", 2))
+    group.ensure_bruhat()
+    save_group_cache(group, str(tmp_path))
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        save_group_cache(group, str(tmp_path))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["wwl-B2.json"]
+    loaded = WeylGroup(build_root_system("B", 2))
+    assert load_group_cache(loaded, str(tmp_path))
+    assert loaded._bruhat == group._bruhat
 
 
 def test_cli_cache_write_and_reuse(tmp_path, capsys):
