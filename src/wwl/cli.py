@@ -22,9 +22,12 @@ import sys
 
 from .errors import (BudgetError, ConfigurationError, DomainError,
                      InvariantError, UnluckyPointError)
+from .roots import build_root_system
+from .weyl import WeylGroup
 from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
                         good_words_report, mtx_report, parse_int_seq,
-                        stats_sweep, stats_to_csv, verify_conjecture)
+                        require_small_or_large, stats_sweep, stats_to_csv,
+                        verify_conjecture)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -118,6 +121,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
+        if args.command == "stats":  # build_group may build the masks
+            require_small_or_large(WeylGroup(build_root_system(
+                config.type_letter, config.rank)), config)
         group = build_group(config)
 
         if args.command == "verify-conjecture":

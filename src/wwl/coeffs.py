@@ -28,7 +28,8 @@ from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
                        t_op, weyl_act)
 from .roots import Weight
-from .shellability import (_greedy_chain_idx, beta_sequence, lambda_set)
+from .shellability import (_checked_word_idx, _greedy_chain_idx, _labels_idx,
+                           beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -154,28 +155,22 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     ConditionError carrying the three labels is raised.  With check=False
     the formula is evaluated anyway, using the increasing-chain label; that
     is the variant whose failure off-condition is itself a tested fact."""
-    group.ensure_bruhat()
     word = tuple(word)
-    xi = group.idx_of(x)
-    wi = group.word_to_idx(word)
-    if not group.leq_idx(xi, wi):
-        raise DomainError("x is not below the product of the word")
-    lam = lambda_set(group, x, word)
-    inc = _greedy_chain_idx(group, xi, word, pick_max=False)
-    if check:
-        dec = _greedy_chain_idx(group, xi, word, pick_max=True)
-        rev = tuple(reversed(dec))
-        if lam == rev:
-            indices = lam
-        elif inc == rev:
-            indices = inc
-        else:
-            raise ConditionError(
-                "chain condition fails for this pair and word",
-                lambda_set=lam, chain_min=inc, chain_max=dec)
-    else:
-        indices = inc
+    xi, _ = _checked_word_idx(group, x, word)
+    if not check:
+        return _closed_form_product(
+            group, word, _greedy_chain_idx(group, xi, word, pick_max=False))
+    lam, inc, dec, flags = _labels_idx(group, xi, word,
+                                       group.deleted_word_elements_idx(word))
+    if not (flags[0] or flags[1]):
+        raise ConditionError(
+            "chain condition fails for this pair and word",
+            lambda_set=lam, chain_min=inc, chain_max=dec)
+    return _closed_form_product(group, word, lam if flags[0] else inc)
 
+
+def _closed_form_product(group: WeylGroup, word, indices) -> GAElement:
+    """The closed form of a word, t_beta at the positions in indices."""
     rs = group.rs
     betas = beta_sequence(group, word, indices)
     index_set = set(indices)
@@ -192,13 +187,18 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
 def char_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
     """Coefficients on Demazure characters: the alternating sums over
     Bruhat intervals of the atom coefficients."""
-    ct = atom_coeffs(group, w, word)
+    return char_from_atom_coeffs(group, atom_coeffs(group, w, word))
+
+
+def char_from_atom_coeffs(group: WeylGroup, table: CoefficientTable) -> CoefficientTable:
+    """Character coefficients from the atom coefficient table of w."""
+    w = table.anchor
     entries: dict[WeylElement, GAElement] = {}
-    for x in ct.entries:
+    for x in table.entries:
         lx = group.length(x)
         total = GAElement.zero()
         for y in group.interval(x, w):
-            c = ct.entries[y]
+            c = table.entries[y]
             if (group.length(y) - lx) % 2:
                 total = total - c
             else:

@@ -20,6 +20,10 @@ w = s_1...s_n and x <= w:
   The pair-level conditions A and B ask for some reduced word of w
   satisfying (i), respectively (ii); searches run in lexicographic word
   order and stop at the first witness.
+
+Every sweep shares three kernels: _labels_idx computes the labels and flags
+of one (x, word) pair, first_witnesses is the lexicographic witness search
+over the reduced words of w, and deodhar_slack_idx counts #S(x,w).
 """
 
 from __future__ import annotations
@@ -41,20 +45,33 @@ def _checked_word_idx(group: WeylGroup, x: WeylElement, word) -> tuple[int, int]
 def lambda_set(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Positions whose single deletion leaves an element >= x, ascending."""
     xi, _ = _checked_word_idx(group, x, word)
-    dels = group.deleted_word_elements_idx(word)
-    return tuple(i + 1 for i, d in enumerate(dels) if group.leq_idx(xi, d))
+    return lambda_positions_idx(group, xi, group.deleted_word_elements_idx(word))
+
+
+def _checked_pair_idx(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[int, int]:
+    group.ensure_bruhat()
+    xi, wi = group.idx_of(x), group.idx_of(w)
+    if not group.leq_idx(xi, wi):
+        raise DomainError("x is not below w")
+    return xi, wi
 
 
 def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
-    xi, wi = _checked_word_idx(group, x, word)
-    lam = lambda_set(group, x, word)
+    xi, _ = _checked_word_idx(group, x, word)
+    return _good_word_idx(group, xi, word, group.deleted_word_elements_idx(word))
+
+
+def _good_word_idx(group: WeylGroup, xi: int, word, dels) -> bool:
+    """is_good_word against precomputed single-deletion element indices."""
+    lam = lambda_positions_idx(group, xi, dels)
     lam_set = set(lam)
     residual = [a for i, a in enumerate(word, start=1) if i not in lam_set]
     good = group.word_to_idx(residual) == xi
     if good and (len(residual) != group.len_of_idx(xi) or
-                 len(lam) != group.len_of_idx(wi) - group.len_of_idx(xi)):
+                 len(lam) != group.len_of_idx(group.word_to_idx(word))
+                 - group.len_of_idx(xi)):
         raise InvariantError(
             "good word whose residual or deletion set has the wrong length")
     return good
@@ -74,12 +91,18 @@ def lower_reflections_idx(group: WeylGroup, wi: int) -> list[tuple[Coords, int]]
 
 def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...]:
     """{alpha in Phi+ : x <= w*s_alpha < w}, in positive-root order."""
-    group.ensure_bruhat()
-    xi, wi = group.idx_of(x), group.idx_of(w)
-    if not group.leq_idx(xi, wi):
-        raise DomainError("x is not below w")
+    xi, wi = _checked_pair_idx(group, x, w)
     return tuple(alpha for alpha, ri in lower_reflections_idx(group, wi)
                  if group.leq_idx(xi, ri))
+
+
+def deodhar_slack_idx(group: WeylGroup, wi: int, xs) -> list[int]:
+    """#S(x,w) - (l(w) - l(x)) for every x index in xs (each x <= w), in the
+    order of xs.  Deodhar's inequality says it is never negative."""
+    lower = [ri for _, ri in lower_reflections_idx(group, wi)]
+    lw = group.len_of_idx(wi)
+    return [sum(1 for ri in lower if group.leq_idx(xi, ri))
+            - lw + group.len_of_idx(xi) for xi in xs]
 
 
 def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
@@ -175,31 +198,47 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
     xi, _ = _checked_word_idx(group, x, word)
-    lam = lambda_set(group, x, word)
+    return _labels_idx(group, xi, word, group.deleted_word_elements_idx(word))[3]
+
+
+def _labels_idx(group: WeylGroup, xi: int, word, dels):
+    """(lambda_set, increasing label, decreasing label, flags (i)-(iii)) of
+    x below the word's product, given its single-deletion element indices;
+    the labels are computed independently."""
+    lam = lambda_positions_idx(group, xi, dels)
     inc = _greedy_chain_idx(group, xi, word, pick_max=False)
     dec = _greedy_chain_idx(group, xi, word, pick_max=True)
     rev = tuple(reversed(dec))
-    return (lam == rev, inc == rev, lam == inc)
+    return lam, inc, dec, (lam == rev, inc == rev, lam == inc)
+
+
+def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
+    """{xi: first reduced word of w, in lexicographic order, on which
+    holds(group, xi, word, dels)} for the xi in xs that have one.  dels, the
+    word's single-deletion element indices, is computed once per word; each
+    x drops out at its first witness and the walk stops when none is left."""
+    found: dict[int, tuple[int, ...]] = {}
+    left = list(xs)
+    for word in group._iter_words_idx(wi) if left else ():
+        dels = group.deleted_word_elements_idx(word)
+        for xi in left:
+            if holds(group, xi, word, dels):
+                found[xi] = word
+        left = [xi for xi in left if xi not in found]
+        if not left:
+            break
+    return found
 
 
 def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
                        flag_index: int):
-    group.ensure_bruhat()
-    xi, wi = group.idx_of(x), group.idx_of(w)
-    if not group.leq_idx(xi, wi):
-        raise DomainError("x is not below w")
-    for word in group.iter_reduced_words(w):
-        if flag_index == 0:
-            lam = lambda_set(group, x, word)
-            dec = _greedy_chain_idx(group, xi, word, pick_max=True)
-            hit = lam == tuple(reversed(dec))
-        else:
-            inc = _greedy_chain_idx(group, xi, word, pick_max=False)
-            dec = _greedy_chain_idx(group, xi, word, pick_max=True)
-            hit = inc == tuple(reversed(dec))
-        if hit:
-            return True, word
-    return False, None
+    xi, wi = _checked_pair_idx(group, x, w)
+
+    def holds(group, xi, word, dels):
+        return _labels_idx(group, xi, word, dels)[3][flag_index]
+
+    word = first_witnesses(group, wi, [xi], holds).get(xi)
+    return word is not None, word
 
 
 def condition_A(group: WeylGroup, x: WeylElement, w: WeylElement):
@@ -215,12 +254,8 @@ def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
 
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
-    group.ensure_bruhat()
-    xi, wi = group.idx_of(x), group.idx_of(w)
-    if not group.leq_idx(xi, wi):
-        raise DomainError("x is not below w")
-    return len(s_set(group, x, w)) >= \
-        group.len_of_idx(wi) - group.len_of_idx(xi)
+    xi, wi = _checked_pair_idx(group, x, w)
+    return deodhar_slack_idx(group, wi, [xi])[0] >= 0
 
 
 # -- fast path for statistics sweeps ------------------------------------------

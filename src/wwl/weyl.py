@@ -230,9 +230,8 @@ class WeylGroup:
         xi, wi = self.idx_of(x), self.idx_of(w)
         if not self.leq_idx(xi, wi):
             raise DomainError("interval endpoints not comparable: x must be <= w")
-        mask_w = self._bruhat[wi]
-        return [self._elements[yi] for yi in range(len(self._elements))
-                if (mask_w >> yi) & 1 and (self._bruhat[yi] >> xi) & 1]
+        return [self._elements[yi] for yi in self.lower_interval_idx(wi)
+                if (self._bruhat[yi] >> xi) & 1]
 
     def covers_down(self, w: WeylElement) -> list[WeylElement]:
         """All y covered by w, i.e. y < w with l(y) = l(w) - 1."""
@@ -389,6 +388,11 @@ class WeylGroup:
     def bruhat_mask(self, wi: int) -> int:
         self.ensure_bruhat()
         return self._bruhat[wi]
+
+    def lower_interval_idx(self, wi: int) -> list[int]:
+        """Indices of every x <= w, ascending."""
+        mask = self.bruhat_mask(wi)
+        return [xi for xi in range(len(self._elements)) if (mask >> xi) & 1]
 
     def deleted_word_elements_idx(self, letters) -> list[int]:
         """Index of the product of `letters` with position i removed, for

@@ -22,14 +22,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import atom_coeffs, casselman_shalika_check, char_coeffs, \
-    closed_form_coeff
+from .coeffs import (_closed_form_product, atom_coeffs,
+                     casselman_shalika_check, char_from_atom_coeffs,
+                     closed_form_coeff)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_greedy_chain_idx, chain_realizes_idx,
-                           condition_B, is_good_word, lambda_positions_idx,
-                           lower_reflections_idx)
+from .shellability import (_good_word_idx, _labels_idx, chain_realizes_idx,
+                           condition_B, deodhar_slack_idx, first_witnesses,
+                           lambda_positions_idx)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -178,23 +179,14 @@ def parallel_over(group: WeylGroup, fn, items, threads: int):
 
 # -- conjecture verification ----------------------------------------------------
 
-def _flags_idx(group: WeylGroup, xi: int, word, dels):
-    lam = lambda_positions_idx(group, xi, dels)
-    inc = _greedy_chain_idx(group, xi, word, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, word, pick_max=True)
-    rev = tuple(reversed(dec))
-    return lam, inc, dec, (lam == rev, inc == rev, lam == inc)
-
-
 def _verify_w(group: WeylGroup, wi: int):
-    mask = group.bruhat_mask(wi)
-    xs = [xi for xi in range(group.order()) if (mask >> xi) & 1]
+    xs = group.lower_interval_idx(wi)
     triples = 0
     violations = []
     for word in group._iter_words_idx(wi):
         dels = group.deleted_word_elements_idx(word)
         for xi in xs:
-            lam, inc, dec, flags = _flags_idx(group, xi, word, dels)
+            lam, inc, dec, flags = _labels_idx(group, xi, word, dels)
             triples += 1
             if not (flags[0] == flags[1] == flags[2]):
                 violations.append({
@@ -206,15 +198,9 @@ def _verify_w(group: WeylGroup, wi: int):
                     "chain_max": list(dec),
                     "flags": list(flags),
                 })
-    lower = lower_reflections_idx(group, wi)
-    deodhar_failures = []
-    for xi in xs:
-        size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
-        if size_s < group.len_of_idx(wi) - group.len_of_idx(xi):
-            deodhar_failures.append({
-                "w": list(group.canon_of_idx(wi)),
-                "x": list(group.canon_of_idx(xi)),
-            })
+    deodhar_failures = [
+        {"w": list(group.canon_of_idx(wi)), "x": list(group.canon_of_idx(xi))}
+        for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs)) if slack < 0]
     return {"triples": triples, "violations": violations,
             "deodhar_failures": deodhar_failures}
 
@@ -263,50 +249,30 @@ def _stats_row_fast(group: WeylGroup, wi: int):
     length difference: pairs failing that never need a word enumerated.
     And the word enumeration stops as soon as every surviving x has found
     a witness."""
-    mask = group.bruhat_mask(wi)
-    xs = [xi for xi in range(group.order()) if (mask >> xi) & 1]
-    lw = group.len_of_idx(wi)
-    lower = lower_reflections_idx(group, wi)
-    unsat = set()
-    for xi in xs:
-        d = lw - group.len_of_idx(xi)
-        size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
-        if size_s == d:
-            unsat.add(xi)
-    n_candidates = len(unsat)
-    for word in group._iter_words_idx(wi):
-        if not unsat:
-            break
-        dels = group.deleted_word_elements_idx(word)
-        satisfied = []
-        for xi in unsat:
-            lam = lambda_positions_idx(group, xi, dels)
-            if chain_realizes_idx(group, xi, word, lam):
-                satisfied.append(xi)
-        unsat.difference_update(satisfied)
-    return wi, len(xs), n_candidates - len(unsat)
+    xs = group.lower_interval_idx(wi)
+
+    def realizes(group, xi, word, dels):
+        return chain_realizes_idx(group, xi, word,
+                                  lambda_positions_idx(group, xi, dels))
+
+    tight = [xi for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs))
+             if slack == 0]
+    return wi, len(xs), len(first_witnesses(group, wi, tight, realizes))
 
 
 def _stats_row_independent(group: WeylGroup, wi: int):
     """Same counts, but per word all three flags are computed independently
     and must agree."""
-    mask = group.bruhat_mask(wi)
-    xs = [xi for xi in range(group.order()) if (mask >> xi) & 1]
-    unsat = set(xs)
-    for word in group._iter_words_idx(wi):
-        if not unsat:
-            break
-        dels = group.deleted_word_elements_idx(word)
-        satisfied = []
-        for xi in unsat:
-            _, _, _, flags = _flags_idx(group, xi, word, dels)
-            if not flags[0] == flags[1] == flags[2]:
-                raise InvariantError(
-                    "per-word flags disagree: equivalence violated")
-            if flags[0]:
-                satisfied.append(xi)
-        unsat.difference_update(satisfied)
-    return wi, len(xs), len(xs) - len(unsat)
+    xs = group.lower_interval_idx(wi)
+
+    def flag_i(group, xi, word, dels):
+        flags = _labels_idx(group, xi, word, dels)[3]
+        if not flags[0] == flags[1] == flags[2]:
+            raise InvariantError(
+                "per-word flags disagree: equivalence violated")
+        return flags[0]
+
+    return wi, len(xs), len(first_witnesses(group, wi, xs, flag_i))
 
 
 def _stats_progress_path(config: SweepConfig) -> str | None:
@@ -404,7 +370,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     if group.length(w) != len(w_word):
         raise DomainError("the given word for w is not reduced")
     table = atom_coeffs(group, w, w_word)
-    chars = char_coeffs(group, w, w_word) if include_char else None
+    chars = char_from_atom_coeffs(group, table) if include_char else None
 
     def entry_for(x):
         obj = {
@@ -515,22 +481,15 @@ def good_words_report(group: WeylGroup) -> dict:
     """Census over pairs with #S(x,w) equal to the length difference: does
     any reduced word of w delete down to x cleanly?"""
     group.ensure_bruhat()
-    size = group.order()
     pairs = []
     missing = 0
-    for wi in range(size):
-        w = group.elem_of(wi)
-        mask = group.bruhat_mask(wi)
-        lower = lower_reflections_idx(group, wi)
-        for xi in range(size):
-            if not (mask >> xi) & 1:
-                continue
-            x = group.elem_of(xi)
-            size_s = sum(1 for _, ri in lower if group.leq_idx(xi, ri))
-            if size_s != group.len_of_idx(wi) - group.len_of_idx(xi):
-                continue
-            has_good = any(is_good_word(group, x, word)
-                           for word in group.iter_reduced_words(w))
+    for wi in range(group.order()):
+        xs = group.lower_interval_idx(wi)
+        qualifying = [xi for xi, slack in
+                      zip(xs, deodhar_slack_idx(group, wi, xs)) if slack == 0]
+        found = first_witnesses(group, wi, qualifying, _good_word_idx)
+        for xi in qualifying:
+            has_good = xi in found
             if not has_good:
                 missing += 1
             pairs.append({
@@ -554,32 +513,26 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     holds, the closed form must equal the recursion entry; also hunt for one
     condition-failing triple where the label-driven formula differs."""
     group.ensure_bruhat()
-    size = group.order()
     held = 0
     mismatches = 0
     failing_differs = False
-    for wi in range(size):
-        w = group.elem_of(wi)
-        table = atom_coeffs(group, w)
+    for wi in range(group.order()):
+        table = atom_coeffs(group, group.elem_of(wi))
+        xs = group.lower_interval_idx(wi)
         for word in group._iter_words_idx(wi):
             dels = group.deleted_word_elements_idx(word)
-            for xi in range(size):
-                if not (group.bruhat_mask(wi) >> xi) & 1:
-                    continue
-                x = group.elem_of(xi)
-                lam, inc, dec, flags = _flags_idx(group, xi, word, dels)
+            for xi in xs:
+                lam, inc, _, flags = _labels_idx(group, xi, word, dels)
+                entry = table.entries[group.elem_of(xi)]
                 if flags[0] or flags[1]:
                     held += 1
-                    closed = closed_form_coeff(group, x, word)
-                    if closed != table.entries[x]:
+                    closed = _closed_form_product(
+                        group, word, lam if flags[0] else inc)
+                    if closed != entry:
                         mismatches += 1
                 elif not failing_differs:
-                    try:
-                        closed = closed_form_coeff(group, x, word, check=False)
-                    except DomainError:
-                        continue
-                    if closed != table.entries[x]:
-                        failing_differs = True
+                    failing_differs = \
+                        _closed_form_product(group, word, inc) != entry
     return {
         "condition_triples": held,
         "mismatches": mismatches,

@@ -12,6 +12,7 @@ from wwl.shellability import (beta_sequence, chain_realizes_idx, condition_A,
                               condition_B, condition_per_word, deodhar_check,
                               gamma_sequence, is_good_word, lambda_set,
                               lex_max_chain, lex_min_chain, s_set)
+from wwl.workbench import good_words_report
 
 from test_weyl import perm_of_word, rank_matrix_leq
 
@@ -119,6 +120,29 @@ def test_b2_has_pair_without_good_word(group_for):
                 continue
             assert any(is_good_word(G2, x, word)
                        for word in G2.all_reduced_words(w))
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def test_good_words_report_matches_element_oracle(group_for, type_letter,
+                                                  rank):
+    """The census's shared witness search against testing every reduced
+    word of w with the element-level is_good_word."""
+    G = group_for(type_letter, rank)
+    expected = []
+    for w in G.enumerate_group():
+        for x in G.interval(G.identity, w):
+            if len(s_set(G, x, w)) != G.length(w) - G.length(x):
+                continue
+            expected.append({
+                "x": list(G.canonical_word(x)),
+                "w": list(G.canonical_word(w)),
+                "has_good_word": any(is_good_word(G, x, word)
+                                     for word in G.iter_reduced_words(w)),
+            })
+    report = good_words_report(G)
+    assert report["pairs"] == expected
+    assert report["pairs_without_good_word"] == \
+        sum(not p["has_good_word"] for p in expected)
 
 
 # -- S sets and gamma roots --------------------------------------------------------
@@ -258,6 +282,20 @@ def test_pair_conditions(group_for):
             has_a, _ = condition_A(G, xy, wy)
             has_b, _ = condition_B(G, xy, wy)
             assert has_a == has_b
+
+
+def test_pair_condition_witness_is_first_flagged_word(group_for):
+    """condition_A and condition_B return the first word of
+    all_reduced_words(w) whose flag (i), respectively (ii), holds."""
+    G = group_for("B", 3)
+    for w in G.enumerate_group():
+        words = G.all_reduced_words(w)
+        for x in G.interval(G.identity, w):
+            flags = [condition_per_word(G, x, word) for word in words]
+            for k, condition in enumerate((condition_A, condition_B)):
+                first = next((word for word, f in zip(words, flags) if f[k]),
+                             None)
+                assert condition(G, x, w) == (first is not None, first)
 
 
 def test_condition_requires_comparable(group_for):

@@ -159,6 +159,17 @@ def test_stats_large_gate(capsys):
     assert "large" in err
 
 
+def test_stats_large_gate_precedes_cache_build(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stats", "--type", "A", "--rank", "6",
+                           "--cache", str(cache))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert not cache.exists() or not os.listdir(cache)
+
+
 def test_stats_byte_identical_runs():
     a = run_proc("stats", "--type", "A", "--rank", "3", "--seed", "9")
     b = run_proc("stats", "--type", "A", "--rank", "3", "--seed", "9")
@@ -219,7 +230,7 @@ def test_stats_independent_flag_disagreement_raises(monkeypatch):
     def disagreeing(group, xi, word, dels):
         return (), (), (), (True, False, True)
 
-    monkeypatch.setattr(workbench, "_flags_idx", disagreeing)
+    monkeypatch.setattr(workbench, "_labels_idx", disagreeing)
     group = WeylGroup(build_root_system("A", 2))
     with pytest.raises(InvariantError):
         stats_sweep(group, SweepConfig("A", 2, mode="independent"))
@@ -386,7 +397,8 @@ def test_stats_a4_matches_golden(group_for):
 
 # -- fast path vs independent mode -----------------------------------------------------------
 
-@pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3)])
+@pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3), ("B", 3),
+                                              ("C", 3), ("G", 2)])
 def test_stats_fast_path_consistent(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     fast = stats_sweep(G, SweepConfig(type_letter=type_letter, rank=rank,
