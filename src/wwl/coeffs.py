@@ -29,7 +29,7 @@ from .groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
                        t_op, weyl_act)
 from .roots import Weight
 from .shellability import (_checked_word_idx, _greedy_chain_idx, _labels_idx,
-                           beta_sequence)
+                           _WordCovers, beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -157,11 +157,11 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     is the variant whose failure off-condition is itself a tested fact."""
     word = tuple(word)
     xi, _ = _checked_word_idx(group, x, word)
+    covers = _WordCovers(group, word)
     if not check:
         return _closed_form_product(
-            group, word, _greedy_chain_idx(group, xi, word, pick_max=False))
-    lam, inc, dec, flags = _labels_idx(group, xi, word,
-                                       group.deleted_word_elements_idx(word))
+            group, word, _greedy_chain_idx(group, xi, covers, pick_max=False))
+    lam, inc, dec, flags = _labels_idx(group, xi, covers)
     if not (flags[0] or flags[1]):
         raise ConditionError(
             "chain condition fails for this pair and word",

@@ -33,7 +33,7 @@ import random
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
-from .shellability import _greedy_chain_idx, gamma_sequence
+from .shellability import _greedy_chain_idx, _WordCovers, gamma_sequence
 from .weyl import WeylElement, WeylGroup
 
 MODULUS_DEFAULT = (1 << 61) - 1
@@ -220,8 +220,9 @@ def m_product(group: WeylGroup, x: WeylElement, w: WeylElement, word,
     xi = group.idx_of(x)
     if not group.leq_idx(xi, wi):
         raise DomainError("x is not below w")
-    inc = _greedy_chain_idx(group, xi, word, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, word, pick_max=True)
+    covers = _WordCovers(group, word)
+    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
+    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
     if inc != tuple(reversed(dec)):
         raise ConditionError("chain condition fails for this pair and word",
                              chain_min=inc, chain_max=dec)

@@ -24,6 +24,17 @@ w = s_1...s_n and x <= w:
 Every sweep shares three kernels: _labels_idx computes the labels and flags
 of one (x, word) pair, first_witnesses is the lexicographic witness search
 over the reduced words of w, and deodhar_slack_idx counts #S(x,w).
+
+Per-word cover memo.  Which deletions of a subword are covers does not
+depend on x; only the test "stays >= x" does.  A _WordCovers object holds
+this x-free data for one word: its single deletions, and, keyed by the
+bitmask of positions already deleted, the list of (original position,
+element index) for each further deletion that is a cover.  The word loops
+make one per word and share it across every x below the product, so a
+greedy step is one Bruhat bit test per candidate; one-off callers make a
+fresh one per call.  Lists are built only when a greedy search asks for
+them.  The flags stay independent: lambda_set and each label are still
+computed from their own definitions.
 """
 
 from __future__ import annotations
@@ -60,17 +71,18 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _good_word_idx(group, xi, word, group.deleted_word_elements_idx(word))
+    return _good_word_idx(group, xi, _WordCovers(group, word))
 
 
-def _good_word_idx(group: WeylGroup, xi: int, word, dels) -> bool:
-    """is_good_word against precomputed single-deletion element indices."""
-    lam = lambda_positions_idx(group, xi, dels)
+def _good_word_idx(group: WeylGroup, xi: int, covers: _WordCovers) -> bool:
+    """is_good_word against the word's shared single deletions."""
+    word = covers.word
+    lam = lambda_positions_idx(group, xi, covers.dels)
     lam_set = set(lam)
     residual = [a for i, a in enumerate(word, start=1) if i not in lam_set]
     good = group.word_to_idx(residual) == xi
     if good and (len(residual) != group.len_of_idx(xi) or
-                 len(lam) != group.len_of_idx(group.word_to_idx(word))
+                 len(lam) != group.len_of_idx(covers.wi)
                  - group.len_of_idx(xi)):
         raise InvariantError(
             "good word whose residual or deletion set has the wrong length")
@@ -142,43 +154,82 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     return tuple(betas)
 
 
-def _greedy_chain_idx(group: WeylGroup, xi: int, word, pick_max: bool) -> tuple[int, ...]:
+class _WordCovers:
+    """The data of one reduced word that no x depends on, shared by every x
+    below its product.
+
+    `dels` holds the element index left by each single deletion.  A chain
+    step from the subword left after deleting the positions in `mask` (bit
+    p for original position p) deletes one more position and drops the
+    length by exactly one; the cover list of `mask` holds those steps as
+    (original position, element index), in position order.  It is built
+    on first request with one `deleted_word_elements_idx` call on the
+    remaining letters; the root list (mask 0) is `dels` filtered by
+    length.  Nothing is computed until a search asks for it."""
+
+    __slots__ = ("group", "word", "wi", "masks", "_dels", "_covers")
+
+    def __init__(self, group: WeylGroup, word):
+        group.ensure_bruhat()
+        self.group = group
+        self.word = tuple(word)
+        self.wi = group.word_to_idx(self.word)
+        self.masks = group._bruhat
+        self._dels = None
+        self._covers: dict[int, list[tuple[int, int]]] = {}
+
+    @property
+    def dels(self) -> list[int]:
+        if self._dels is None:
+            self._dels = self.group.deleted_word_elements_idx(self.word)
+        return self._dels
+
+    def _build(self, mask: int) -> list[tuple[int, int]]:
+        group, word = self.group, self.word
+        kept = [p for p in range(1, len(word) + 1) if not (mask >> p) & 1]
+        dis = group.deleted_word_elements_idx([word[p - 1] for p in kept]) \
+            if mask else self.dels
+        target = len(kept) - 1
+        covers = [(p, di) for p, di in zip(kept, dis)
+                  if group.len_of_idx(di) == target]
+        self._covers[mask] = covers
+        return covers
+
+
+def _greedy_chain_idx(group: WeylGroup, xi: int, covers: _WordCovers,
+                      pick_max: bool) -> tuple[int, ...]:
     """Label of the lexicographically extreme maximal chain from the word's
     product down to x: repeatedly delete the least (resp. greatest) original
-    position whose deletion is a cover staying >= x."""
-    cur = [(i + 1, a) for i, a in enumerate(word)]
-    cur_idx = group.word_to_idx(word)
+    position whose deletion is a cover staying >= x.
+
+    The covers of each subword come from the word's shared cover lists,
+    scanned forward for the least position and backward for the greatest,
+    so a step costs one Bruhat bit test per candidate."""
+    masks, memo = covers.masks, covers._covers
+    deleted = 0
+    cur = covers.wi
     label: list[int] = []
-    while cur_idx != xi:
-        m = len(cur)
-        pre = [0] * (m + 1)
-        for k in range(m):
-            pre[k + 1] = group.rmul_idx(cur[k][1], pre[k])
-        suf = [0] * (m + 1)
-        for k in range(m - 1, -1, -1):
-            suf[k] = group.lmul_idx(cur[k][1], suf[k + 1])
-        target = group.len_of_idx(cur_idx) - 1
-        order = range(m - 1, -1, -1) if pick_max else range(m)
-        chosen = -1
-        for k in order:
-            di = group.idx_mul(pre[k], suf[k + 1])
-            if group.len_of_idx(di) == target and group.leq_idx(xi, di):
-                chosen = k
-                chosen_idx = di
+    while cur != xi:
+        steps = memo.get(deleted)
+        if steps is None:
+            steps = covers._build(deleted)
+        for pos, di in reversed(steps) if pick_max else steps:
+            if (masks[di] >> xi) & 1:
                 break
-        if chosen < 0:
+        else:
             raise InvariantError(
                 "no cover stays above x: chain invariant violated")
-        label.append(cur[chosen][0])
-        del cur[chosen]
-        cur_idx = chosen_idx
+        label.append(pos)
+        deleted |= 1 << pos
+        cur = di
     return tuple(label)
 
 
 def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, xi, word, pick_max=False)
+    label = _greedy_chain_idx(group, xi, _WordCovers(group, word),
+                              pick_max=False)
     if any(a >= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"increasing chain label {label} not increasing")
     return label
@@ -187,7 +238,8 @@ def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
 def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, xi, word, pick_max=True)
+    label = _greedy_chain_idx(group, xi, _WordCovers(group, word),
+                              pick_max=True)
     if any(a <= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"decreasing chain label {label} not decreasing")
     return label
@@ -198,31 +250,39 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _labels_idx(group, xi, word, group.deleted_word_elements_idx(word))[3]
+    return _labels_idx(group, xi, _WordCovers(group, word))[3]
 
 
-def _labels_idx(group: WeylGroup, xi: int, word, dels):
+def _labels_idx(group: WeylGroup, xi: int, covers: _WordCovers):
     """(lambda_set, increasing label, decreasing label, flags (i)-(iii)) of
-    x below the word's product, given its single-deletion element indices;
-    the labels are computed independently."""
-    lam = lambda_positions_idx(group, xi, dels)
-    inc = _greedy_chain_idx(group, xi, word, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, word, pick_max=True)
+    x below the word's product, from the word's shared single deletions and
+    cover lists; the labels are computed independently."""
+    lam = lambda_positions_idx(group, xi, covers.dels)
+    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
+    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
     rev = tuple(reversed(dec))
     return lam, inc, dec, (lam == rev, inc == rev, lam == inc)
 
 
+def _flag_ii_idx(group: WeylGroup, xi: int, covers: _WordCovers) -> bool:
+    """Flag (ii) alone: the increasing label equals the reversed decreasing
+    one."""
+    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
+    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
+    return inc == tuple(reversed(dec))
+
+
 def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     """{xi: first reduced word of w, in lexicographic order, on which
-    holds(group, xi, word, dels)} for the xi in xs that have one.  dels, the
-    word's single-deletion element indices, is computed once per word; each
+    holds(group, xi, covers)} for the xi in xs that have one.  covers, the
+    word's _WordCovers, is made once per word and shared by every x; each
     x drops out at its first witness and the walk stops when none is left."""
     found: dict[int, tuple[int, ...]] = {}
     left = list(xs)
     for word in group._iter_words_idx(wi) if left else ():
-        dels = group.deleted_word_elements_idx(word)
+        covers = _WordCovers(group, word)
         for xi in left:
-            if holds(group, xi, word, dels):
+            if holds(group, xi, covers):
                 found[xi] = word
         left = [xi for xi in left if xi not in found]
         if not left:
@@ -231,12 +291,8 @@ def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
 
 
 def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
-                       flag_index: int):
+                       holds):
     xi, wi = _checked_pair_idx(group, x, w)
-
-    def holds(group, xi, word, dels):
-        return _labels_idx(group, xi, word, dels)[3][flag_index]
-
     word = first_witnesses(group, wi, [xi], holds).get(xi)
     return word is not None, word
 
@@ -244,12 +300,13 @@ def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
 def condition_A(group: WeylGroup, x: WeylElement, w: WeylElement):
     """Does some reduced word of w satisfy flag (i)?  Returns the first
     witness in lexicographic order."""
-    return _condition_witness(group, x, w, 0)
+    return _condition_witness(group, x, w, lambda group, xi, covers:
+                              _labels_idx(group, xi, covers)[3][0])
 
 
 def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
     """Does some reduced word of w satisfy flag (ii)?"""
-    return _condition_witness(group, x, w, 1)
+    return _condition_witness(group, x, w, _flag_ii_idx)
 
 
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
@@ -262,7 +319,9 @@ def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
 
 def lambda_positions_idx(group: WeylGroup, xi: int, dels) -> tuple[int, ...]:
     """lambda_set against precomputed single-deletion element indices."""
-    return tuple(i + 1 for i, d in enumerate(dels) if group.leq_idx(xi, d))
+    group.ensure_bruhat()
+    masks = group._bruhat
+    return tuple(i for i, d in enumerate(dels, 1) if (masks[d] >> xi) & 1)
 
 
 def chain_realizes_idx(group: WeylGroup, xi: int, word, lam) -> bool:

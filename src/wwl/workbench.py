@@ -19,6 +19,7 @@ import json
 import multiprocessing
 import os
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,13 +29,14 @@ from .coeffs import (_closed_form_product, atom_coeffs,
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_good_word_idx, _labels_idx, chain_realizes_idx,
-                           condition_B, deodhar_slack_idx, first_witnesses,
-                           lambda_positions_idx)
+from .shellability import (_flag_ii_idx, _good_word_idx, _labels_idx,
+                           _WordCovers, chain_realizes_idx, deodhar_slack_idx,
+                           first_witnesses, lambda_positions_idx)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
+PROGRESS_VERSION = 1
 
 
 @dataclass
@@ -184,9 +186,9 @@ def _verify_w(group: WeylGroup, wi: int):
     triples = 0
     violations = []
     for word in group._iter_words_idx(wi):
-        dels = group.deleted_word_elements_idx(word)
+        covers = _WordCovers(group, word)
         for xi in xs:
-            lam, inc, dec, flags = _labels_idx(group, xi, word, dels)
+            lam, inc, dec, flags = _labels_idx(group, xi, covers)
             triples += 1
             if not (flags[0] == flags[1] == flags[2]):
                 violations.append({
@@ -251,9 +253,9 @@ def _stats_row_fast(group: WeylGroup, wi: int):
     a witness."""
     xs = group.lower_interval_idx(wi)
 
-    def realizes(group, xi, word, dels):
-        return chain_realizes_idx(group, xi, word,
-                                  lambda_positions_idx(group, xi, dels))
+    def realizes(group, xi, covers):
+        return chain_realizes_idx(group, xi, covers.word,
+                                  lambda_positions_idx(group, xi, covers.dels))
 
     tight = [xi for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs))
              if slack == 0]
@@ -265,8 +267,8 @@ def _stats_row_independent(group: WeylGroup, wi: int):
     and must agree."""
     xs = group.lower_interval_idx(wi)
 
-    def flag_i(group, xi, word, dels):
-        flags = _labels_idx(group, xi, word, dels)[3]
+    def flag_i(group, xi, covers):
+        flags = _labels_idx(group, xi, covers)[3]
         if not flags[0] == flags[1] == flags[2]:
             raise InvariantError(
                 "per-word flags disagree: equivalence violated")
@@ -282,6 +284,38 @@ def _stats_progress_path(config: SweepConfig) -> str | None:
     return os.path.join(config.cache_dir, f"wwl-stats-{key}.progress.json")
 
 
+def _progress_blob(order: int, done: dict) -> dict:
+    rows = {str(k): list(v) for k, v in done.items()}
+    return {"version": PROGRESS_VERSION, "order": order, "done": rows,
+            "sha256": _payload_digest(rows)}
+
+
+def _load_progress(path: str, order: int) -> dict:
+    """Rows saved by an earlier run, {} when there are none.  A file that
+    cannot be trusted (unreadable, another format version, a digest that
+    does not match its rows, another group order) is named in one line on
+    stderr and the sweep restarts from zero."""
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+        if blob.get("version") != PROGRESS_VERSION:
+            problem = f"format version {blob.get('version')!r}, " \
+                      f"expected {PROGRESS_VERSION}"
+        elif blob.get("sha256") != _payload_digest(blob["done"]):
+            problem = "sha256 does not match its rows"
+        elif blob.get("order") != order:
+            problem = f"group order {blob.get('order')!r}, expected {order}"
+        else:
+            return {int(k): tuple(v) for k, v in blob["done"].items()}
+    except (ValueError, OSError, KeyError, AttributeError, TypeError) as exc:
+        problem = f"unreadable ({type(exc).__name__})"
+    sys.stderr.write(f"wwl: ignoring progress file {path}: {problem}; "
+                     "restarting the sweep\n")
+    return {}
+
+
 def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     """One row per element: how many x below it satisfy the chain condition
     for some reduced word.  Large groups checkpoint per element block and
@@ -291,16 +325,9 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     size = group.order()
     row_fn = _stats_row_fast if config.mode == "fast" else _stats_row_independent
 
-    done: dict[int, tuple[int, int]] = {}
     progress_path = _stats_progress_path(config)
-    if progress_path and os.path.exists(progress_path):
-        try:
-            with open(progress_path, encoding="utf-8") as fh:
-                blob = json.load(fh)
-            if blob.get("order") == size:
-                done = {int(k): tuple(v) for k, v in blob["done"].items()}
-        except (ValueError, OSError, KeyError):
-            done = {}
+    done: dict[int, tuple[int, int]] = \
+        _load_progress(progress_path, size) if progress_path else {}
 
     todo = [wi for wi in range(size) if wi not in done]
     block = max(1, min(64, size // 8))
@@ -311,9 +338,7 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
             done[wi] = (n_leq, n_cond)
         if progress_path:
             os.makedirs(config.cache_dir, exist_ok=True)
-            _write_json_atomic(progress_path, {
-                "order": size,
-                "done": {str(k): list(v) for k, v in done.items()}})
+            _write_json_atomic(progress_path, _progress_blob(size, done))
 
     rows = []
     for wi in sorted(range(size), key=group.canon_of_idx):
@@ -423,6 +448,10 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
               for _ in range(config.points)]
     size = group.order()
     matrices = [m_matrix(group, pt) for pt in points]
+    # condition (B) witnesses: one lexicographic search per w over x < w
+    witnesses = [first_witnesses(
+        group, wi, [xi for xi in group.lower_interval_idx(wi) if xi != wi],
+        _flag_ii_idx) for wi in range(size)]
     pairs = []
     ok = True
     for xi in range(size):
@@ -445,7 +474,8 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
                 ok = ok and entry["diagonal_one"]
                 entry["agree"] = None
             else:
-                has_b, word = condition_B(group, x, w)
+                word = witnesses[wi].get(xi)
+                has_b = word is not None
                 entry["condition_b"] = has_b
                 if has_b:
                     prods = [m_product(group, x, w, word, pt) for pt in points]
@@ -520,9 +550,9 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
         table = atom_coeffs(group, group.elem_of(wi))
         xs = group.lower_interval_idx(wi)
         for word in group._iter_words_idx(wi):
-            dels = group.deleted_word_elements_idx(word)
+            covers = _WordCovers(group, word)
             for xi in xs:
-                lam, inc, _, flags = _labels_idx(group, xi, word, dels)
+                lam, inc, _, flags = _labels_idx(group, xi, covers)
                 entry = table.entries[group.elem_of(xi)]
                 if flags[0] or flags[1]:
                     held += 1

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from wwl import WeylGroup, build_root_system
+
+# Property tests draw the same examples on every run and are never cut
+# short by a per-example deadline.
+settings.register_profile("wwl", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("wwl")
 
 
 @pytest.fixture(scope="session")

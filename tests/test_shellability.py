@@ -6,13 +6,16 @@ recomputed through the independent rank-matrix Bruhat oracle for type A."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wwl import DomainError
-from wwl.shellability import (beta_sequence, chain_realizes_idx, condition_A,
-                              condition_B, condition_per_word, deodhar_check,
+from wwl import DomainError, shellability
+from wwl.shellability import (_greedy_chain_idx, _WordCovers, beta_sequence,
+                              chain_realizes_idx, condition_A, condition_B,
+                              condition_per_word, deodhar_check,
                               gamma_sequence, is_good_word, lambda_set,
                               lex_max_chain, lex_min_chain, s_set)
-from wwl.workbench import good_words_report
+from wwl.workbench import SweepConfig, good_words_report, stats_sweep
 
 from test_weyl import perm_of_word, rank_matrix_leq
 
@@ -37,6 +40,47 @@ def all_chain_labels(group, xi, tagged_word):
 
 def tagged(word):
     return [(i + 1, a) for i, a in enumerate(word)]
+
+
+def greedy_chain_oracle(group, xi, word, pick_max):
+    """The extreme chain label recomputed from scratch at every step: the
+    prefix and suffix products of the current subword give each deletion's
+    element, with no state shared between steps or between x."""
+    cur = [(i + 1, a) for i, a in enumerate(word)]
+    cur_idx = group.word_to_idx(word)
+    label = []
+    while cur_idx != xi:
+        m = len(cur)
+        pre = [0] * (m + 1)
+        for k in range(m):
+            pre[k + 1] = group.rmul_idx(cur[k][1], pre[k])
+        suf = [0] * (m + 1)
+        for k in range(m - 1, -1, -1):
+            suf[k] = group.lmul_idx(cur[k][1], suf[k + 1])
+        target = group.len_of_idx(cur_idx) - 1
+        order = range(m - 1, -1, -1) if pick_max else range(m)
+        chosen = -1
+        for k in order:
+            di = group.idx_mul(pre[k], suf[k + 1])
+            if group.len_of_idx(di) == target and group.leq_idx(xi, di):
+                chosen = k
+                chosen_idx = di
+                break
+        assert chosen >= 0, "no cover stays above x"
+        label.append(cur[chosen][0])
+        del cur[chosen]
+        cur_idx = chosen_idx
+    return tuple(label)
+
+
+def assert_greedy_matches_oracle(group, word, xs):
+    """Both extreme labels from one shared _WordCovers, for every x in xs in
+    turn, against the from-scratch oracle."""
+    covers = _WordCovers(group, word)
+    for xi in xs:
+        for pick_max in (False, True):
+            assert _greedy_chain_idx(group, xi, covers, pick_max) == \
+                greedy_chain_oracle(group, xi, word, pick_max)
 
 
 # -- lambda sets ---------------------------------------------------------------
@@ -231,6 +275,92 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
                     min(labels)
                 assert lex_max_chain(G, x, word) == decreasing[0] == \
                     max(labels)
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
+    """Every (w, reduced word, x <= w): the labels read from the word's
+    shared cover lists equal the per-step recomputation."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xs = G.lower_interval_idx(wi)
+        for word in G._iter_words_idx(wi):
+            assert_greedy_matches_oracle(G, word, xs)
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
+    """For a word of every w and every subword a chain can reach, the cover
+    list names each deletion that leaves a reduced word, with its element,
+    in position order."""
+    G = group_for(type_letter, rank)
+    for w in G.enumerate_group():
+        word = G.canonical_word(w)
+        covers = _WordCovers(G, word)
+        todo, seen = [0], {0}
+        while todo:
+            mask = todo.pop()
+            kept = [p for p in range(1, len(word) + 1) if not (mask >> p) & 1]
+            expected = []
+            for p in kept:
+                rest = [word[q - 1] for q in kept if q != p]
+                if G.is_reduced(rest):
+                    expected.append((p, G.word_to_idx(rest)))
+            assert covers._build(mask) == expected
+            for p, _ in expected:
+                if mask | 1 << p not in seen:
+                    seen.add(mask | 1 << p)
+                    todo.append(mask | 1 << p)
+
+
+@st.composite
+def word_and_xs(draw, group):
+    """A random w, a random reduced word of it (built by peeling off a
+    random left descent at each step) and a few x <= w."""
+    wi = draw(st.integers(0, group.order() - 1))
+    word, cur = [], wi
+    while group.len_of_idx(cur):
+        descents = [i for i in range(1, group.rs.rank + 1)
+                    if group.len_of_idx(group.lmul_idx(i, cur))
+                    < group.len_of_idx(cur)]
+        letter = draw(st.sampled_from(descents))
+        word.append(letter)
+        cur = group.lmul_idx(letter, cur)
+    xs = draw(st.lists(st.sampled_from(group.lower_interval_idx(wi)),
+                       min_size=1, max_size=6))
+    return tuple(word), xs
+
+
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4)])
+def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
+    """Seeded samples past the exhaustive groups: several x share one
+    word's cover lists."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+
+    @settings(max_examples=200)
+    @given(word_and_xs(G))
+    def check(drawn):
+        word, xs = drawn
+        assert G.len_of_idx(G.word_to_idx(word)) == len(word)
+        assert_greedy_matches_oracle(G, word, xs)
+
+    check()
+
+
+def test_stats_fast_path_builds_no_cover_list(group_for, monkeypatch):
+    """The statistics fast path reads only the single deletions; cover
+    lists are built only when a greedy search asks for them."""
+    def refuse(self, mask):
+        raise AssertionError("cover list built on the fast path")
+
+    monkeypatch.setattr(shellability._WordCovers, "_build", refuse)
+    G = group_for("B", 3)
+    stats_sweep(G, SweepConfig(type_letter="B", rank=3))
+    with pytest.raises(AssertionError):
+        lex_min_chain(G, G.identity, G.canonical_word(G.longest_element()))
 
 
 def test_chains_against_enumeration_a3_sample(group_for):

@@ -12,9 +12,10 @@ import pytest
 from wwl import WeylGroup, build_root_system, roots, workbench
 from wwl.cli import main
 from wwl.errors import InvariantError
-from wwl.workbench import (SweepConfig, load_group_cache, parse_int_seq,
-                           pct_string, save_group_cache, stats_sweep,
-                           verify_conjecture)
+from wwl.shellability import condition_B
+from wwl.workbench import (SweepConfig, load_group_cache, mtx_report,
+                           parse_int_seq, pct_string, save_group_cache,
+                           stats_sweep, verify_conjecture)
 from fractions import Fraction
 
 
@@ -208,11 +209,54 @@ def test_stats_resume_from_partial_progress(tmp_path, capsys):
     progress = [p for p in os.listdir(tmp_path) if "progress" in p]
     path = tmp_path / progress[0]
     blob = json.load(open(path))
-    kept = dict(list(blob["done"].items())[:5])
-    json.dump({"order": blob["order"], "done": kept}, open(path, "w"))
-    code, resumed, _ = run_cli(capsys, *args)
+    kept = {int(k): v for k, v in list(blob["done"].items())[:5]}
+    json.dump(workbench._progress_blob(blob["order"], kept), open(path, "w"))
+    code, resumed, err = run_cli(capsys, *args)
     assert code == 0
+    assert err == ""
     assert resumed == full
+
+
+def _golden_a4():
+    return json.load(open(os.path.join(os.path.dirname(__file__), "data",
+                                       "stats_a4_golden.json")))
+
+
+def _tamper_rows(blob):
+    key = sorted(blob["done"])[0]
+    blob["done"][key][1] += 1
+    return json.dumps(blob)
+
+
+def _tamper_version(blob):
+    del blob["version"]
+    return json.dumps(blob)
+
+
+def _tear(blob):
+    return json.dumps(blob)[:200]
+
+
+def test_stats_untrusted_progress_reported_and_restarted(tmp_path, capsys):
+    """A progress file whose rows do not match its sha256, whose format
+    version is missing, or that was torn is named in one stderr line; the
+    sweep restarts, rewrites the file, and its output still matches the A4
+    golden file."""
+    args = ("stats", "--type", "A", "--rank", "4", "--large",
+            "--cache", str(tmp_path))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert json.loads(out) == _golden_a4()
+    path = tmp_path / "wwl-stats-A4-fast.progress.json"
+    for tamper in (_tamper_rows, _tamper_version, _tear):
+        path.write_text(tamper(json.load(open(path))))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert json.loads(out) == _golden_a4()
+        assert len(err.splitlines()) == 1
+        assert str(path) in err
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
 
 
 def test_stats_independent_mode_cli(capsys):
@@ -227,7 +271,7 @@ def test_stats_independent_mode_cli(capsys):
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
-    def disagreeing(group, xi, word, dels):
+    def disagreeing(group, xi, covers):
         return (), (), (), (True, False, True)
 
     monkeypatch.setattr(workbench, "_labels_idx", disagreeing)
@@ -352,6 +396,33 @@ def test_mtx_a2(capsys):
     assert all(p["diagonal_one"] for p in diag)
 
 
+def test_mtx_condition_b_matches_pair_search(monkeypatch):
+    """mtx_report's per-w witness search gives every B3 pair the condition
+    (B) answer and the first witness word of the per-pair condition_B."""
+    words = {}
+
+    def recording_m_product(group, x, w, word, pt):
+        words[(group.canonical_word(x), group.canonical_word(w))] = word
+        return real_m_product(group, x, w, word, pt)
+
+    real_m_product = workbench.m_product
+    monkeypatch.setattr(workbench, "m_product", recording_m_product)
+    G = WeylGroup(build_root_system("B", 3))
+    report = mtx_report(G, SweepConfig("B", 3, points=1))
+    checked = 0
+    for entry in report["pairs"]:
+        if "condition_b" not in entry:
+            continue
+        x = G.element_from_word(entry["x"])
+        w = G.element_from_word(entry["w"])
+        has_b, word = condition_B(G, x, w)
+        assert entry["condition_b"] == has_b
+        assert words.get((tuple(entry["x"]), tuple(entry["w"]))) == word
+        checked += 1
+    assert checked == sum(len(G.interval(G.identity, w)) - 1
+                          for w in G.enumerate_group())
+
+
 def test_mtx_deterministic():
     a = run_proc("mtx", "--type", "A", "--rank", "2", "--points", "3",
                  "--seed", "11")
@@ -388,11 +459,9 @@ def test_good_words_reports(capsys):
 def test_stats_a4_matches_golden(group_for):
     """Exact S5 counts, frozen after the fast and independent paths agreed
     on the smaller groups."""
-    golden = json.load(open(os.path.join(os.path.dirname(__file__), "data",
-                                         "stats_a4_golden.json")))
     G = group_for("A", 4)
     report = stats_sweep(G, SweepConfig(type_letter="A", rank=4))
-    assert report == golden
+    assert report == _golden_a4()
 
 
 # -- fast path vs independent mode -----------------------------------------------------------
