@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .errors import (BudgetError, ConfigurationError, DomainError,
                      InvariantError, UnluckyPointError)
@@ -114,7 +115,12 @@ def _config_from(args) -> SweepConfig:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Sorted-key, indented JSON and a newline, written in batches of
+    encoder chunks so that the whole text is never held at once."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, 1 << 16)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,28 @@ the coefficients.  The closed form evaluates, right to left over the word,
 a product of binomial factors 1 - v e^(-beta_i) with deformed operators
 t_beta inserted at the positions singled out by the chain condition; it
 agrees with the recursion exactly on every pair satisfying the condition.
+
+The coefficients d on Demazure characters pi_y,
+
+    t_w e^lam  =  sum over y <= w of  d[w,y] * (pi_y e^lam),
+
+have a recursion of the same shape.  For a letter s with simple root alpha
+and cur < s cur, apply t_s = (1 - v e^(-alpha)) del_alpha - 1 to each term
+d[y] pi_y.  The twisted Leibniz rule
+
+    del_alpha(d f) = s(d) del_alpha(f) + ((d - s(d)) / (1 - e^(-alpha))) f,
+
+with (d - s(d)) / (1 - e^(-alpha)) = del_alpha(d) - s(d), and
+del_alpha pi_y = pi_(sy) when sy > y, pi_y otherwise, give for y <= s cur:
+
+    y <= cur, sy > y:   t_op(d[y]) - (1 - v e^(-alpha)) s(d[y])
+    y <= cur, sy < y:   t_op(d[y]) + (1 - v e^(-alpha)) s(d[sy])
+    y not <= cur:       (1 - v e^(-alpha)) s(d[sy])
+
+The lifted term (1 - v e^(-alpha)) s(d[y]) of each y with sy > y is computed
+once and shared with sy.  The alternating interval sums of the atom table
+(char_from_atom_coeffs) give the same table with one addition per pair of
+the interval; they are kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConditionError, DomainError, InvariantError
-from .groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
-                       t_op, weyl_act)
+from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
+                       ga_sum, mul_one_minus_v_exp, reflect, t_op)
 from .roots import Weight
 from .shellability import (_checked_word_idx, _greedy_chain_idx, _labels_idx,
                            _WordCovers, beta_sequence)
@@ -34,7 +56,7 @@ from .weyl import WeylElement, WeylGroup
 
 
 def _check_dominant(group: WeylGroup, lam: Weight) -> Weight:
-    lam = tuple(lam)
+    lam = _checked_weight(lam)
     if len(lam) != group.rs.rank or not group.rs.is_dominant(lam):
         raise DomainError(f"weight {lam} is not dominant")
     return lam
@@ -68,12 +90,24 @@ def demazure_atom(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
 
 
 def spherical_whittaker(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
-    """Sum of the Whittaker functions over the lower interval of w."""
+    """Sum of the Whittaker functions over the lower interval of w.
+
+    The interval is walked in index order, so for x with canonical word
+    (a, ...) the element s_a x < x comes earlier and t_x e^lam is one t_op
+    on t_(s_a x) e^lam."""
     lam = _check_dominant(group, lam)
-    total = GAElement.zero()
-    for x in group.interval(group.identity, w):
-        total = total + whittaker_function(group, x, lam)
-    return total
+    rs = group.rs
+    group.ensure_bruhat()
+    values: dict[int, GAElement] = {}
+    for xi in group.lower_interval_idx(group.idx_of(w)):
+        word = group.canon_of_idx(xi)
+        if word:
+            a = word[0]
+            f = t_op(rs, rs.simple_root(a), values[group.lmul_idx(a, xi)])
+        else:
+            f = GAElement.monomial(lam)
+        values[xi] = f
+    return ga_sum(values.values())
 
 
 @dataclass
@@ -88,9 +122,13 @@ class CoefficientTable:
     zero_keys: list[WeylElement] = field(default_factory=list)
 
 
-def atom_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
-    """Coefficient table for w via the three-case left-multiplication
-    recursion along a reduced word (the canonical one by default)."""
+def _word_recursion(group: WeylGroup, w: WeylElement, word,
+                    step) -> dict[int, GAElement]:
+    """Left multiplication along a reduced word of w (the canonical one by
+    default), rightmost letter first.  Starting from {e: 1}, each letter s
+    with cur < s cur maps the table on [e, cur] to the table on [e, s cur]
+    by step(group, letter, table, new_idx); new entries come in index
+    order, which lists s y before y whenever s y < y."""
     group.ensure_bruhat()
     if word is None:
         word = group.canonical_word(w)
@@ -100,39 +138,37 @@ def atom_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable
         raise DomainError("word is not a word for w")
     if group.len_of_idx(wi) != len(word):
         raise DomainError("word is not reduced")
-
-    rs = group.rs
-    rank = rs.rank
-    table: dict[int, GAElement] = {group.idx_of(group.identity): GAElement.one(rank)}
     cur = group.idx_of(group.identity)
-    for pos in range(len(word) - 1, -1, -1):
-        letter = word[pos]
-        alpha = rs.simple_root(letter)
-        s = group.simple_reflection(letter)
-        new_idx = group.lmul_idx(letter, cur)
-        new_mask = group.bruhat_mask(new_idx)
-        new_table: dict[int, GAElement] = {}
-        xi = 0
-        mask = new_mask
-        while mask:
-            if mask & 1:
-                sxi = group.lmul_idx(letter, xi)
-                prev = table.get(xi)
-                if prev is not None:
-                    if group.len_of_idx(sxi) > group.len_of_idx(xi):
-                        val = t_op(rs, alpha, prev)
-                    else:
-                        diff = table[sxi] - prev
-                        val = mul_one_minus_v_exp(
-                            rs, alpha, weyl_act(s, diff)) + t_op(rs, alpha, prev)
-                else:
-                    val = mul_one_minus_v_exp(rs, alpha, weyl_act(s, table[sxi]))
-                new_table[xi] = val
-            mask >>= 1
-            xi += 1
-        table = new_table
-        cur = new_idx
+    table = {cur: GAElement.one(group.rs.rank)}
+    for letter in reversed(word):
+        cur = group.lmul_idx(letter, cur)
+        table = step(group, letter, table, cur)
+    return table
 
+
+def _atom_step(group: WeylGroup, letter: int, table, new_idx):
+    rs = group.rs
+    alpha = rs.simple_root(letter)
+    out: dict[int, GAElement] = {}
+    for yi in group.lower_interval_idx(new_idx):
+        syi = group.lmul_idx(letter, yi)
+        prev = table.get(yi)
+        if prev is None:
+            out[yi] = mul_one_minus_v_exp(rs, alpha,
+                                          reflect(rs, alpha, table[syi]))
+        elif group.len_of_idx(syi) > group.len_of_idx(yi):
+            out[yi] = t_op(rs, alpha, prev)
+        else:
+            out[yi] = mul_one_minus_v_exp(
+                rs, alpha, reflect(rs, alpha, table[syi] - prev)) + \
+                t_op(rs, alpha, prev)
+    return out
+
+
+def atom_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
+    """Coefficient table for w via the three-case left-multiplication
+    recursion along a reduced word (the canonical one by default)."""
+    table = _word_recursion(group, w, word, _atom_step)
     entries = {group.elem_of(xi): val for xi, val in table.items()}
     result = CoefficientTable(anchor=w, entries=entries)
     ident = group.identity
@@ -184,26 +220,45 @@ def _closed_form_product(group: WeylGroup, word, indices) -> GAElement:
     return acc
 
 
+def _char_step(group: WeylGroup, letter: int, table, new_idx):
+    rs = group.rs
+    alpha = rs.simple_root(letter)
+    out: dict[int, GAElement] = {}
+    # (1 - v e^(-alpha)) s(d[y]) for each y with s y > y, shared by y and s y
+    lifted: dict[int, GAElement] = {}
+    for yi in group.lower_interval_idx(new_idx):
+        syi = group.lmul_idx(letter, yi)
+        prev = table.get(yi)
+        if group.len_of_idx(syi) > group.len_of_idx(yi):
+            lift = lifted[yi] = mul_one_minus_v_exp(
+                rs, alpha, reflect(rs, alpha, prev))
+            out[yi] = t_op(rs, alpha, prev) - lift
+        elif prev is None:
+            out[yi] = lifted[syi]
+        else:
+            out[yi] = t_op(rs, alpha, prev) + lifted[syi]
+    return out
+
+
 def char_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
-    """Coefficients on Demazure characters: the alternating sums over
-    Bruhat intervals of the atom coefficients."""
-    return char_from_atom_coeffs(group, atom_coeffs(group, w, word))
+    """Coefficients on Demazure characters, by their own left-multiplication
+    recursion along a reduced word (the canonical one by default)."""
+    table = _word_recursion(group, w, word, _char_step)
+    return CoefficientTable(
+        anchor=w, entries={group.elem_of(yi): val for yi, val in table.items()})
 
 
 def char_from_atom_coeffs(group: WeylGroup, table: CoefficientTable) -> CoefficientTable:
-    """Character coefficients from the atom coefficient table of w."""
+    """Character coefficients from the atom coefficient table of w, as
+    alternating sums over Bruhat intervals; one addition per pair, kept as
+    the oracle of char_coeffs."""
     w = table.anchor
     entries: dict[WeylElement, GAElement] = {}
     for x in table.entries:
         lx = group.length(x)
-        total = GAElement.zero()
-        for y in group.interval(x, w):
-            c = table.entries[y]
-            if (group.length(y) - lx) % 2:
-                total = total - c
-            else:
-                total = total + c
-        entries[x] = total
+        entries[x] = ga_sum(
+            -table.entries[y] if (group.length(y) - lx) % 2
+            else table.entries[y] for y in group.interval(x, w))
     return CoefficientTable(anchor=w, entries=entries)
 
 
@@ -212,10 +267,7 @@ def atom_from_char_coeffs(group: WeylGroup, table: CoefficientTable) -> Coeffici
     w = table.anchor
     entries: dict[WeylElement, GAElement] = {}
     for x in table.entries:
-        total = GAElement.zero()
-        for y in group.interval(x, w):
-            total = total + table.entries[y]
-        entries[x] = total
+        entries[x] = ga_sum(table.entries[y] for y in group.interval(x, w))
     return CoefficientTable(anchor=w, entries=entries)
 
 
@@ -228,10 +280,8 @@ def tilde_coeffs(group: WeylGroup, w: WeylElement) -> CoefficientTable:
                    for y in group.interval(group.identity, w)}
     entries: dict[WeylElement, GAElement] = {}
     for x in group.interval(group.identity, w):
-        total = GAElement.zero()
-        for y in group.interval(x, w):
-            total = total + char_tables[y].entries[x]
-        entries[x] = total
+        entries[x] = ga_sum(char_tables[y].entries[x]
+                            for y in group.interval(x, w))
     return CoefficientTable(anchor=w, entries=entries)
 
 

@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import (_closed_form_product, atom_coeffs,
-                     casselman_shalika_check, char_from_atom_coeffs,
+from .coeffs import (_check_dominant, _closed_form_product, atom_coeffs,
+                     casselman_shalika_check, char_coeffs,
                      closed_form_coeff)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product, sample_spectral_point
@@ -395,7 +395,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     if group.length(w) != len(w_word):
         raise DomainError("the given word for w is not reduced")
     table = atom_coeffs(group, w, w_word)
-    chars = char_from_atom_coeffs(group, table) if include_char else None
+    chars = char_coeffs(group, w, w_word) if include_char else None
 
     def entry_for(x):
         obj = {
@@ -497,8 +497,8 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
 # -- remaining commands -----------------------------------------------------------
 
 def cs_report(group: WeylGroup, lam) -> dict:
+    lam = _check_dominant(group, lam)
     group.ensure_bruhat()
-    lam = tuple(lam)
     return {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,

@@ -7,10 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wwl import ConditionError, DomainError
 from wwl.coeffs import (atom_coeffs, atom_from_char_coeffs,
                         casselman_shalika_check, char_coeffs,
+                        char_from_atom_coeffs,
                         closed_form_coeff, demazure_atom, demazure_character,
                         spherical_whittaker, tilde_coeffs, whittaker_function)
 from wwl.groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
@@ -62,7 +65,7 @@ def test_whittaker_specializes_to_atom(group_for):
         lam = rand_dominant(G.rs, rng, hi=2)
         wf = specialize_v(whittaker_function(G, w, lam), 0)
         at = {mu: Fraction(p[0]) for mu, p in
-              demazure_atom(G, w, lam).terms.items()}
+              demazure_atom(G, w, lam).by_weight().items()}
         assert wf == at
 
 
@@ -84,7 +87,7 @@ def test_character_coefficients_nonnegative_integers(group_for):
     for w in G.enumerate_group():
         lam = rand_dominant(G.rs, rng, hi=2)
         ch = demazure_character(G, w, lam)
-        for poly in ch.terms.values():
+        for poly in ch.by_weight().values():
             assert len(poly) == 1 and poly[0] > 0
 
 
@@ -309,3 +312,88 @@ def test_zero_entries_recorded_not_asserted(group_for):
         assert set(table.entries) == set(G.interval(G.identity, w))
         for x in table.zero_keys:
             assert x != G.identity and x != w
+
+
+# -- the character recursion and the shared Whittaker sums -------------------------
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_char_recursion_matches_interval_sums(group_for, type_letter, rank):
+    """The character recursion equals the alternating interval sums of the
+    atom table for every w."""
+    G = group_for(type_letter, rank)
+    for w in G.enumerate_group():
+        oracle = char_from_atom_coeffs(G, atom_coeffs(G, w))
+        assert char_coeffs(G, w).entries == oracle.entries
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 4), ("D", 4)])
+def test_char_recursion_matches_interval_sums_at_w0(group_for, type_letter,
+                                                    rank):
+    G = group_for(type_letter, rank)
+    w0 = G.longest_element()
+    oracle = char_from_atom_coeffs(G, atom_coeffs(G, w0))
+    assert char_coeffs(G, w0).entries == oracle.entries
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_spherical_sum_matches_per_element_sum(group_for, type_letter, rank):
+    """The prefix-shared sum equals one Whittaker function per element."""
+    G = group_for(type_letter, rank)
+    rng = random.Random(9)
+    for lam in [G.rs.rho(), rand_dominant(G.rs, rng, hi=2)]:
+        for w in [G.longest_element(),
+                  G.elem_of(rng.randrange(G.order()))]:
+            total = GAElement.zero()
+            for x in G.interval(G.identity, w):
+                total = total + whittaker_function(G, x, lam)
+            assert spherical_whittaker(G, w, lam) == total
+
+
+@st.composite
+def word_and_x(draw, group, max_length):
+    """A random w of at most max_length letters, a random reduced word of
+    it (peeling off a random left descent at each step) and an x <= w."""
+    wi = draw(st.sampled_from([wi for wi in range(group.order())
+                               if group.len_of_idx(wi) <= max_length]))
+    word, cur = [], wi
+    while group.len_of_idx(cur):
+        descents = [i for i in range(1, group.rs.rank + 1)
+                    if group.len_of_idx(group.lmul_idx(i, cur))
+                    < group.len_of_idx(cur)]
+        letter = draw(st.sampled_from(descents))
+        word.append(letter)
+        cur = group.lmul_idx(letter, cur)
+    xi = draw(st.sampled_from(group.lower_interval_idx(wi)))
+    return wi, tuple(word), xi
+
+
+# B4 tables grow to seconds per element past length 9 (8.5 s at w0)
+@pytest.mark.parametrize("type_letter,rank,max_length",
+                         [("D", 4, 12), ("B", 4, 9)])
+def test_closed_form_matches_recursion_sampled(group_for, type_letter, rank,
+                                               max_length):
+    """Seeded samples past the exhaustive groups: wherever the chain
+    condition holds for (x, word), the closed form is the recursion's
+    entry."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    tables = {}
+    held = []
+
+    @settings(max_examples=30)
+    @given(word_and_x(G, max_length))
+    def check(drawn):
+        wi, word, xi = drawn
+        x = G.elem_of(xi)
+        try:
+            closed = closed_form_coeff(G, x, word)
+        except ConditionError:
+            return
+        if wi not in tables:
+            tables[wi] = atom_coeffs(G, G.elem_of(wi))
+        held.append(drawn)
+        assert closed == tables[wi].entries[x]
+
+    check()
+    assert held

@@ -1,28 +1,38 @@
 """Operator calculus checked against the defining relations: the divided
 difference is verified by multiplying back through 1 - e^(-alpha) rather
 than by re-deriving the geometric sums, and the deformed operators are
-pinned by the quadratic, braid, derivation and conjugation identities."""
+pinned by the quadratic, braid, derivation and conjugation identities.
+The packed-key operators are also compared with the tuple-dict oracle in
+ga_oracle.py."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+import ga_oracle
+from ga_oracle import vp_add, vp_mul, vp_strip
 from wwl import DomainError
-from wwl.groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
-                          one_minus_v_exp, specialize_v, t_op, vp_add,
-                          vp_mul, vp_strip, weyl_act)
+from wwl.errors import BudgetError
+from wwl.groupalg import (MAX_WEIGHT_COORD, GAElement, atom_op, demazure,
+                          ga_sum, mul_one_minus_v_exp, one_minus_v_exp,
+                          reflect, specialize_v, t_op, weyl_act)
 
 RANK2 = [("A", 2), ("B", 2), ("G", 2)]
 
 
-def random_element(rs, rng, nterms=4, vdeg=2, spread=2):
+def random_terms(rs, rng, nterms=4, vdeg=2, spread=2):
+    """A random element as a tuple dict, in the oracle's canonical form."""
     terms = {}
     for _ in range(nterms):
         lam = tuple(rng.randint(-spread, spread) for _ in range(rs.rank))
         poly = tuple(rng.randint(-3, 3) for _ in range(vdeg + 1))
         terms[lam] = vp_add(terms.get(lam, ()), vp_strip(poly))
-    return GAElement(terms)
+    return {lam: p for lam, p in terms.items() if p}
+
+
+def random_element(rs, rng, nterms=4, vdeg=2, spread=2):
+    return GAElement(random_terms(rs, rng, nterms, vdeg, spread))
 
 
 def one_minus_exp(rs, alpha):
@@ -327,3 +337,74 @@ def test_serialization_sorted():
     assert obj == [{"weight": [-1, 2], "vpoly": [0, 3]},
                    {"weight": [0, 0], "vpoly": [2]},
                    {"weight": [1, 0], "vpoly": [1]}]
+
+
+# -- packed keys against the tuple-dict oracle -------------------------------------------
+
+@pytest.mark.parametrize("type_letter,rank", RANK2)
+def test_packed_operators_match_oracle(group_for, type_letter, rank):
+    """Every operator on packed keys equals the tuple-dict code on seeded
+    random elements, read back through the by-weight accessor."""
+    G = group_for(type_letter, rank)
+    rs = G.rs
+    rng = random.Random(21)
+    elements = G.enumerate_group()
+    for alpha in rs.positive_roots:
+        s = G.reflection(alpha)
+        for _ in range(12):
+            f = random_terms(rs, rng, nterms=6, vdeg=3, spread=4)
+            g = random_terms(rs, rng)
+            pf, pg = GAElement(f), GAElement(g)
+            assert pf.by_weight() == f
+            assert demazure(rs, alpha, pf).by_weight() == \
+                ga_oracle.demazure(rs, alpha, f)
+            assert atom_op(rs, alpha, pf).by_weight() == \
+                ga_oracle.atom_op(rs, alpha, f)
+            assert t_op(rs, alpha, pf).by_weight() == \
+                ga_oracle.t_op(rs, alpha, f)
+            assert mul_one_minus_v_exp(rs, alpha, pf).by_weight() == \
+                ga_oracle.mul_one_minus_v_exp(rs, alpha, f)
+            assert reflect(rs, alpha, pf).by_weight() == \
+                ga_oracle.weyl_act(s, f)
+            w = rng.choice(elements)
+            assert weyl_act(w, pf).by_weight() == ga_oracle.weyl_act(w, f)
+            assert (pf + pg).by_weight() == ga_oracle.add(f, g)
+            assert (pf - pg).by_weight() == \
+                ga_oracle.add(f, ga_oracle.neg(g))
+            assert (-pf).by_weight() == ga_oracle.neg(f)
+            assert (pf * pg).by_weight() == ga_oracle.mul(f, g)
+            assert pf.scale((2, 0, -1)).by_weight() == \
+                ga_oracle.scale(f, (2, 0, -1))
+            assert ga_sum([pf, pg, pf]).by_weight() == \
+                ga_oracle.add(ga_oracle.add(f, g), f)
+            assert specialize_v(pf, Fraction(2, 3)) == \
+                ga_oracle.specialize_v(f, Fraction(2, 3))
+            assert pf.to_json_obj() == ga_oracle.to_json_obj(f)
+
+
+def test_weight_bound_raises_budget_error():
+    """A coordinate beyond the packed field's entry bound is refused where
+    it enters, never wrapped."""
+    edge = GAElement.monomial((MAX_WEIGHT_COORD, -MAX_WEIGHT_COORD))
+    assert edge.by_weight() == {(MAX_WEIGHT_COORD, -MAX_WEIGHT_COORD): (1,)}
+    for lam in [(MAX_WEIGHT_COORD + 1, 0), (0, -MAX_WEIGHT_COORD - 1),
+                (10 ** 30, 1)]:
+        with pytest.raises(BudgetError):
+            GAElement.monomial(lam)
+        with pytest.raises(BudgetError):
+            GAElement({lam: (1,)})
+
+
+def test_products_stop_before_the_fields_overflow():
+    """Repeated squaring doubles the weight exactly until the next product
+    could leave its field, and then raises."""
+    f = GAElement.monomial((MAX_WEIGHT_COORD, -MAX_WEIGHT_COORD))
+    c = MAX_WEIGHT_COORD
+    with pytest.raises(BudgetError):
+        while True:
+            f = f * f
+            c *= 2
+            assert f.by_weight() == {(c, -c): (1,)}
+    assert c < 1 << 31
+    with pytest.raises(BudgetError):
+        GAElement.monomial((0,), (0,) * 40000 + (1,)).scale((0,) * 30000 + (1,))

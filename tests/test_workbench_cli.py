@@ -123,6 +123,19 @@ def test_too_large_groups_exit_3_fast(capsys, argv):
     assert err.startswith("budget:")
 
 
+@pytest.mark.parametrize("lam", ["4294967296,1,1,2", "1,1,1,-1048577"])
+def test_cs_check_huge_weight_exits_3_fast(capsys, lam):
+    """A weight coordinate beyond the packed monomial fields is refused
+    before any computation, never wrapped around."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cs-check", "--type", "A", "--rank", "4",
+                             "--lambda", lam)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget:")
+
+
 def test_group_order_mismatch_exits_2(capsys, monkeypatch):
     monkeypatch.setitem(roots._GROUP_ORDER, "G", lambda n: 13)
     code, out, err = run_cli(capsys, "good-words", "--type", "G", "--rank", "2")
