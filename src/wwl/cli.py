@@ -27,7 +27,7 @@ from .roots import build_root_system
 from .weyl import WeylGroup
 from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
                         good_words_report, mtx_report, parse_int_seq,
-                        require_small_or_large, stats_sweep, stats_to_csv,
+                        require_stats_size, stats_sweep, stats_to_csv,
                         verify_conjecture)
 
 EXIT_OK = 0
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
         if args.command == "stats":  # build_group may build the masks
-            require_small_or_large(WeylGroup(build_root_system(
+            require_stats_size(WeylGroup(build_root_system(
                 config.type_letter, config.rank)), config)
         group = build_group(config)
 

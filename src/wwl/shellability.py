@@ -25,16 +25,10 @@ Every sweep shares three kernels: _labels_idx computes the labels and flags
 of one (x, word) pair, first_witnesses is the lexicographic witness search
 over the reduced words of w, and deodhar_slack_idx counts #S(x,w).
 
-Per-word cover memo.  Which deletions of a subword are covers does not
-depend on x; only the test "stays >= x" does.  A _WordCovers object holds
-this x-free data for one word: its single deletions, and, keyed by the
-bitmask of positions already deleted, the list of (original position,
-element index) for each further deletion that is a cover.  The word loops
-make one per word and share it across every x below the product, so a
-greedy step is one Bruhat bit test per candidate; one-off callers make a
-fresh one per call.  Lists are built only when a greedy search asks for
-them.  The flags stay independent: lambda_set and each label are still
-computed from their own definitions.
+Word-free condition search.  condition_b_mask answers condition B for one x
+against every w at once, as reachability over the prefixes of all reduced
+words, in O(|W| * rank); the statistics fast path and the mtx witness
+pre-pass read it.
 """
 
 from __future__ import annotations
@@ -315,8 +309,6 @@ def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     return deodhar_slack_idx(group, wi, [xi])[0] >= 0
 
 
-# -- fast path for statistics sweeps ------------------------------------------
-
 def lambda_positions_idx(group: WeylGroup, xi: int, dels) -> tuple[int, ...]:
     """lambda_set against precomputed single-deletion element indices."""
     group.ensure_bruhat()
@@ -324,16 +316,50 @@ def lambda_positions_idx(group: WeylGroup, xi: int, dels) -> tuple[int, ...]:
     return tuple(i for i, d in enumerate(dels, 1) if (masks[d] >> xi) & 1)
 
 
-def chain_realizes_idx(group: WeylGroup, xi: int, word, lam) -> bool:
-    """Whether deleting the positions of lam in ascending order walks a
-    maximal chain (every step reduced) ending exactly at x.  By uniqueness
-    of the increasing-label chain this decides flag (iii) once
-    len(lam) == l(w) - l(x); used by the statistics fast path only."""
-    cur = list(word)
-    ci = group.word_to_idx(cur)
-    for t, pos in enumerate(lam):
-        del cur[pos - 1 - t]
-        ci = group.word_to_idx(cur)
-        if group.len_of_idx(ci) != len(cur):
-            return False
-    return ci == xi
+# -- word-free condition search --------------------------------------------------
+
+def condition_b_mask(group: WeylGroup, xi: int) -> int:
+    """Bitmask over w of the pairs (x, w), x of index xi, for which some
+    reduced word of w satisfies flag (ii); no word is enumerated.
+
+    Flag (ii) of a word is decided by a walk from the residual y = x.  At
+    letter a: if s_a*y < y, then y <- s_a*y; otherwise, if k*s_a < k for
+    the kept product k = x*y^-1, the flag fails; otherwise y is unchanged.
+    The flag holds when the walk ends at y = e.  The walk sees a word only
+    through its prefixes, so prefixes p are visited in table order from e
+    along right ascents p -> p*s_a.  A surviving walk moves by
+    y <- min(y, s_a*y), the downward 0-Hecke action, which satisfies the
+    braid relations: every reduced word of p that survives leaves the same
+    residual, so one residual per prefix is carried (two that differ raise
+    InvariantError).  Bit w is set when the residual at p = w is e."""
+    group.ensure_tables()
+    size = group.order()
+    lens, lmul, rmul, inv = group._len, group._lmul, group._rmul, group._inv
+    letters = range(group.rs.rank)
+    # per residual y: the residual after each letter, -1 where the walk fails
+    steps: list[list[int] | None] = [None] * size
+    residual = [-1] * size  # -1: no reduced word of the prefix survives
+    residual[0] = xi
+    mask = 0
+    for p, edges in enumerate(group.right_ascents_idx()):
+        y = residual[p]
+        if y < 0:
+            continue
+        if y == 0:
+            mask |= 1 << p
+        step = steps[y]
+        if step is None:
+            k = group.idx_mul(xi, inv[y])
+            ly, lk = lens[y], lens[k]
+            step = steps[y] = [
+                lmul[a][y] if lens[lmul[a][y]] < ly
+                else -1 if lens[rmul[a][k]] < lk else y for a in letters]
+        for a, q in edges:
+            t = step[a]
+            if t >= 0 and residual[q] != t:
+                if residual[q] >= 0:
+                    raise InvariantError(
+                        "two reduced words of one prefix leave different "
+                        "residuals")
+                residual[q] = t
+    return mask

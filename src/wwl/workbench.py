@@ -19,7 +19,6 @@ import json
 import multiprocessing
 import os
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,13 +29,15 @@ from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product, sample_spectral_point
 from .roots import build_root_system
 from .shellability import (_flag_ii_idx, _good_word_idx, _labels_idx,
-                           _WordCovers, chain_realizes_idx, deodhar_slack_idx,
-                           first_witnesses, lambda_positions_idx)
+                           _WordCovers, condition_b_mask, deodhar_slack_idx,
+                           first_witnesses)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
-PROGRESS_VERSION = 1
+# A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat masks
+# alone, and its independent sweep would run for hours
+STATS_MAX_ORDER = 5040
 
 
 @dataclass
@@ -148,10 +149,16 @@ def build_group(config: SweepConfig) -> WeylGroup:
     return group
 
 
-def require_small_or_large(group: WeylGroup, config: SweepConfig) -> None:
-    if group.order() > LARGE_ORDER_THRESHOLD and not config.large:
-        raise BudgetError(
-            f"group of order {group.order()} needs --large")
+def require_stats_size(group: WeylGroup, config: SweepConfig) -> None:
+    """Refuse a statistics sweep too large to run, before any table is
+    built: above LARGE_ORDER_THRESHOLD without --large, and above
+    STATS_MAX_ORDER at all."""
+    order = group.order()
+    if order > LARGE_ORDER_THRESHOLD and not config.large:
+        raise BudgetError(f"group of order {order} needs --large")
+    if order > STATS_MAX_ORDER:
+        raise BudgetError(f"stats stops at order {STATS_MAX_ORDER}; "
+                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
 
 
 # -- parallel helper ----------------------------------------------------------
@@ -239,32 +246,9 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
 
 # -- statistics ------------------------------------------------------------------
 
-def _stats_row_fast(group: WeylGroup, wi: int):
-    """(w index, n_leq, n_cond) via the cheapest per-word flag: the deletion
-    set must have minimal size and realize the increasing chain.  Justified
-    by the verified equivalence of the three flags; the independent mode
-    below recomputes everything from scratch.
-
-    Two shortcuts keep large sweeps tractable.  The deletion positions of
-    any reduced word biject onto S(x,w) through the gamma roots, so the
-    deletion set has minimal size for one word iff #S(x,w) equals the
-    length difference: pairs failing that never need a word enumerated.
-    And the word enumeration stops as soon as every surviving x has found
-    a witness."""
-    xs = group.lower_interval_idx(wi)
-
-    def realizes(group, xi, covers):
-        return chain_realizes_idx(group, xi, covers.word,
-                                  lambda_positions_idx(group, xi, covers.dels))
-
-    tight = [xi for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs))
-             if slack == 0]
-    return wi, len(xs), len(first_witnesses(group, wi, tight, realizes))
-
-
 def _stats_row_independent(group: WeylGroup, wi: int):
-    """Same counts, but per word all three flags are computed independently
-    and must agree."""
+    """(n_leq, n_cond) of one w from its reduced words: per word all three
+    flags are computed independently and must agree."""
     xs = group.lower_interval_idx(wi)
 
     def flag_i(group, xi, covers):
@@ -274,75 +258,35 @@ def _stats_row_independent(group: WeylGroup, wi: int):
                 "per-word flags disagree: equivalence violated")
         return flags[0]
 
-    return wi, len(xs), len(first_witnesses(group, wi, xs, flag_i))
-
-
-def _stats_progress_path(config: SweepConfig) -> str | None:
-    if not (config.cache_dir and config.large):
-        return None
-    key = f"{config.type_letter}{config.rank}-{config.mode}"
-    return os.path.join(config.cache_dir, f"wwl-stats-{key}.progress.json")
-
-
-def _progress_blob(order: int, done: dict) -> dict:
-    rows = {str(k): list(v) for k, v in done.items()}
-    return {"version": PROGRESS_VERSION, "order": order, "done": rows,
-            "sha256": _payload_digest(rows)}
-
-
-def _load_progress(path: str, order: int) -> dict:
-    """Rows saved by an earlier run, {} when there are none.  A file that
-    cannot be trusted (unreadable, another format version, a digest that
-    does not match its rows, another group order) is named in one line on
-    stderr and the sweep restarts from zero."""
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        if blob.get("version") != PROGRESS_VERSION:
-            problem = f"format version {blob.get('version')!r}, " \
-                      f"expected {PROGRESS_VERSION}"
-        elif blob.get("sha256") != _payload_digest(blob["done"]):
-            problem = "sha256 does not match its rows"
-        elif blob.get("order") != order:
-            problem = f"group order {blob.get('order')!r}, expected {order}"
-        else:
-            return {int(k): tuple(v) for k, v in blob["done"].items()}
-    except (ValueError, OSError, KeyError, AttributeError, TypeError) as exc:
-        problem = f"unreadable ({type(exc).__name__})"
-    sys.stderr.write(f"wwl: ignoring progress file {path}: {problem}; "
-                     "restarting the sweep\n")
-    return {}
+    return len(xs), len(first_witnesses(group, wi, xs, flag_i))
 
 
 def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     """One row per element: how many x below it satisfy the chain condition
-    for some reduced word.  Large groups checkpoint per element block and
-    resume from the progress file."""
-    require_small_or_large(group, config)
+    for some reduced word.  The fast mode reads the pairs from one
+    condition_b_mask per x, relying on the verified equivalence of the
+    three flags; the independent mode enumerates words per element and
+    computes all three flags independently."""
+    require_stats_size(group, config)
     group.ensure_bruhat()
     size = group.order()
-    row_fn = _stats_row_fast if config.mode == "fast" else _stats_row_independent
-
-    progress_path = _stats_progress_path(config)
-    done: dict[int, tuple[int, int]] = \
-        _load_progress(progress_path, size) if progress_path else {}
-
-    todo = [wi for wi in range(size) if wi not in done]
-    block = max(1, min(64, size // 8))
-    for start in range(0, len(todo), block):
-        chunk = todo[start:start + block]
-        for wi, n_leq, n_cond in parallel_over(group, row_fn, chunk,
-                                               config.threads):
-            done[wi] = (n_leq, n_cond)
-        if progress_path:
-            os.makedirs(config.cache_dir, exist_ok=True)
-            _write_json_atomic(progress_path, _progress_blob(size, done))
+    if config.mode == "fast":
+        cond = [0] * size
+        for mask in parallel_over(group, condition_b_mask, range(size),
+                                  config.threads):
+            while mask:
+                low = mask & -mask
+                cond[low.bit_length() - 1] += 1
+                mask ^= low
+        counts = [(group.bruhat_mask(wi).bit_count(), cond[wi])
+                  for wi in range(size)]
+    else:
+        counts = parallel_over(group, _stats_row_independent, range(size),
+                               config.threads)
 
     rows = []
     for wi in sorted(range(size), key=group.canon_of_idx):
-        n_leq, n_cond = done[wi]
+        n_leq, n_cond = counts[wi]
         pct = Fraction(100 * n_cond, n_leq)
         rows.append({
             "w": list(group.canon_of_idx(wi)),
@@ -448,10 +392,18 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
               for _ in range(config.points)]
     size = group.order()
     matrices = [m_matrix(group, pt) for pt in points]
-    # condition (B) witnesses: one lexicographic search per w over x < w
-    witnesses = [first_witnesses(
-        group, wi, [xi for xi in group.lower_interval_idx(wi) if xi != wi],
-        _flag_ii_idx) for wi in range(size)]
+    # condition (B) witnesses: the pairs come from one condition_b_mask per
+    # x, then one lexicographic search per w over just those x < w
+    cond = [condition_b_mask(group, xi) for xi in range(size)]
+    witnesses = []
+    for wi in range(size):
+        xs = [xi for xi in range(wi) if (cond[xi] >> wi) & 1]
+        found = first_witnesses(group, wi, xs, _flag_ii_idx)
+        if len(found) != len(xs):
+            raise InvariantError(
+                "a condition-(B) pair of the reachability search has no "
+                "witness word")
+        witnesses.append(found)
     pairs = []
     ok = True
     for xi in range(size):

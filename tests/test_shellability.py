@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwl import DomainError, shellability
-from wwl.shellability import (_greedy_chain_idx, _WordCovers, beta_sequence,
-                              chain_realizes_idx, condition_A, condition_B,
-                              condition_per_word, deodhar_check,
-                              gamma_sequence, is_good_word, lambda_set,
-                              lex_max_chain, lex_min_chain, s_set)
+from wwl.shellability import (_flag_ii_idx, _greedy_chain_idx, _WordCovers,
+                              beta_sequence, condition_A, condition_B,
+                              condition_b_mask, condition_per_word,
+                              deodhar_check, first_witnesses, gamma_sequence,
+                              is_good_word, lambda_set, lex_max_chain,
+                              lex_min_chain, s_set)
 from wwl.workbench import SweepConfig, good_words_report, stats_sweep
 
 from test_weyl import perm_of_word, rank_matrix_leq
@@ -351,13 +352,15 @@ def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
 
 
 def test_stats_fast_path_builds_no_cover_list(group_for, monkeypatch):
-    """The statistics fast path reads only the single deletions; cover
-    lists are built only when a greedy search asks for them."""
-    def refuse(self, mask):
-        raise AssertionError("cover list built on the fast path")
+    """The statistics fast path enumerates no reduced word and builds no
+    cover list; cover lists are built only when a greedy search asks for
+    them."""
+    def refuse(*args):
+        raise AssertionError("words or cover lists on the fast path")
 
-    monkeypatch.setattr(shellability._WordCovers, "_build", refuse)
     G = group_for("B", 3)
+    monkeypatch.setattr(shellability._WordCovers, "_build", refuse)
+    monkeypatch.setattr(G, "_iter_words_idx", refuse)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     with pytest.raises(AssertionError):
         lex_min_chain(G, G.identity, G.canonical_word(G.longest_element()))
@@ -434,20 +437,70 @@ def test_condition_requires_comparable(group_for):
         condition_A(G, G.element_from_word((1,)), G.element_from_word((2,)))
 
 
-def test_fast_flag_matches_independent(group_for):
-    """The sequential-deletion shortcut for the third flag agrees with the
-    greedy-chain computation everywhere in A3 and B2."""
-    for t, r in [("A", 3), ("B", 2)]:
+def walk_flag_ii(group, xi, word):
+    """Flag (ii) of (x, word) by one left-to-right walk from the residual
+    y = x and the kept product k = e: a letter that is a left descent of y
+    is kept (y <- s_a*y, k <- k*s_a), a letter that is a right descent of k
+    fails the flag, any other letter is skipped.  The flag holds when the
+    walk ends at y = e."""
+    y, k = xi, 0
+    for a in word:
+        sy = group.lmul_idx(a, y)
+        if group.len_of_idx(sy) < group.len_of_idx(y):
+            y, k = sy, group.rmul_idx(a, k)
+        elif group.len_of_idx(group.rmul_idx(a, k)) < group.len_of_idx(k):
+            return False
+    return y == 0
+
+
+def test_walk_matches_flag_ii(group_for):
+    """The walk agrees with the greedy chain labels on every
+    (w, reduced word, x <= w) of A3, B3, C3 and G2, and never holds for an
+    x not below w."""
+    for t, r in [("A", 3), ("B", 3), ("C", 3), ("G", 2)]:
         G = group_for(t, r)
-        for w in G.enumerate_group():
-            for word in G.all_reduced_words(w):
-                for x in G.interval(G.identity, w):
-                    xi = G.idx_of(x)
-                    lam = lambda_set(G, x, word)
-                    d = G.length(w) - G.length(x)
-                    fast = len(lam) == d and \
-                        chain_realizes_idx(G, xi, word, lam)
-                    assert fast == condition_per_word(G, x, word)[2]
+        G.ensure_bruhat()
+        for wi in range(G.order()):
+            for word in G._iter_words_idx(wi):
+                covers = _WordCovers(G, word)
+                for xi in range(G.order()):
+                    expected = G.leq_idx(xi, wi) and \
+                        _flag_ii_idx(G, xi, covers)
+                    assert walk_flag_ii(G, xi, word) == expected
+
+
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
+def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
+    """Seeded samples of (w, reduced word, x <= w) past the exhaustive
+    groups."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+
+    @settings(max_examples=150)
+    @given(word_and_xs(G))
+    def check(drawn):
+        word, xs = drawn
+        covers = _WordCovers(G, word)
+        for xi in xs:
+            assert walk_flag_ii(G, xi, word) == _flag_ii_idx(G, xi, covers)
+
+    check()
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("C", 3),
+                                              ("G", 2), ("A", 4)])
+def test_condition_b_mask_matches_witness_search(group_for, type_letter,
+                                                 rank):
+    """The reachability search finds exactly the pairs (x, w) for which the
+    lexicographic search over the reduced words of w finds a flag-(ii)
+    witness."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    masks = [condition_b_mask(G, xi) for xi in range(G.order())]
+    for wi in range(G.order()):
+        found = first_witnesses(G, wi, G.lower_interval_idx(wi), _flag_ii_idx)
+        assert sorted(found) == [xi for xi in range(G.order())
+                                 if (masks[xi] >> wi) & 1]
 
 
 # -- beta sequences ------------------------------------------------------------------

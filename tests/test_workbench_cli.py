@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output determinism, cache coherence,
-resume, and the report contents for the smallest groups."""
+and the report contents for the smallest groups."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,8 @@ def _too_large_runs():
     # above the --large threshold: refused before any table is built
     yield ["stats", "--type", "B", "--rank", "5"]
     yield ["stats", "--type", "A", "--rank", "6"]
+    # above the stats order limit even with --large
+    yield ["stats", "--type", "D", "--rank", "6", "--large"]
 
 
 @pytest.mark.parametrize("argv", list(_too_large_runs()),
@@ -200,76 +203,27 @@ def test_stats_threads_do_not_change_output():
     assert env_two[1] == one[1]
 
 
-def test_stats_resume_from_progress(tmp_path, capsys):
-    args = ("stats", "--type", "A", "--rank", "3", "--large",
-            "--cache", str(tmp_path))
-    code, first, _ = run_cli(capsys, *args)
-    assert code == 0
-    progress = [p for p in os.listdir(tmp_path) if "progress" in p]
-    assert progress
-    code, second, _ = run_cli(capsys, *args)
-    assert code == 0
-    assert first == second
-
-
-def test_stats_resume_from_partial_progress(tmp_path, capsys):
-    """A truncated progress file (as after an interrupted run) must be
-    completed, and the result must match an uninterrupted run."""
-    args = ("stats", "--type", "A", "--rank", "3", "--large",
-            "--cache", str(tmp_path))
-    code, full, _ = run_cli(capsys, *args)
-    assert code == 0
-    progress = [p for p in os.listdir(tmp_path) if "progress" in p]
-    path = tmp_path / progress[0]
-    blob = json.load(open(path))
-    kept = {int(k): v for k, v in list(blob["done"].items())[:5]}
-    json.dump(workbench._progress_blob(blob["order"], kept), open(path, "w"))
-    code, resumed, err = run_cli(capsys, *args)
-    assert code == 0
-    assert err == ""
-    assert resumed == full
-
-
 def _golden_a4():
     return json.load(open(os.path.join(os.path.dirname(__file__), "data",
                                        "stats_a4_golden.json")))
 
 
-def _tamper_rows(blob):
-    key = sorted(blob["done"])[0]
-    blob["done"][key][1] += 1
-    return json.dumps(blob)
+# sha256 of the stdout of `stats --large`, as printed before the fast path
+# became a reachability search
+STATS_DIGESTS = {
+    ("D", 4): "a81ac0cf47780b41219fc9f2b753fc4c968fc5005b4547cc6023840879f54437",
+    ("B", 4): "31affdc37487d3f32ae67b3ed0f58eb4ad7316bad73828a5aa4977deb3b11b68",
+}
 
 
-def _tamper_version(blob):
-    del blob["version"]
-    return json.dumps(blob)
-
-
-def _tear(blob):
-    return json.dumps(blob)[:200]
-
-
-def test_stats_untrusted_progress_reported_and_restarted(tmp_path, capsys):
-    """A progress file whose rows do not match its sha256, whose format
-    version is missing, or that was torn is named in one stderr line; the
-    sweep restarts, rewrites the file, and its output still matches the A4
-    golden file."""
-    args = ("stats", "--type", "A", "--rank", "4", "--large",
-            "--cache", str(tmp_path))
-    code, out, err = run_cli(capsys, *args)
-    assert code == 0 and err == ""
-    assert json.loads(out) == _golden_a4()
-    path = tmp_path / "wwl-stats-A4-fast.progress.json"
-    for tamper in (_tamper_rows, _tamper_version, _tear):
-        path.write_text(tamper(json.load(open(path))))
-        code, out, err = run_cli(capsys, *args)
-        assert code == 0
-        assert json.loads(out) == _golden_a4()
-        assert len(err.splitlines()) == 1
-        assert str(path) in err
-    code, _, err = run_cli(capsys, *args)
-    assert code == 0 and err == ""
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("type_letter,rank", list(STATS_DIGESTS))
+def test_stats_large_digests(type_letter, rank, threads):
+    code, out, _ = run_proc("stats", "--type", type_letter, "--rank",
+                            str(rank), "--large", "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        STATS_DIGESTS[(type_letter, rank)]
 
 
 def test_stats_independent_mode_cli(capsys):
@@ -411,8 +365,17 @@ def test_mtx_a2(capsys):
 
 def test_mtx_condition_b_matches_pair_search(monkeypatch):
     """mtx_report's per-w witness search gives every B3 pair the condition
-    (B) answer and the first witness word of the per-pair condition_B."""
+    (B) answer and the first witness word of the per-pair condition_B, and
+    searches words only for pairs that have a witness."""
     words = {}
+
+    def witnesses_for_all(group, wi, xs, holds):
+        found = real_first_witnesses(group, wi, xs, holds)
+        assert sorted(found) == sorted(xs)
+        return found
+
+    real_first_witnesses = workbench.first_witnesses
+    monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
 
     def recording_m_product(group, x, w, word, pt):
         words[(group.canonical_word(x), group.canonical_word(w))] = word
@@ -480,7 +443,7 @@ def test_stats_a4_matches_golden(group_for):
 # -- fast path vs independent mode -----------------------------------------------------------
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3), ("B", 3),
-                                              ("C", 3), ("G", 2)])
+                                              ("C", 3), ("G", 2), ("A", 4)])
 def test_stats_fast_path_consistent(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     fast = stats_sweep(G, SweepConfig(type_letter=type_letter, rank=rank,
