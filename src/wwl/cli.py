@@ -27,8 +27,8 @@ from .roots import build_root_system
 from .weyl import WeylGroup
 from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
                         good_words_report, mtx_report, parse_int_seq,
-                        require_stats_size, stats_sweep, stats_to_csv,
-                        verify_conjecture)
+                        require_mtx_size, require_stats_size, stats_sweep,
+                        stats_to_csv, verify_conjecture)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -127,9 +127,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
-        if args.command == "stats":  # build_group may build the masks
-            require_stats_size(WeylGroup(build_root_system(
-                config.type_letter, config.rank)), config)
+        gate = {"stats": require_stats_size,
+                "mtx": require_mtx_size}.get(args.command)
+        if gate:  # build_group may build the masks
+            gate(WeylGroup(build_root_system(config.type_letter,
+                                             config.rank)), config)
         group = build_group(config)
 
         if args.command == "verify-conjecture":

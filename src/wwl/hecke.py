@@ -16,24 +16,34 @@ carries one field unit per simple root; z^alpha for an arbitrary root is
 the monomial in those units, and the torus translate by w reads the
 exponents through w^(-1).
 
-The one-generator intertwining element is
+The one-generator intertwining element is mu_z(s_i) = u t_i + c_(a_i) t_e,
+with c_beta = (1-u) z^beta / (1-z^beta).  Peeling the last letter of a
+reduced word and translating the point, mu_z(w) = mu_z(s_c) mu_(s_c z)(w s_c),
+unrolls to a recursion along the element table: if the canonical word of w
+is b followed by that of g, then
 
-    mu_z(s_i) = u t_i + (1-u) z^(a_i)/(1-z^(a_i)) t_e,
+    mu_z(w) = mu_z(g) (u t_b + c_beta t_e),    beta = g^-1 alpha_b > 0.
 
-extended to arbitrary w by peeling the last letter of a reduced word and
-translating the spectral point.  m(x, w) extracts the t_e coefficient of
-psi(x) mu_z(w), where psi(x) sums t_w over the upper interval of x.  Points
-where some 1 - z^alpha vanishes are rejected at sampling time; a vanishing
-denominator met later raises a retryable error.
+Right multiplication by t_b reads rmul and the length table: O(|W|^2) per
+point for every mu_z, one inversion per positive root.  m(x, w) is the t_e
+coefficient of psi(x) mu_z(w), psi(x) the sum of t_y over y >= x.  The t_e
+coefficient of t_y t_v is q^l(y) if v = y^-1 and 0 otherwise (the
+symmetrizing trace), so m(x, w) = sum over y >= x of q^l(y) mu_z(w)[y^-1]:
+sum_x #{y >= x} additions per column, at worst O(|W|^3) per point for the
+matrix.  `m_direct` multiplies out the definition pair by pair, as the
+oracle.  Points where some 1 - z^alpha vanishes are rejected at sampling
+time; a vanishing denominator met later raises a retryable error.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
-from .shellability import _greedy_chain_idx, _WordCovers, gamma_sequence
+from .shellability import (_checked_word_idx, _greedy_chain_idx, _WordCovers,
+                           gamma_sequence)
 from .weyl import WeylElement, WeylGroup
 
 MODULUS_DEFAULT = (1 << 61) - 1
@@ -135,30 +145,70 @@ def psi(group: WeylGroup, x: WeylElement) -> HeckeElement:
             if group.leq_idx(xi, wi)}
 
 
-def _mu_gen(group: WeylGroup, letter: int, pt: SpectralPoint) -> HeckeElement:
+# per group: steps[w] = (b, g, beta) for every w but e, where the canonical
+# word of w is letter b + 1 followed by that of g, and beta = g^-1 alpha_(b+1);
+# and right[b][y] = (y s_(b+1), whether it is below y)
+_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# per group, built on first use by m_matrix: for every x, the y >= x
+_UPPER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _steps(group: WeylGroup):
+    if group not in _STEPS:
+        group.ensure_tables()
+        lens, lmul = group._len, group._lmul
+        steps: list = [None]
+        for w in range(1, group.order()):
+            b = group.canon_of_idx(w)[0] - 1
+            g = lmul[b][w]
+            steps.append((b, g, group.elem_of(group._inv[g]).apply_root(
+                group.rs.simple_root(b + 1))))
+        right = [[(ys, lens[ys] < lens[y]) for y, ys in enumerate(row)]
+                 for row in group._rmul]
+        _STEPS[group] = steps, right
+    return _STEPS[group]
+
+
+def _upper_intervals(group: WeylGroup) -> list[list[int]]:
+    if group not in _UPPER:
+        group.ensure_bruhat()
+        masks = group._bruhat
+        _UPPER[group] = [[y for y, m in enumerate(masks) if (m >> x) & 1]
+                         for x in range(len(masks))]
+    return _UPPER[group]
+
+
+def _root_coeff(pt: SpectralPoint, beta: Coords) -> int:
+    """c_beta = (1-u) z^beta / (1-z^beta) at the point."""
     p = pt.p
-    za = pt.z[letter - 1]
-    denom = (1 - za) % p
+    zb = pt.z_pow(beta)
+    denom = (1 - zb) % p
     if denom == 0:
-        raise UnluckyPointError("1 - z^alpha vanished in a mu factor")
-    coeff = (1 - pt.u) * za % p * pow(denom, p - 2, p) % p
-    out: HeckeElement = {group.simple_reflection(letter): pt.u}
-    if coeff:
-        out[group.identity] = coeff
-    return out
+        raise UnluckyPointError("1 - z^beta vanished")
+    return (1 - pt.u) * zb % p * pow(denom, p - 2, p) % p
+
+
+def _mu_step(f: list[int], right_b, c: int, u: int, p: int) -> list[int]:
+    """f (u t_b + c t_e) for f dense over element indices; with uq = 1,
+    u t_y t_b is t_(y s_b) if y s_b > y, else (1-u) t_y + u t_(y s_b)."""
+    cd = (c + 1 - u) % p
+    return [(cd * fy + u * f[ys]) % p if down else (c * fy + f[ys]) % p
+            for fy, (ys, down) in zip(f, right_b)]
 
 
 def mu(group: WeylGroup, w: WeylElement, pt: SpectralPoint) -> HeckeElement:
-    """The intertwining element for w at the point: built by peeling the
-    last letter of a reduced word, translating the point as it goes."""
-    word = group.canonical_word(w)
-    if not word:
-        return {group.identity: 1}
-    letter = word[-1]
-    head = group.elem_of(group.rmul_idx(letter, group.idx_of(w)))
-    factor = _mu_gen(group, letter, pt)
-    rest = mu(group, head, pt.translate(group, group.simple_reflection(letter)))
-    return hecke_mul(group, factor, rest, pt)
+    """The intertwining element for w at the point, built along the
+    canonical word of w by mu_z(s_b g) = mu_z(g) (u t_b + c_beta t_e)."""
+    steps, right = _steps(group)
+    chain = []
+    wi = group.idx_of(w)
+    while wi:
+        chain.append(steps[wi])
+        wi = steps[wi][1]
+    f = [1] + [0] * (group.order() - 1)
+    for b, _, beta in reversed(chain):
+        f = _mu_step(f, right[b], _root_coeff(pt, beta), pt.u, pt.p)
+    return {group.elem_of(i): c for i, c in enumerate(f) if c}
 
 
 def lambda_functional(group: WeylGroup, f: HeckeElement) -> int:
@@ -174,37 +224,57 @@ def m_direct(group: WeylGroup, x: WeylElement, w: WeylElement,
 
 
 def m_matrix(group: WeylGroup, pt: SpectralPoint) -> list[list[int]]:
-    """All m(x, w) at one point, indexed by the element table:
-    out[x][w] = t_e coefficient of psi(x) mu_z(w).
-
-    Per column w the products t_y * mu_z(w) are computed for every y by one
-    generator multiplication up the weak order, and the psi sums are then
-    plain sums of their t_e coefficients over upper intervals; this is the
-    same definition m_direct evaluates pair by pair, just batched."""
-    group.ensure_bruhat()
+    """All m(x, w) at one point, indexed by the element table, from the
+    trace form: out[x][w] = sum over y >= x of q^l(y) mu_z(w)[y^-1].  Every
+    entry is computed, x not below w included."""
+    steps, right = _steps(group)
+    ups = _upper_intervals(group)
+    p, u = pt.p, pt.u
     size = group.order()
-    p = pt.p
-    ident = group.identity
+    cs = {beta: _root_coeff(pt, beta) for beta in group.rs.positive_roots}
+    mus = [[1] + [0] * (size - 1)]
+    for b, g, beta in steps[1:]:
+        mus.append(_mu_step(mus[g], right[b], cs[beta], u, p))
+    qlen = [pow(pt.q, group.len_of_idx(y), p) for y in range(size)]
     out = [[0] * size for _ in range(size)]
-    for wi in range(size):
-        muw = mu(group, group.elem_of(wi), pt)
-        lam_vals = [0] * size
-        tymu: list[HeckeElement | None] = [None] * size
-        tymu[0] = muw
-        lam_vals[0] = muw.get(ident, 0)
-        for yi in range(1, size):
-            letter = group.canon_of_idx(yi)[0]
-            prev = tymu[group.lmul_idx(letter, yi)]
-            cur = hecke_left_mul_gen(group, letter, prev, pt)
-            tymu[yi] = cur
-            lam_vals[yi] = cur.get(ident, 0)
-        for xi in range(size):
-            acc = 0
-            for yi in range(size):
-                if (group.bruhat_mask(yi) >> xi) & 1:
-                    acc += lam_vals[yi]
-            out[xi][wi] = acc % p
+    for wi, muw in enumerate(mus):
+        get = [ql * muw[yinv] % p
+               for ql, yinv in zip(qlen, group._inv)].__getitem__
+        for row, up in zip(out, ups):
+            row[wi] = sum(map(get, up)) % p
     return out
+
+
+def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
+                    word) -> tuple[Coords, ...]:
+    """The per-pair part of m_product: checks that word is a word for w
+    above x and that the chain condition holds for (x, word), and returns
+    the roots gamma of the increasing-chain label."""
+    word = tuple(word)
+    xi, wi = _checked_word_idx(group, x, word)
+    if wi != group.idx_of(w):
+        raise DomainError("word is not a word for w")
+    covers = _WordCovers(group, word)
+    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
+    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
+    if inc != tuple(reversed(dec)):
+        raise ConditionError("chain condition fails for this pair and word",
+                             chain_min=inc, chain_max=dec)
+    return gamma_sequence(group, word, inc)
+
+
+def m_product_value(gammas, pt: SpectralPoint, factors: dict) -> int:
+    """The per-point part of m_product: the product over gammas of
+    (1 - u z^gamma) / (1 - z^gamma) = 1 + c_gamma.  `factors`, one dict per
+    point, keeps each root's factor for the next pair."""
+    p = pt.p
+    acc = 1
+    for gamma in gammas:
+        f = factors.get(gamma)
+        if f is None:
+            f = factors[gamma] = (1 + _root_coeff(pt, gamma)) % p
+        acc = acc * f % p
+    return acc
 
 
 def m_product(group: WeylGroup, x: WeylElement, w: WeylElement, word,
@@ -212,26 +282,4 @@ def m_product(group: WeylGroup, x: WeylElement, w: WeylElement, word,
     """m(x, w) as the product over the increasing-chain label of
     (1 - u z^gamma) / (1 - z^gamma); requires the chain form of the
     condition to hold for (x, word)."""
-    group.ensure_bruhat()
-    word = tuple(word)
-    wi = group.word_to_idx(word)
-    if wi != group.idx_of(w):
-        raise DomainError("word is not a word for w")
-    xi = group.idx_of(x)
-    if not group.leq_idx(xi, wi):
-        raise DomainError("x is not below w")
-    covers = _WordCovers(group, word)
-    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
-    if inc != tuple(reversed(dec)):
-        raise ConditionError("chain condition fails for this pair and word",
-                             chain_min=inc, chain_max=dec)
-    p = pt.p
-    acc = 1
-    for gamma in gamma_sequence(group, word, inc):
-        zg = pt.z_pow(gamma)
-        denom = (1 - zg) % p
-        if denom == 0:
-            raise UnluckyPointError("1 - z^gamma vanished in the product")
-        acc = acc * ((1 - pt.u * zg) % p) % p * pow(denom, p - 2, p) % p
-    return acc
+    return m_product_value(m_product_roots(group, x, w, word), pt, {})

@@ -26,7 +26,8 @@ from .coeffs import (_check_dominant, _closed_form_product, atom_coeffs,
                      casselman_shalika_check, char_coeffs,
                      closed_form_coeff)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
-from .hecke import m_matrix, m_product, sample_spectral_point
+from .hecke import (m_matrix, m_product_roots, m_product_value,
+                    sample_spectral_point)
 from .roots import build_root_system
 from .shellability import (_flag_ii_idx, _good_word_idx, _labels_idx,
                            _WordCovers, condition_b_mask, deodhar_slack_idx,
@@ -38,6 +39,9 @@ LARGE_ORDER_THRESHOLD = 400
 # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat masks
 # alone, and its independent sweep would run for hours
 STATS_MAX_ORDER = 5040
+# B4/C4, about a minute at 8 points; the upper-interval sums grow as the
+# cube of the order, so A5 (720 elements) would take several minutes
+MTX_MAX_ORDER = 384
 
 
 @dataclass
@@ -158,6 +162,15 @@ def require_stats_size(group: WeylGroup, config: SweepConfig) -> None:
         raise BudgetError(f"group of order {order} needs --large")
     if order > STATS_MAX_ORDER:
         raise BudgetError(f"stats stops at order {STATS_MAX_ORDER}; "
+                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
+
+
+def require_mtx_size(group: WeylGroup, config: SweepConfig) -> None:
+    """Refuse a transition matrix above MTX_MAX_ORDER, before any table is
+    built."""
+    order = group.order()
+    if order > MTX_MAX_ORDER:
+        raise BudgetError(f"mtx stops at order {MTX_MAX_ORDER}; "
                           f"{group.rs.type_letter}{group.rs.rank} has {order}")
 
 
@@ -386,12 +399,14 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
 def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     """m(x, w) at seeded points for all pairs; condition-(B) pairs also get
     the closed product and an agreement flag."""
+    require_mtx_size(group, config)
     group.ensure_bruhat()
     rng = random.Random(config.seed)
     points = [sample_spectral_point(group.rs, rng)
               for _ in range(config.points)]
     size = group.order()
     matrices = [m_matrix(group, pt) for pt in points]
+    factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
     # x, then one lexicographic search per w over just those x < w
     cond = [condition_b_mask(group, xi) for xi in range(size)]
@@ -430,7 +445,9 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
                 has_b = word is not None
                 entry["condition_b"] = has_b
                 if has_b:
-                    prods = [m_product(group, x, w, word, pt) for pt in points]
+                    gammas = m_product_roots(group, x, w, word)
+                    prods = [m_product_value(gammas, pt, f)
+                             for pt, f in zip(points, factors)]
                     entry["agree"] = prods == values
                     ok = ok and entry["agree"]
                 else:

@@ -1,20 +1,69 @@
 """Hecke-algebra arithmetic at evaluated spectral points: generator rules,
-the intertwining recursion, the interval-sum basis, and the two routes to
-m(x, w) (definition versus chain product) compared at random points."""
+the intertwining recursion, the interval-sum basis, and the routes to
+m(x, w) (definition, generator walk, trace form and chain product)
+compared at random points."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wwl import DomainError, UnluckyPointError
 from wwl.hecke import (MODULUS_DEFAULT, SpectralPoint, hecke_left_mul_gen,
                        hecke_mul, lambda_functional, m_direct, m_matrix,
-                       m_product, mu, psi, sample_spectral_point)
+                       m_product, m_product_roots, m_product_value, mu, psi,
+                       sample_spectral_point)
 from wwl.shellability import condition_B
 
 
 def inv(a, p):
     return pow(a, p - 2, p)
+
+
+def mu_via_word(G, word, pt):
+    """Oracle for mu: peel the last letter of a reduced word and translate
+    the point, mu_z(w) = mu_z(s_c) mu_(s_c z)(w s_c)."""
+    if not word:
+        return {G.identity: 1}
+    letter = word[-1]
+    s = G.simple_reflection(letter)
+    z = pt.z[letter - 1]
+    denom = (1 - z) % pt.p
+    coeff = (1 - pt.u) * z % pt.p * inv(denom, pt.p) % pt.p
+    factor = {s: pt.u}
+    if coeff:
+        factor[G.identity] = coeff
+    rest = mu_via_word(G, word[:-1], pt.translate(G, s))
+    return hecke_mul(G, factor, rest, pt)
+
+
+def walk_column_oracle(G, wi, pt):
+    """Column w of the transition matrix by the generator walk: t_y mu_z(w)
+    for every y, each from t_(s y) mu_z(w) by one generator multiplication
+    up the weak order, then the psi sums of their t_e coefficients."""
+    G.ensure_bruhat()
+    size = G.order()
+    ident = G.identity
+    muw = mu(G, G.elem_of(wi), pt)
+    lam_vals = [0] * size
+    tymu = [None] * size
+    tymu[0] = muw
+    lam_vals[0] = muw.get(ident, 0)
+    for yi in range(1, size):
+        letter = G.canon_of_idx(yi)[0]
+        prev = tymu[G.lmul_idx(letter, yi)]
+        cur = hecke_left_mul_gen(G, letter, prev, pt)
+        tymu[yi] = cur
+        lam_vals[yi] = cur.get(ident, 0)
+    return [sum(lam_vals[yi] for yi in range(size) if G.leq_idx(xi, yi))
+            % pt.p for xi in range(size)]
+
+
+def m_matrix_walk_oracle(G, pt):
+    """The whole matrix, out[x][w], one walk per column."""
+    columns = [walk_column_oracle(G, wi, pt) for wi in range(G.order())]
+    return [list(row) for row in zip(*columns)]
 
 
 @pytest.fixture()
@@ -128,27 +177,27 @@ def test_mu_word_independent(group_for, rng):
     """Peeling either reduced word of the longest element gives the same
     result once the factor recursion is spelled out by hand."""
     G = group_for("A", 2)
-
-    def mu_via_word(word, pt):
-        if not word:
-            return {G.identity: 1}
-        letter = word[-1]
-        s = G.simple_reflection(letter)
-        z = pt.z[letter - 1]
-        denom = (1 - z) % pt.p
-        coeff = (1 - pt.u) * z % pt.p * inv(denom, pt.p) % pt.p
-        factor = {s: pt.u}
-        if coeff:
-            factor[G.identity] = coeff
-        rest = mu_via_word(word[:-1], pt.translate(G, s))
-        return hecke_mul(G, factor, rest, pt)
-
     for _ in range(10):
         pt = sample_spectral_point(G.rs, rng)
-        a = mu_via_word((1, 2, 1), pt)
-        b = mu_via_word((2, 1, 2), pt)
+        a = mu_via_word(G, (1, 2, 1), pt)
+        b = mu_via_word(G, (2, 1, 2), pt)
         assert a == b
         assert a == mu(G, G.longest_element(), pt)
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_mu_table_recursion_matches_word_peel(group_for, rng, type_letter,
+                                              rank):
+    """mu built by right multiplication along the canonical word equals the
+    last-letter peel with translated points, on every element, for the
+    canonical word and for the last reduced word in lexicographic order."""
+    G = group_for(type_letter, rank)
+    for _ in range(2):
+        pt = sample_spectral_point(G.rs, rng)
+        for w in G.enumerate_group():
+            got = mu(G, w, pt)
+            assert got == mu_via_word(G, G.canonical_word(w), pt)
+            assert got == mu_via_word(G, G.all_reduced_words(w)[-1], pt)
 
 
 def test_mu_unlucky_denominator(group_for):
@@ -204,15 +253,60 @@ def test_m_diagonal_and_triangularity(group_for, rng):
 
 
 def test_m_matrix_matches_directs(group_for, rng):
-    G = group_for("A", 2)
-    elements = G.enumerate_group()
+    for type_letter, rank, points in [("A", 2, 2), ("B", 2, 2), ("G", 2, 2),
+                                      ("A", 3, 1)]:
+        G = group_for(type_letter, rank)
+        elements = G.enumerate_group()
+        for _ in range(points):
+            pt = sample_spectral_point(G.rs, rng)
+            matrix = m_matrix(G, pt)
+            for x in elements:
+                for w in elements:
+                    assert matrix[G.idx_of(x)][G.idx_of(w)] == \
+                        m_direct(G, x, w, pt)
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_m_matrix_matches_walk_oracle(group_for, rng, type_letter, rank):
+    """The trace form equals the per-column generator walk on every pair,
+    x not below w included."""
+    G = group_for(type_letter, rank)
     for _ in range(2):
         pt = sample_spectral_point(G.rs, rng)
-        matrix = m_matrix(G, pt)
-        for x in elements:
-            for w in elements:
-                assert matrix[G.idx_of(x)][G.idx_of(w)] == \
-                    m_direct(G, x, w, pt)
+        assert m_matrix(G, pt) == m_matrix_walk_oracle(G, pt)
+
+
+@pytest.mark.parametrize("type_letter,rank,examples",
+                         [("D", 4, 8), ("B", 4, 3)])
+def test_m_matrix_columns_match_walk_oracle_sampled(group_for, type_letter,
+                                                    rank, examples):
+    """Seeded single columns past the exhaustive groups, at one point."""
+    G = group_for(type_letter, rank)
+    pt = sample_spectral_point(G.rs, random.Random(rank))
+    matrix = m_matrix(G, pt)
+
+    @settings(max_examples=examples)
+    @given(st.integers(0, G.order() - 1))
+    def check(wi):
+        assert [row[wi] for row in matrix] == walk_column_oracle(G, wi, pt)
+
+    check()
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def test_trace_identity(group_for, rng, type_letter, rank):
+    """The t_e coefficient of t_y t_v is q^l(y) when v = y^-1 and 0
+    otherwise, for every pair of elements."""
+    G = group_for(type_letter, rank)
+    pt = sample_spectral_point(G.rs, rng)
+    elements = G.enumerate_group()
+    for y in elements:
+        want = pow(pt.q, G.length(y), pt.p)
+        y_inv = G.inverse(y)
+        for v in elements:
+            got = lambda_functional(G, hecke_mul(G, {y: 1}, {v: 1}, pt))
+            assert got == (want if v == y_inv else 0)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 2), ("B", 2)])
@@ -278,3 +372,35 @@ def test_a3_example_pair_at_points(group_for, rng):
         pt = sample_spectral_point(G.rs, rng)
         assert m_direct(G, x, w, pt) == \
             m_product(G, x, w, (1, 2, 1, 3, 2, 1), pt)
+
+
+@pytest.mark.parametrize("type_letter,rank,examples",
+                         [("A", 3, 40), ("B", 3, 40)])
+def test_split_product_matches_direct_sampled(group_for, type_letter, rank,
+                                              examples):
+    """The per-pair roots and the per-point product, with one factor cache
+    per point shared across pairs as mtx_report keeps it, equal the
+    definition on seeded condition-(B) pairs."""
+    G = group_for(type_letter, rank)
+    elements = G.enumerate_group()
+    pairs = []
+    for x in elements:
+        for w in elements:
+            if x != w and G.bruhat_leq(x, w):
+                has_b, word = condition_B(G, x, w)
+                if has_b:
+                    pairs.append((x, w, word))
+    points = [sample_spectral_point(G.rs, random.Random(seed))
+              for seed in range(3)]
+    factors = [{} for _ in points]
+
+    @settings(max_examples=examples)
+    @given(st.sampled_from(pairs), st.integers(0, len(points) - 1))
+    def check(pair, k):
+        x, w, word = pair
+        gammas = m_product_roots(G, x, w, word)
+        got = m_product_value(gammas, points[k], factors[k])
+        assert got == m_direct(G, x, w, points[k])
+        assert got == m_product(G, x, w, word, points[k])
+
+    check()

@@ -113,6 +113,9 @@ def _too_large_runs():
     yield ["stats", "--type", "A", "--rank", "6"]
     # above the stats order limit even with --large
     yield ["stats", "--type", "D", "--rank", "6", "--large"]
+    # above the mtx order limit
+    for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
+        yield ["mtx", "--type", type_letter, "--rank", str(rank)]
 
 
 @pytest.mark.parametrize("argv", list(_too_large_runs()),
@@ -365,8 +368,9 @@ def test_mtx_a2(capsys):
 
 def test_mtx_condition_b_matches_pair_search(monkeypatch):
     """mtx_report's per-w witness search gives every B3 pair the condition
-    (B) answer and the first witness word of the per-pair condition_B, and
-    searches words only for pairs that have a witness."""
+    (B) answer and the first witness word of the per-pair condition_B,
+    searches words only for pairs that have a witness, and finds each
+    pair's chain roots once for all points."""
     words = {}
 
     def witnesses_for_all(group, wi, xs, holds):
@@ -377,14 +381,17 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
     real_first_witnesses = workbench.first_witnesses
     monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
 
-    def recording_m_product(group, x, w, word, pt):
-        words[(group.canonical_word(x), group.canonical_word(w))] = word
-        return real_m_product(group, x, w, word, pt)
+    def recording_m_product_roots(group, x, w, word):
+        key = (group.canonical_word(x), group.canonical_word(w))
+        assert key not in words  # once per pair, not once per point
+        words[key] = word
+        return real_m_product_roots(group, x, w, word)
 
-    real_m_product = workbench.m_product
-    monkeypatch.setattr(workbench, "m_product", recording_m_product)
+    real_m_product_roots = workbench.m_product_roots
+    monkeypatch.setattr(workbench, "m_product_roots",
+                        recording_m_product_roots)
     G = WeylGroup(build_root_system("B", 3))
-    report = mtx_report(G, SweepConfig("B", 3, points=1))
+    report = mtx_report(G, SweepConfig("B", 3, points=2))
     checked = 0
     for entry in report["pairs"]:
         if "condition_b" not in entry:
@@ -397,6 +404,24 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
         checked += 1
     assert checked == sum(len(G.interval(G.identity, w)) - 1
                           for w in G.enumerate_group())
+
+
+# sha256 of the stdout of `mtx --points 8 --threads 1 --seed 0`, as printed
+# by the per-column generator walk before the trace form replaced it
+MTX_DIGESTS = {
+    ("B", 3): "623d6b772af68338cc0eb8762c63f567bb49c69d32a2ac25c3c6a11a53494a0b",
+    ("A", 4): "03b6dac9f4a207f59b3e01972e110142354f723e2bfcd271eec345ea54dab45b",
+}
+
+
+@pytest.mark.parametrize("type_letter,rank", list(MTX_DIGESTS))
+def test_mtx_digests(capsys, type_letter, rank):
+    code, out, _ = run_cli(capsys, "mtx", "--type", type_letter, "--rank",
+                           str(rank), "--points", "8", "--threads", "1",
+                           "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        MTX_DIGESTS[(type_letter, rank)]
 
 
 def test_mtx_deterministic():
