@@ -27,8 +27,9 @@ from .roots import build_root_system
 from .weyl import WeylGroup
 from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
                         good_words_report, mtx_report, parse_int_seq,
-                        require_mtx_size, require_stats_size, stats_sweep,
-                        stats_to_csv, verify_conjecture)
+                        require_good_words_size, require_mtx_size,
+                        require_stats_size, stats_sweep, stats_to_csv,
+                        verify_conjecture)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
         gate = {"stats": require_stats_size,
-                "mtx": require_mtx_size}.get(args.command)
+                "mtx": require_mtx_size,
+                "good-words": require_good_words_size}.get(args.command)
         if gate:  # build_group may build the masks
             gate(WeylGroup(build_root_system(config.type_letter,
                                              config.rank)), config)

@@ -51,7 +51,7 @@ from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
                        ga_sum, mul_one_minus_v_exp, reflect, t_op)
 from .roots import Weight
 from .shellability import (_checked_word_idx, _greedy_chain_idx, _labels_idx,
-                           _WordCovers, beta_sequence)
+                           beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -193,11 +193,10 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     is the variant whose failure off-condition is itself a tested fact."""
     word = tuple(word)
     xi, _ = _checked_word_idx(group, x, word)
-    covers = _WordCovers(group, word)
     if not check:
-        return _closed_form_product(
-            group, word, _greedy_chain_idx(group, xi, covers, pick_max=False))
-    lam, inc, dec, flags = _labels_idx(group, xi, covers)
+        return _closed_form_product(group, word, _greedy_chain_idx(
+            group, {}, word, 1 << xi, pick_max=False)[xi])
+    lam, inc, dec, flags = _labels_idx(group, {}, word, [xi])[0]
     if not (flags[0] or flags[1]):
         raise ConditionError(
             "chain condition fails for this pair and word",

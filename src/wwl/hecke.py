@@ -42,7 +42,7 @@ import weakref
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
-from .shellability import (_checked_word_idx, _greedy_chain_idx, _WordCovers,
+from .shellability import (_checked_word_idx, _greedy_chain_idx,
                            gamma_sequence)
 from .weyl import WeylElement, WeylGroup
 
@@ -254,10 +254,16 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
     xi, wi = _checked_word_idx(group, x, word)
     if wi != group.idx_of(w):
         raise DomainError("word is not a word for w")
-    covers = _WordCovers(group, word)
-    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
-    if inc != tuple(reversed(dec)):
+    return _m_product_roots_idx(group, {}, xi, word)
+
+
+def _m_product_roots_idx(group: WeylGroup, memo: dict, xi: int,
+                         word) -> tuple[Coords, ...]:
+    """m_product_roots for x of index xi below a word's product, reading
+    and extending memo, the cover lists of the word's subwords."""
+    inc = _greedy_chain_idx(group, memo, word, 1 << xi, pick_max=False)[xi]
+    dec = _greedy_chain_idx(group, memo, word, 1 << xi, pick_max=True)[xi]
+    if inc != dec[::-1]:
         raise ConditionError("chain condition fails for this pair and word",
                              chain_min=inc, chain_max=dec)
     return gamma_sequence(group, word, inc)

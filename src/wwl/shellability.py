@@ -22,8 +22,19 @@ w = s_1...s_n and x <= w:
   order and stop at the first witness.
 
 Every sweep shares three kernels: _labels_idx computes the labels and flags
-of one (x, word) pair, first_witnesses is the lexicographic witness search
-over the reduced words of w, and deodhar_slack_idx counts #S(x,w).
+of every x below one word at once, first_witnesses is the lexicographic
+witness search over the reduced words of w, and deodhar_slack_idx counts
+#S(x,w).
+
+Greedy chains.  _greedy_chain_idx is the one greedy search: it finds the
+label of every x in a bitset by one walk over the trie of greedy steps.
+Each subword met along a chain is itself a reduced word of an element
+below w (the subword-complex picture of Knutson-Miller, "Subword
+complexes in Coxeter groups", Adv. Math. 2004), so its cover list depends
+only on its letters.  Cover lists live in a memo keyed by letters, one
+per sweep unit: every reduced word of w and every x below it read the
+same memo, which holds at most one entry per reduced word of the elements
+below w.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -65,22 +76,29 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _good_word_idx(group, xi, _WordCovers(group, word))
+    return bool(_good_word_idx(group, {}, word, [xi]))
 
 
-def _good_word_idx(group: WeylGroup, xi: int, covers: _WordCovers) -> bool:
-    """is_good_word against the word's shared single deletions."""
-    word = covers.word
-    lam = lambda_positions_idx(group, xi, covers.dels)
-    lam_set = set(lam)
-    residual = [a for i, a in enumerate(word, start=1) if i not in lam_set]
-    good = group.word_to_idx(residual) == xi
-    if good and (len(residual) != group.len_of_idx(xi) or
-                 len(lam) != group.len_of_idx(covers.wi)
-                 - group.len_of_idx(xi)):
-        raise InvariantError(
-            "good word whose residual or deletion set has the wrong length")
-    return good
+def _good_word_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+    """The x in xs for which word is good (is_good_word), from the word's
+    shared single deletions; no chain is walked, so memo is not read."""
+    dels = group.deleted_word_elements_idx(word)
+    lw = group.len_of_idx(group.word_to_idx(word))
+    out = []
+    for xi in xs:
+        lam = lambda_positions_idx(group, xi, dels)
+        lam_set = set(lam)
+        residual = [a for i, a in enumerate(word, start=1)
+                    if i not in lam_set]
+        if group.word_to_idx(residual) != xi:
+            continue
+        if len(residual) != group.len_of_idx(xi) or \
+                len(lam) != lw - group.len_of_idx(xi):
+            raise InvariantError(
+                "good word whose residual or deletion set has the wrong "
+                "length")
+        out.append(xi)
+    return out
 
 
 def lower_reflections_idx(group: WeylGroup, wi: int) -> list[tuple[Coords, int]]:
@@ -148,82 +166,86 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     return tuple(betas)
 
 
-class _WordCovers:
-    """The data of one reduced word that no x depends on, shared by every x
-    below its product.
-
-    `dels` holds the element index left by each single deletion.  A chain
-    step from the subword left after deleting the positions in `mask` (bit
-    p for original position p) deletes one more position and drops the
-    length by exactly one; the cover list of `mask` holds those steps as
-    (original position, element index), in position order.  It is built
-    on first request with one `deleted_word_elements_idx` call on the
-    remaining letters; the root list (mask 0) is `dels` filtered by
-    length.  Nothing is computed until a search asks for it."""
-
-    __slots__ = ("group", "word", "wi", "masks", "_dels", "_covers")
-
-    def __init__(self, group: WeylGroup, word):
-        group.ensure_bruhat()
-        self.group = group
-        self.word = tuple(word)
-        self.wi = group.word_to_idx(self.word)
-        self.masks = group._bruhat
-        self._dels = None
-        self._covers: dict[int, list[tuple[int, int]]] = {}
-
-    @property
-    def dels(self) -> list[int]:
-        if self._dels is None:
-            self._dels = self.group.deleted_word_elements_idx(self.word)
-        return self._dels
-
-    def _build(self, mask: int) -> list[tuple[int, int]]:
-        group, word = self.group, self.word
-        kept = [p for p in range(1, len(word) + 1) if not (mask >> p) & 1]
-        dis = group.deleted_word_elements_idx([word[p - 1] for p in kept]) \
-            if mask else self.dels
-        target = len(kept) - 1
-        covers = [(p, di) for p, di in zip(kept, dis)
-                  if group.len_of_idx(di) == target]
-        self._covers[mask] = covers
-        return covers
+def _cover_list(group: WeylGroup, letters) -> tuple[int, ...]:
+    """The chain steps from a reduced word: for each 0-based position j
+    whose deletion drops the length by exactly one, j and the element index
+    left, flattened in position order into one tuple (j, d, j, d, ...)."""
+    target = len(letters) - 1
+    lens = group._len
+    flat: list[int] = []
+    for j, di in enumerate(group.deleted_word_elements_idx(letters)):
+        if lens[di] == target:
+            flat += (j, di)
+    return tuple(flat)
 
 
-def _greedy_chain_idx(group: WeylGroup, xi: int, covers: _WordCovers,
-                      pick_max: bool) -> tuple[int, ...]:
-    """Label of the lexicographically extreme maximal chain from the word's
-    product down to x: repeatedly delete the least (resp. greatest) original
+def _greedy_chain_idx(group: WeylGroup, memo: dict, word, xset: int,
+                      pick_max: bool) -> dict[int, tuple[int, ...]]:
+    """{xi: label} for every x in the bitset xset (each x below the word's
+    product): the label of the lexicographically extreme maximal chain
+    down to x, which repeatedly deletes the least (resp. greatest) original
     position whose deletion is a cover staying >= x.
 
-    The covers of each subword come from the word's shared cover lists,
-    scanned forward for the least position and backward for the greatest,
-    so a step costs one Bruhat bit test per candidate."""
-    masks, memo = covers.masks, covers._covers
-    deleted = 0
-    cur = covers.wi
-    label: list[int] = []
-    while cur != xi:
-        steps = memo.get(deleted)
-        if steps is None:
-            steps = covers._build(deleted)
-        for pos, di in reversed(steps) if pick_max else steps:
-            if (masks[di] >> xi) & 1:
-                break
+    One walk serves every x.  A node of the walk is a subword with its
+    original positions, its element and the x routed through it.  The x
+    are handed to the node's covers in position order, forward for the
+    least position and backward for the greatest, each cover taking those
+    still unplaced below its element, so a step costs one Bruhat mask AND
+    per candidate; an x is recorded at the node whose element it is.  The
+    nodes form a trie of greedy steps, and x sharing a label prefix share
+    its nodes.
+
+    Cover lists come from memo, keyed by the subword's letters and built
+    on a miss by _cover_list.  Every subword along a chain is a reduced
+    word of an element below the product, so one memo can serve every
+    reduced word of one w and every x below it.  Letters and positions are
+    held as bytes, the most compact key: a tabulated group has at most 8
+    letters and reduced words of at most 36."""
+    group.ensure_bruhat()
+    masks = group._bruhat
+    word = bytes(word)
+    labels: dict[int, tuple[int, ...]] = {}
+    stack = [(word, bytes(range(1, len(word) + 1)), group.word_to_idx(word),
+              xset, ())]
+    while stack:
+        letters, pos, cur, xs, label = stack.pop()
+        if (xs >> cur) & 1:
+            labels[cur] = label
+            xs ^= 1 << cur
+            if not xs:
+                continue
+        flat = memo.get(letters)
+        if flat is None:
+            flat = memo[letters] = _cover_list(group, letters)
+        n = len(flat)
+        for k in range(n - 2, -1, -2) if pick_max else range(0, n, 2):
+            di = flat[k + 1]
+            sub = xs & masks[di]
+            if sub:
+                j = flat[k]
+                stack.append((letters[:j] + letters[j + 1:],
+                              pos[:j] + pos[j + 1:], di, sub,
+                              label + (pos[j],)))
+                xs ^= sub
+                if not xs:
+                    break
         else:
             raise InvariantError(
                 "no cover stays above x: chain invariant violated")
-        label.append(pos)
-        deleted |= 1 << pos
-        cur = di
-    return tuple(label)
+    return labels
+
+
+def _bitset(xs) -> int:
+    out = 0
+    for xi in xs:
+        out |= 1 << xi
+    return out
 
 
 def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, xi, _WordCovers(group, word),
-                              pick_max=False)
+    label = _greedy_chain_idx(group, {}, word, 1 << xi, pick_max=False)[xi]
     if any(a >= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"increasing chain label {label} not increasing")
     return label
@@ -232,8 +254,7 @@ def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
 def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, xi, _WordCovers(group, word),
-                              pick_max=True)
+    label = _greedy_chain_idx(group, {}, word, 1 << xi, pick_max=True)[xi]
     if any(a <= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"decreasing chain label {label} not decreasing")
     return label
@@ -244,40 +265,59 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _labels_idx(group, xi, _WordCovers(group, word))[3]
+    return _labels_idx(group, {}, word, [xi])[0][3]
 
 
-def _labels_idx(group: WeylGroup, xi: int, covers: _WordCovers):
-    """(lambda_set, increasing label, decreasing label, flags (i)-(iii)) of
-    x below the word's product, from the word's shared single deletions and
-    cover lists; the labels are computed independently."""
-    lam = lambda_positions_idx(group, xi, covers.dels)
-    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
-    rev = tuple(reversed(dec))
-    return lam, inc, dec, (lam == rev, inc == rev, lam == inc)
+def _labels_idx(group: WeylGroup, memo: dict, word, xs) -> list:
+    """(lambda_set, increasing label, decreasing label, flags (i)-(iii))
+    for every x in xs (each below the word's product), in the order of xs.
+    lambda_set comes from the word's single deletions and each label from
+    its own greedy walk over all of xs, reading and extending memo; the
+    three are computed independently."""
+    dels = group.deleted_word_elements_idx(word)
+    xset = _bitset(xs)
+    incs = _greedy_chain_idx(group, memo, word, xset, pick_max=False)
+    decs = _greedy_chain_idx(group, memo, word, xset, pick_max=True)
+    out = []
+    for xi in xs:
+        lam = lambda_positions_idx(group, xi, dels)
+        inc, dec = incs[xi], decs[xi]
+        rev = dec[::-1]
+        out.append((lam, inc, dec, (lam == rev, inc == rev, lam == inc)))
+    return out
 
 
-def _flag_ii_idx(group: WeylGroup, xi: int, covers: _WordCovers) -> bool:
-    """Flag (ii) alone: the increasing label equals the reversed decreasing
-    one."""
-    inc = _greedy_chain_idx(group, xi, covers, pick_max=False)
-    dec = _greedy_chain_idx(group, xi, covers, pick_max=True)
-    return inc == tuple(reversed(dec))
+def _flag_i_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+    """The x in xs for which flag (i) holds on word."""
+    return [xi for xi, labels in zip(xs, _labels_idx(group, memo, word, xs))
+            if labels[3][0]]
 
 
-def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
-    """{xi: first reduced word of w, in lexicographic order, on which
-    holds(group, xi, covers)} for the xi in xs that have one.  covers, the
-    word's _WordCovers, is made once per word and shared by every x; each
-    x drops out at its first witness and the walk stops when none is left."""
+def _flag_ii_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+    """The x in xs for which flag (ii) holds on word: the increasing label
+    equals the reversed decreasing one."""
+    xset = _bitset(xs)
+    incs = _greedy_chain_idx(group, memo, word, xset, pick_max=False)
+    decs = _greedy_chain_idx(group, memo, word, xset, pick_max=True)
+    return [xi for xi in xs if incs[xi] == decs[xi][::-1]]
+
+
+def first_witnesses(group: WeylGroup, wi: int, xs, holds,
+                    memo: dict | None = None) -> dict:
+    """{xi: first reduced word of w, in lexicographic order, on which a
+    flag holds for xi} for the xi in xs that have one.
+    holds(group, memo, word, left) returns the x of `left` whose flag holds
+    on word, computing their labels in bulk (_flag_i_idx, _flag_ii_idx,
+    _good_word_idx).  memo, the cover lists of w's subwords, is made here
+    unless given and is shared by every word; each x drops out at its first
+    witness and the walk stops when none is left."""
+    if memo is None:
+        memo = {}
     found: dict[int, tuple[int, ...]] = {}
     left = list(xs)
     for word in group._iter_words_idx(wi) if left else ():
-        covers = _WordCovers(group, word)
-        for xi in left:
-            if holds(group, xi, covers):
-                found[xi] = word
+        for xi in holds(group, memo, word, left):
+            found[xi] = word
         left = [xi for xi in left if xi not in found]
         if not left:
             break
@@ -294,8 +334,7 @@ def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
 def condition_A(group: WeylGroup, x: WeylElement, w: WeylElement):
     """Does some reduced word of w satisfy flag (i)?  Returns the first
     witness in lexicographic order."""
-    return _condition_witness(group, x, w, lambda group, xi, covers:
-                              _labels_idx(group, xi, covers)[3][0])
+    return _condition_witness(group, x, w, _flag_i_idx)
 
 
 def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):

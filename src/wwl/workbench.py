@@ -26,11 +26,11 @@ from .coeffs import (_check_dominant, _closed_form_product, atom_coeffs,
                      casselman_shalika_check, char_coeffs,
                      closed_form_coeff)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
-from .hecke import (m_matrix, m_product_roots, m_product_value,
+from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
                     sample_spectral_point)
 from .roots import build_root_system
 from .shellability import (_flag_ii_idx, _good_word_idx, _labels_idx,
-                           _WordCovers, condition_b_mask, deodhar_slack_idx,
+                           condition_b_mask, deodhar_slack_idx,
                            first_witnesses)
 from .weyl import WeylGroup
 
@@ -42,6 +42,10 @@ STATS_MAX_ORDER = 5040
 # B4/C4, about a minute at 8 points; the upper-interval sums grow as the
 # cube of the order, so A5 (720 elements) would take several minutes
 MTX_MAX_ORDER = 384
+# D4, about 1.4 s; the next group up, B4/C4 (384 elements), takes about
+# 43 s, and F4 and A5 run past 30 s: a qualifying pair without a good word
+# is tested on every reduced word of w
+GOOD_WORDS_MAX_ORDER = 192
 
 
 @dataclass
@@ -165,13 +169,24 @@ def require_stats_size(group: WeylGroup, config: SweepConfig) -> None:
                           f"{group.rs.type_letter}{group.rs.rank} has {order}")
 
 
+def _require_order(group: WeylGroup, limit: int, command: str) -> None:
+    order = group.order()
+    if order > limit:
+        raise BudgetError(f"{command} stops at order {limit}; "
+                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
+
+
 def require_mtx_size(group: WeylGroup, config: SweepConfig) -> None:
     """Refuse a transition matrix above MTX_MAX_ORDER, before any table is
     built."""
-    order = group.order()
-    if order > MTX_MAX_ORDER:
-        raise BudgetError(f"mtx stops at order {MTX_MAX_ORDER}; "
-                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
+    _require_order(group, MTX_MAX_ORDER, "mtx")
+
+
+def require_good_words_size(group: WeylGroup,
+                            config: SweepConfig | None) -> None:
+    """Refuse a good-words census above GOOD_WORDS_MAX_ORDER, before any
+    table is built."""
+    _require_order(group, GOOD_WORDS_MAX_ORDER, "good-words")
 
 
 # -- parallel helper ----------------------------------------------------------
@@ -205,10 +220,10 @@ def _verify_w(group: WeylGroup, wi: int):
     xs = group.lower_interval_idx(wi)
     triples = 0
     violations = []
+    memo: dict = {}  # cover lists shared by every word of w and every x
     for word in group._iter_words_idx(wi):
-        covers = _WordCovers(group, word)
-        for xi in xs:
-            lam, inc, dec, flags = _labels_idx(group, xi, covers)
+        for xi, (lam, inc, dec, flags) in zip(
+                xs, _labels_idx(group, memo, word, xs)):
             triples += 1
             if not (flags[0] == flags[1] == flags[2]):
                 violations.append({
@@ -264,12 +279,16 @@ def _stats_row_independent(group: WeylGroup, wi: int):
     flags are computed independently and must agree."""
     xs = group.lower_interval_idx(wi)
 
-    def flag_i(group, xi, covers):
-        flags = _labels_idx(group, xi, covers)[3]
-        if not flags[0] == flags[1] == flags[2]:
-            raise InvariantError(
-                "per-word flags disagree: equivalence violated")
-        return flags[0]
+    def flag_i(group, memo, word, left):
+        held = []
+        for xi, (_, _, _, flags) in zip(
+                left, _labels_idx(group, memo, word, left)):
+            if not flags[0] == flags[1] == flags[2]:
+                raise InvariantError(
+                    "per-word flags disagree: equivalence violated")
+            if flags[0]:
+                held.append(xi)
+        return held
 
     return len(xs), len(first_witnesses(group, wi, xs, flag_i))
 
@@ -408,23 +427,24 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
-    # x, then one lexicographic search per w over just those x < w
+    # x, then one lexicographic search per w over just those x < w; each
+    # pair's chain roots are read from the search's cover lists
     cond = [condition_b_mask(group, xi) for xi in range(size)]
-    witnesses = []
+    roots = []
     for wi in range(size):
         xs = [xi for xi in range(wi) if (cond[xi] >> wi) & 1]
-        found = first_witnesses(group, wi, xs, _flag_ii_idx)
+        memo: dict = {}
+        found = first_witnesses(group, wi, xs, _flag_ii_idx, memo)
         if len(found) != len(xs):
             raise InvariantError(
                 "a condition-(B) pair of the reachability search has no "
                 "witness word")
-        witnesses.append(found)
+        roots.append({xi: _m_product_roots_idx(group, memo, xi, word)
+                      for xi, word in found.items()})
     pairs = []
     ok = True
     for xi in range(size):
-        x = group.elem_of(xi)
         for wi in range(size):
-            w = group.elem_of(wi)
             values = [m[xi][wi] for m in matrices]
             entry = {
                 "x": list(group.canon_of_idx(xi)),
@@ -441,11 +461,10 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
                 ok = ok and entry["diagonal_one"]
                 entry["agree"] = None
             else:
-                word = witnesses[wi].get(xi)
-                has_b = word is not None
+                gammas = roots[wi].get(xi)
+                has_b = gammas is not None
                 entry["condition_b"] = has_b
                 if has_b:
-                    gammas = m_product_roots(group, x, w, word)
                     prods = [m_product_value(gammas, pt, f)
                              for pt, f in zip(points, factors)]
                     entry["agree"] = prods == values
@@ -479,6 +498,7 @@ def cs_report(group: WeylGroup, lam) -> dict:
 def good_words_report(group: WeylGroup) -> dict:
     """Census over pairs with #S(x,w) equal to the length difference: does
     any reduced word of w delete down to x cleanly?"""
+    require_good_words_size(group, None)
     group.ensure_bruhat()
     pairs = []
     missing = 0
@@ -518,10 +538,10 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     for wi in range(group.order()):
         table = atom_coeffs(group, group.elem_of(wi))
         xs = group.lower_interval_idx(wi)
+        memo: dict = {}
         for word in group._iter_words_idx(wi):
-            covers = _WordCovers(group, word)
-            for xi in xs:
-                lam, inc, _, flags = _labels_idx(group, xi, covers)
+            for xi, (lam, inc, _, flags) in zip(
+                    xs, _labels_idx(group, memo, word, xs)):
                 entry = table.entries[group.elem_of(xi)]
                 if flags[0] or flags[1]:
                     held += 1

@@ -4,15 +4,17 @@ chains must match the unique monotone labels; the deletion set is
 recomputed through the independent rank-matrix Bruhat oracle for type A."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwl import DomainError, shellability
-from wwl.shellability import (_flag_ii_idx, _greedy_chain_idx, _WordCovers,
-                              beta_sequence, condition_A, condition_B,
-                              condition_b_mask, condition_per_word,
+from wwl.errors import InvariantError
+from wwl.shellability import (_bitset, _cover_list, _flag_ii_idx,
+                              _greedy_chain_idx, beta_sequence, condition_A,
+                              condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, first_witnesses, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
@@ -74,14 +76,21 @@ def greedy_chain_oracle(group, xi, word, pick_max):
     return tuple(label)
 
 
-def assert_greedy_matches_oracle(group, word, xs):
-    """Both extreme labels from one shared _WordCovers, for every x in xs in
-    turn, against the from-scratch oracle."""
-    covers = _WordCovers(group, word)
-    for xi in xs:
-        for pick_max in (False, True):
-            assert _greedy_chain_idx(group, xi, covers, pick_max) == \
-                greedy_chain_oracle(group, xi, word, pick_max)
+def assert_greedy_matches_oracle(group, memo, word, xs, subsets=0,
+                                 rng=None):
+    """Both extreme labels from one bulk walk over all of xs, and from
+    walks over `subsets` random subsets of xs, all sharing memo, against
+    the from-scratch oracle per x."""
+    for pick_max in (False, True):
+        expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
+                    for xi in xs}
+        assert _greedy_chain_idx(group, memo, word, _bitset(xs),
+                                 pick_max) == expected
+        for _ in range(subsets):
+            some = rng.sample(xs, rng.randint(1, len(xs)))
+            assert _greedy_chain_idx(group, memo, word, _bitset(some),
+                                     pick_max) == \
+                {xi: expected[xi] for xi in some}
 
 
 # -- lambda sets ---------------------------------------------------------------
@@ -281,14 +290,48 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
 @pytest.mark.parametrize("type_letter,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
-    """Every (w, reduced word, x <= w): the labels read from the word's
-    shared cover lists equal the per-step recomputation."""
+    """Every (w, reduced word, x <= w): the labels of one bulk walk over
+    every x, and of walks over random subsets of them, read from a cover
+    memo shared by all words of w, equal the per-step recomputation."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
+    rng = random.Random(0)
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
+        memo = {}
         for word in G._iter_words_idx(wi):
-            assert_greedy_matches_oracle(G, word, xs)
+            assert_greedy_matches_oracle(G, memo, word, xs, 2, rng)
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_cover_memo_holds_only_reduced_words_below_w(group_for, type_letter,
+                                                     rank):
+    """After both walks over every x for every reduced word of w, each
+    memo key is a reduced word of an element below w, so the memo holds
+    no more entries than those elements have reduced words."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    counts = G.reduced_word_counts()
+    for wi in range(G.order()):
+        xs = G.lower_interval_idx(wi)
+        memo = {}
+        for word in G._iter_words_idx(wi):
+            for pick_max in (False, True):
+                _greedy_chain_idx(G, memo, word, _bitset(xs), pick_max)
+        assert len(memo) <= sum(counts[yi] for yi in xs)
+        for letters in memo:
+            yi = G.word_to_idx(letters)
+            assert G.len_of_idx(yi) == len(letters) and G.leq_idx(yi, wi)
+
+
+def test_greedy_raises_when_an_x_has_no_cover(group_for):
+    """An x not below the word's product is never reached: the walk raises
+    rather than return a partial answer."""
+    G = group_for("A", 2)
+    G.ensure_bruhat()
+    with pytest.raises(InvariantError):
+        _greedy_chain_idx(G, {}, (1,), 1 << G.word_to_idx((2,)), False)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
@@ -298,22 +341,18 @@ def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
     in position order."""
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
-        word = G.canonical_word(w)
-        covers = _WordCovers(G, word)
-        todo, seen = [0], {0}
+        todo, seen = [G.canonical_word(w)], set()
         while todo:
-            mask = todo.pop()
-            kept = [p for p in range(1, len(word) + 1) if not (mask >> p) & 1]
+            letters = todo.pop()
             expected = []
-            for p in kept:
-                rest = [word[q - 1] for q in kept if q != p]
+            for j in range(len(letters)):
+                rest = letters[:j] + letters[j + 1:]
                 if G.is_reduced(rest):
-                    expected.append((p, G.word_to_idx(rest)))
-            assert covers._build(mask) == expected
-            for p, _ in expected:
-                if mask | 1 << p not in seen:
-                    seen.add(mask | 1 << p)
-                    todo.append(mask | 1 << p)
+                    expected += (j, G.word_to_idx(rest))
+                    if rest not in seen:
+                        seen.add(rest)
+                        todo.append(rest)
+            assert _cover_list(G, letters) == tuple(expected)
 
 
 @st.composite
@@ -334,19 +373,20 @@ def word_and_xs(draw, group):
     return tuple(word), xs
 
 
-@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4)])
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
 def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
-    """Seeded samples past the exhaustive groups: several x share one
-    word's cover lists."""
+    """Seeded samples past the exhaustive groups: one bulk walk over a
+    subset of the x below a word."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
 
-    @settings(max_examples=200)
+    # F4 words run to length 24, where the per-step oracle is slow
+    @settings(max_examples=40 if type_letter == "F" else 200)
     @given(word_and_xs(G))
     def check(drawn):
         word, xs = drawn
         assert G.len_of_idx(G.word_to_idx(word)) == len(word)
-        assert_greedy_matches_oracle(G, word, xs)
+        assert_greedy_matches_oracle(G, {}, word, sorted(set(xs)))
 
     check()
 
@@ -359,7 +399,7 @@ def test_stats_fast_path_builds_no_cover_list(group_for, monkeypatch):
         raise AssertionError("words or cover lists on the fast path")
 
     G = group_for("B", 3)
-    monkeypatch.setattr(shellability._WordCovers, "_build", refuse)
+    monkeypatch.setattr(shellability, "_cover_list", refuse)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     with pytest.raises(AssertionError):
@@ -461,12 +501,12 @@ def test_walk_matches_flag_ii(group_for):
         G = group_for(t, r)
         G.ensure_bruhat()
         for wi in range(G.order()):
+            xs = G.lower_interval_idx(wi)
+            memo = {}
             for word in G._iter_words_idx(wi):
-                covers = _WordCovers(G, word)
+                held = set(_flag_ii_idx(G, memo, word, xs))
                 for xi in range(G.order()):
-                    expected = G.leq_idx(xi, wi) and \
-                        _flag_ii_idx(G, xi, covers)
-                    assert walk_flag_ii(G, xi, word) == expected
+                    assert walk_flag_ii(G, xi, word) == (xi in held)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
@@ -480,9 +520,9 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
     @given(word_and_xs(G))
     def check(drawn):
         word, xs = drawn
-        covers = _WordCovers(G, word)
+        held = set(_flag_ii_idx(G, {}, word, xs))
         for xi in xs:
-            assert walk_flag_ii(G, xi, word) == _flag_ii_idx(G, xi, covers)
+            assert walk_flag_ii(G, xi, word) == (xi in held)
 
     check()
 

@@ -116,6 +116,9 @@ def _too_large_runs():
     # above the mtx order limit
     for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
+    # above the good-words order limit
+    for type_letter, rank in (("B", 4), ("F", 4), ("A", 5)):
+        yield ["good-words", "--type", type_letter, "--rank", str(rank)]
 
 
 @pytest.mark.parametrize("argv", list(_too_large_runs()),
@@ -241,13 +244,35 @@ def test_stats_independent_mode_cli(capsys):
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
-    def disagreeing(group, xi, covers):
-        return (), (), (), (True, False, True)
+    def disagreeing(group, memo, word, xs):
+        return [((), (), (), (True, False, True))] * len(xs)
 
     monkeypatch.setattr(workbench, "_labels_idx", disagreeing)
     group = WeylGroup(build_root_system("A", 2))
     with pytest.raises(InvariantError):
         stats_sweep(group, SweepConfig("A", 2, mode="independent"))
+
+
+# sha256 of the stdout of `verify-conjecture`, as printed while each
+# greedy chain was searched per (x, word) on cover lists keyed by the
+# deleted positions
+VERIFY_DIGESTS = {
+    ("A", 4): "690e944c0882303e10fca41660c6790d8e217f7bb3ae65667c43515942daede1",
+    ("B", 3): "b18b46a42d5a507834cbdee2fb7dae92f5d6749b1337fb10802deefb1ab859c6",
+    ("C", 3): "b1103fa423ee267f52004956d2815cc0474372b3b6e654e2e9151cc673973973",
+    ("G", 2): "d3ec9764e7ee6403619fff54bc2fc72a9e9735f8225ad37f4d779c4b15bc1305",
+}
+
+
+@pytest.mark.parametrize("type_letter,rank,threads",
+                         [("A", 4, "1"), ("A", 4, "2"), ("B", 3, "1"),
+                          ("C", 3, "1"), ("G", 2, "1")])
+def test_verify_digests(type_letter, rank, threads):
+    code, out, _ = run_proc("verify-conjecture", "--type", type_letter,
+                            "--rank", str(rank), "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_DIGESTS[(type_letter, rank)]
 
 
 def test_verify_threads_do_not_change_output():
@@ -373,22 +398,23 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
     pair's chain roots once for all points."""
     words = {}
 
-    def witnesses_for_all(group, wi, xs, holds):
-        found = real_first_witnesses(group, wi, xs, holds)
+    def witnesses_for_all(group, wi, xs, holds, memo):
+        found = real_first_witnesses(group, wi, xs, holds, memo)
         assert sorted(found) == sorted(xs)
         return found
 
     real_first_witnesses = workbench.first_witnesses
     monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
 
-    def recording_m_product_roots(group, x, w, word):
-        key = (group.canonical_word(x), group.canonical_word(w))
+    def recording_m_product_roots(group, memo, xi, word):
+        key = (group.canon_of_idx(xi),
+               group.canon_of_idx(group.word_to_idx(word)))
         assert key not in words  # once per pair, not once per point
         words[key] = word
-        return real_m_product_roots(group, x, w, word)
+        return real_m_product_roots(group, memo, xi, word)
 
-    real_m_product_roots = workbench.m_product_roots
-    monkeypatch.setattr(workbench, "m_product_roots",
+    real_m_product_roots = workbench._m_product_roots_idx
+    monkeypatch.setattr(workbench, "_m_product_roots_idx",
                         recording_m_product_roots)
     G = WeylGroup(build_root_system("B", 3))
     report = mtx_report(G, SweepConfig("B", 3, points=2))
