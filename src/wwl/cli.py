@@ -25,11 +25,10 @@ from .errors import (BudgetError, ConfigurationError, DomainError,
                      InvariantError, UnluckyPointError)
 from .roots import build_root_system
 from .weyl import WeylGroup
-from .workbench import (SweepConfig, build_group, coeff_report, cs_report,
-                        good_words_report, mtx_report, parse_int_seq,
-                        require_good_words_size, require_mtx_size,
-                        require_stats_size, stats_sweep, stats_to_csv,
-                        verify_conjecture)
+from .workbench import (MAX_ORDER, SweepConfig, build_group, coeff_report,
+                        cs_report, good_words_report, mtx_report,
+                        parse_int_seq, require_size, stats_sweep,
+                        stats_to_csv, verify_conjecture)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -128,12 +127,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
-        gate = {"stats": require_stats_size,
-                "mtx": require_mtx_size,
-                "good-words": require_good_words_size}.get(args.command)
-        if gate:  # build_group may build the masks
-            gate(WeylGroup(build_root_system(config.type_letter,
-                                             config.rank)), config)
+        gate = args.command
+        if gate == "stats":
+            gate += f" --mode {config.mode}"
+        if gate in MAX_ORDER:  # build_group may build the masks
+            require_size(WeylGroup(build_root_system(config.type_letter,
+                                                     config.rank)),
+                         gate, config.large)
         group = build_group(config)
 
         if args.command == "verify-conjecture":

@@ -195,8 +195,8 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     xi, _ = _checked_word_idx(group, x, word)
     if not check:
         return _closed_form_product(group, word, _greedy_chain_idx(
-            group, {}, word, 1 << xi, pick_max=False)[xi])
-    lam, inc, dec, flags = _labels_idx(group, {}, word, [xi])[0]
+            group, word, 1 << xi, pick_max=False)[xi])
+    lam, inc, dec, flags = _labels_idx(group, word, [xi])[0]
     if not (flags[0] or flags[1]):
         raise ConditionError(
             "chain condition fails for this pair and word",

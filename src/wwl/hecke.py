@@ -254,15 +254,14 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
     xi, wi = _checked_word_idx(group, x, word)
     if wi != group.idx_of(w):
         raise DomainError("word is not a word for w")
-    return _m_product_roots_idx(group, {}, xi, word)
+    return _m_product_roots_idx(group, xi, word)
 
 
-def _m_product_roots_idx(group: WeylGroup, memo: dict, xi: int,
+def _m_product_roots_idx(group: WeylGroup, xi: int,
                          word) -> tuple[Coords, ...]:
-    """m_product_roots for x of index xi below a word's product, reading
-    and extending memo, the cover lists of the word's subwords."""
-    inc = _greedy_chain_idx(group, memo, word, 1 << xi, pick_max=False)[xi]
-    dec = _greedy_chain_idx(group, memo, word, 1 << xi, pick_max=True)[xi]
+    """m_product_roots for x of index xi below a word's product."""
+    inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)[xi]
+    dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)[xi]
     if inc != dec[::-1]:
         raise ConditionError("chain condition fails for this pair and word",
                              chain_min=inc, chain_max=dec)

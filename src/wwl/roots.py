@@ -146,8 +146,6 @@ class RootSystem:
                 f"{type_letter}{rank}, expected {expected}")
 
         self._positive_set = frozenset(self.positive_roots)
-        self._root_set = self._positive_set | frozenset(
-            tuple(-c for c in a) for a in self.positive_roots)
         self._coroot = self._coroot_table()
         # <alpha_j, alpha_vee> for every root, one row per root
         self._pair_row = {
@@ -206,9 +204,6 @@ class RootSystem:
         return table
 
     # -- queries ----------------------------------------------------------
-
-    def is_root(self, coords: Coords) -> bool:
-        return coords in self._root_set
 
     def is_positive_root(self, coords: Coords) -> bool:
         return coords in self._positive_set

@@ -31,10 +31,10 @@ label of every x in a bitset by one walk over the trie of greedy steps.
 Each subword met along a chain is itself a reduced word of an element
 below w (the subword-complex picture of Knutson-Miller, "Subword
 complexes in Coxeter groups", Adv. Math. 2004), so its cover list depends
-only on its letters.  Cover lists live in a memo keyed by letters, one
-per sweep unit: every reduced word of w and every x below it read the
-same memo, which holds at most one entry per reduced word of the elements
-below w.
+only on the group and its letters.  Cover lists live in the group's cover
+table (WeylGroup._cover_list), keyed by letters and filled on demand:
+every reduced word of every w and every x read the same table, which
+holds at most one entry per reduced word of the group.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -76,12 +76,12 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, _ = _checked_word_idx(group, x, word)
-    return bool(_good_word_idx(group, {}, word, [xi]))
+    return bool(_good_word_idx(group, word, [xi]))
 
 
-def _good_word_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+def _good_word_idx(group: WeylGroup, word, xs) -> list[int]:
     """The x in xs for which word is good (is_good_word), from the word's
-    shared single deletions; no chain is walked, so memo is not read."""
+    shared single deletions; no chain is walked."""
     dels = group.deleted_word_elements_idx(word)
     lw = group.len_of_idx(group.word_to_idx(word))
     out = []
@@ -166,20 +166,7 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     return tuple(betas)
 
 
-def _cover_list(group: WeylGroup, letters) -> tuple[int, ...]:
-    """The chain steps from a reduced word: for each 0-based position j
-    whose deletion drops the length by exactly one, j and the element index
-    left, flattened in position order into one tuple (j, d, j, d, ...)."""
-    target = len(letters) - 1
-    lens = group._len
-    flat: list[int] = []
-    for j, di in enumerate(group.deleted_word_elements_idx(letters)):
-        if lens[di] == target:
-            flat += (j, di)
-    return tuple(flat)
-
-
-def _greedy_chain_idx(group: WeylGroup, memo: dict, word, xset: int,
+def _greedy_chain_idx(group: WeylGroup, word, xset: int,
                       pick_max: bool) -> dict[int, tuple[int, ...]]:
     """{xi: label} for every x in the bitset xset (each x below the word's
     product): the label of the lexicographically extreme maximal chain
@@ -195,14 +182,16 @@ def _greedy_chain_idx(group: WeylGroup, memo: dict, word, xset: int,
     nodes form a trie of greedy steps, and x sharing a label prefix share
     its nodes.
 
-    Cover lists come from memo, keyed by the subword's letters and built
-    on a miss by _cover_list.  Every subword along a chain is a reduced
-    word of an element below the product, so one memo can serve every
-    reduced word of one w and every x below it.  Letters and positions are
-    held as bytes, the most compact key: a tabulated group has at most 8
-    letters and reduced words of at most 36."""
+    Cover lists come from the group's cover table, keyed by the subword's
+    letters and built on a miss by WeylGroup._cover_list.  Every subword
+    along a chain is a reduced word of an element below the product, so
+    the table depends on nothing but the group and serves every word and
+    every x.  Letters and positions are held as bytes, the most compact
+    key: a tabulated group has at most 8 letters and reduced words of at
+    most 36."""
     group.ensure_bruhat()
     masks = group._bruhat
+    covers = group._covers
     word = bytes(word)
     labels: dict[int, tuple[int, ...]] = {}
     stack = [(word, bytes(range(1, len(word) + 1)), group.word_to_idx(word),
@@ -214,9 +203,9 @@ def _greedy_chain_idx(group: WeylGroup, memo: dict, word, xset: int,
             xs ^= 1 << cur
             if not xs:
                 continue
-        flat = memo.get(letters)
+        flat = covers.get(letters)
         if flat is None:
-            flat = memo[letters] = _cover_list(group, letters)
+            flat = group._cover_list(letters)
         n = len(flat)
         for k in range(n - 2, -1, -2) if pick_max else range(0, n, 2):
             di = flat[k + 1]
@@ -245,7 +234,7 @@ def _bitset(xs) -> int:
 def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, {}, word, 1 << xi, pick_max=False)[xi]
+    label = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)[xi]
     if any(a >= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"increasing chain label {label} not increasing")
     return label
@@ -254,7 +243,7 @@ def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
 def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, {}, word, 1 << xi, pick_max=True)[xi]
+    label = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)[xi]
     if any(a <= b for a, b in zip(label, label[1:])):
         raise InvariantError(f"decreasing chain label {label} not decreasing")
     return label
@@ -265,19 +254,19 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _labels_idx(group, {}, word, [xi])[0][3]
+    return _labels_idx(group, word, [xi])[0][3]
 
 
-def _labels_idx(group: WeylGroup, memo: dict, word, xs) -> list:
+def _labels_idx(group: WeylGroup, word, xs) -> list:
     """(lambda_set, increasing label, decreasing label, flags (i)-(iii))
     for every x in xs (each below the word's product), in the order of xs.
     lambda_set comes from the word's single deletions and each label from
-    its own greedy walk over all of xs, reading and extending memo; the
-    three are computed independently."""
+    its own greedy walk over all of xs; the three are computed
+    independently."""
     dels = group.deleted_word_elements_idx(word)
     xset = _bitset(xs)
-    incs = _greedy_chain_idx(group, memo, word, xset, pick_max=False)
-    decs = _greedy_chain_idx(group, memo, word, xset, pick_max=True)
+    incs = _greedy_chain_idx(group, word, xset, pick_max=False)
+    decs = _greedy_chain_idx(group, word, xset, pick_max=True)
     out = []
     for xi in xs:
         lam = lambda_positions_idx(group, xi, dels)
@@ -287,36 +276,32 @@ def _labels_idx(group: WeylGroup, memo: dict, word, xs) -> list:
     return out
 
 
-def _flag_i_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+def _flag_i_idx(group: WeylGroup, word, xs) -> list[int]:
     """The x in xs for which flag (i) holds on word."""
-    return [xi for xi, labels in zip(xs, _labels_idx(group, memo, word, xs))
+    return [xi for xi, labels in zip(xs, _labels_idx(group, word, xs))
             if labels[3][0]]
 
 
-def _flag_ii_idx(group: WeylGroup, memo: dict, word, xs) -> list[int]:
+def _flag_ii_idx(group: WeylGroup, word, xs) -> list[int]:
     """The x in xs for which flag (ii) holds on word: the increasing label
     equals the reversed decreasing one."""
     xset = _bitset(xs)
-    incs = _greedy_chain_idx(group, memo, word, xset, pick_max=False)
-    decs = _greedy_chain_idx(group, memo, word, xset, pick_max=True)
+    incs = _greedy_chain_idx(group, word, xset, pick_max=False)
+    decs = _greedy_chain_idx(group, word, xset, pick_max=True)
     return [xi for xi in xs if incs[xi] == decs[xi][::-1]]
 
 
-def first_witnesses(group: WeylGroup, wi: int, xs, holds,
-                    memo: dict | None = None) -> dict:
+def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     """{xi: first reduced word of w, in lexicographic order, on which a
     flag holds for xi} for the xi in xs that have one.
-    holds(group, memo, word, left) returns the x of `left` whose flag holds
-    on word, computing their labels in bulk (_flag_i_idx, _flag_ii_idx,
-    _good_word_idx).  memo, the cover lists of w's subwords, is made here
-    unless given and is shared by every word; each x drops out at its first
-    witness and the walk stops when none is left."""
-    if memo is None:
-        memo = {}
+    holds(group, word, left) returns the x of `left` whose flag holds on
+    word, computing their labels in bulk (_flag_i_idx, _flag_ii_idx,
+    _good_word_idx) on the group's shared cover lists; each x drops out at
+    its first witness and the walk stops when none is left."""
     found: dict[int, tuple[int, ...]] = {}
     left = list(xs)
     for word in group._iter_words_idx(wi) if left else ():
-        for xi in holds(group, memo, word, left):
+        for xi in holds(group, word, left):
             found[xi] = word
         left = [xi for xi in left if xi not in found]
         if not left:

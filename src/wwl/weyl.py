@@ -14,7 +14,11 @@ products, words) reads an indexed layer that a WeylGroup builds on first
 use: the full element list, generator multiplication tables, inverses,
 canonical words, and the Bruhat order as one bitmask per element.  The
 tables are built once and read-only afterwards, so they can be shared
-freely across parallel workers.
+freely across parallel workers.  The one exception is the cover table,
+which maps a reduced word (as bytes) to its covers and fills on demand as
+greedy chain searches meet new subwords; its entries depend only on their
+letters, so each forked worker fills its own copy and no output depends on
+which entries happen to be present.
 
 The element list is found on the W-orbit of rho.  Each element w is keyed
 by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
@@ -130,6 +134,8 @@ class WeylGroup:
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
         self._ascents: list[list[tuple[int, int]]] | None = None
+        # reduced word as bytes -> its covers, filled by _cover_list
+        self._covers: dict[bytes, tuple[int, ...]] = {}
 
     # -- element-level API --------------------------------------------------
 
@@ -236,11 +242,8 @@ class WeylGroup:
 
     def covers_down(self, w: WeylElement) -> list[WeylElement]:
         """All y covered by w, i.e. y < w with l(y) = l(w) - 1."""
-        wi = self.idx_of(w)
-        target = self._len[wi] - 1
-        seen = sorted({di for di in self.deleted_word_elements_idx(self._canon[wi])
-                       if self._len[di] == target})
-        return [self._elements[di] for di in seen]
+        flat = self._cover_list(bytes(self.canonical_word(w)))
+        return [self._elements[di] for di in sorted(set(flat[1::2]))]
 
     # -- indexed layer --------------------------------------------------------
 
@@ -407,6 +410,23 @@ class WeylGroup:
         for k in range(m - 1, -1, -1):
             suf[k] = lmul[letters[k] - 1][suf[k + 1]]
         return [self.idx_mul(pre[i], suf[i + 1]) for i in range(m)]
+
+    def _cover_list(self, letters: bytes) -> tuple[int, ...]:
+        """The chain steps from a reduced word given as bytes: for each
+        0-based position j whose deletion drops the length by exactly one,
+        j and the element index left, flattened in position order into one
+        tuple (j, d, j, d, ...).  Built on the first request for the word
+        and kept in the cover table; the tables must be built."""
+        flat = self._covers.get(letters)
+        if flat is None:
+            target = len(letters) - 1
+            lens = self._len
+            steps: list[int] = []
+            for j, di in enumerate(self.deleted_word_elements_idx(letters)):
+                if lens[di] == target:
+                    steps += (j, di)
+            flat = self._covers[letters] = tuple(steps)
+        return flat
 
     def reduced_word_counts(self) -> list[int]:
         """Number of reduced words for every element, indexed like the

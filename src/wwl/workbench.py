@@ -8,8 +8,9 @@ two decimals, and every random choice is driven by the configured seed, so
 identical configurations produce byte-identical output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
-the read-only tables are built; results are merged in index order, so the
-thread count never changes the output.
+the read-only tables are built; each worker fills its own copy of the
+group's cover table, and results are merged in index order, so the thread
+count never changes the output.
 """
 
 from __future__ import annotations
@@ -36,16 +37,23 @@ from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
-# A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat masks
-# alone, and its independent sweep would run for hours
-STATS_MAX_ORDER = 5040
-# B4/C4, about a minute at 8 points; the upper-interval sums grow as the
-# cube of the order, so A5 (720 elements) would take several minutes
-MTX_MAX_ORDER = 384
-# D4, about 1.4 s; the next group up, B4/C4 (384 elements), takes about
-# 43 s, and F4 and A5 run past 30 s: a qualifying pair without a good word
-# is tested on every reduced word of w
-GOOD_WORDS_MAX_ORDER = 192
+# Largest group each sweep accepts, keyed by command (stats by mode too)
+MAX_ORDER = {
+    # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat
+    # masks alone
+    "stats --mode fast": 5040,
+    # B4/C4, about 220 s at one thread (D4 about 6 s); A5 (720 elements)
+    # runs past 150 s, since every reduced word of every w is labelled
+    "stats --mode independent": 384,
+    # B4/C4, about a minute at 8 points; the upper-interval sums grow as
+    # the cube of the order, so A5 (720 elements) would take several
+    # minutes
+    "mtx": 384,
+    # D4, about 1.4 s; the next group up, B4/C4 (384 elements), takes
+    # about 43 s, and F4 and A5 run past 30 s: a qualifying pair without a
+    # good word is tested on every reduced word of w
+    "good-words": 192,
+}
 
 
 @dataclass
@@ -95,7 +103,6 @@ def _cache_payload(group: WeylGroup) -> dict:
         "rank": group.rs.rank,
         "order": group.order(),
         "bruhat": [format(m, "x") for m in group._bruhat],
-        "reduced_word_counts": group.reduced_word_counts(),
     }
 
 
@@ -127,8 +134,9 @@ def save_group_cache(group: WeylGroup, cache_dir: str) -> str:
 
 
 def load_group_cache(group: WeylGroup, cache_dir: str) -> bool:
-    """Install cached Bruhat masks and word counts; False when absent or
-    corrupt (a corrupt file is ignored, not trusted)."""
+    """Install cached Bruhat masks; False when absent or corrupt (a
+    corrupt file is ignored, not trusted).  Other keys, such as the word
+    counts that earlier files held, are ignored."""
     path = _cache_path(cache_dir, group.rs.type_letter, group.rs.rank)
     if not os.path.exists(path):
         return False
@@ -144,7 +152,6 @@ def load_group_cache(group: WeylGroup, cache_dir: str) -> bool:
         return False
     group.ensure_tables()
     group._bruhat = [int(h, 16) for h in payload["bruhat"]]
-    group._nwords = list(payload["reduced_word_counts"])
     return True
 
 
@@ -157,36 +164,17 @@ def build_group(config: SweepConfig) -> WeylGroup:
     return group
 
 
-def require_stats_size(group: WeylGroup, config: SweepConfig) -> None:
-    """Refuse a statistics sweep too large to run, before any table is
-    built: above LARGE_ORDER_THRESHOLD without --large, and above
-    STATS_MAX_ORDER at all."""
+def require_size(group: WeylGroup, command: str, large: bool = False) -> None:
+    """Refuse a sweep too large to run, before any table is built: above
+    MAX_ORDER[command] at all, and above LARGE_ORDER_THRESHOLD without
+    --large."""
     order = group.order()
-    if order > LARGE_ORDER_THRESHOLD and not config.large:
-        raise BudgetError(f"group of order {order} needs --large")
-    if order > STATS_MAX_ORDER:
-        raise BudgetError(f"stats stops at order {STATS_MAX_ORDER}; "
-                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
-
-
-def _require_order(group: WeylGroup, limit: int, command: str) -> None:
-    order = group.order()
+    limit = MAX_ORDER[command]
     if order > limit:
         raise BudgetError(f"{command} stops at order {limit}; "
                           f"{group.rs.type_letter}{group.rs.rank} has {order}")
-
-
-def require_mtx_size(group: WeylGroup, config: SweepConfig) -> None:
-    """Refuse a transition matrix above MTX_MAX_ORDER, before any table is
-    built."""
-    _require_order(group, MTX_MAX_ORDER, "mtx")
-
-
-def require_good_words_size(group: WeylGroup,
-                            config: SweepConfig | None) -> None:
-    """Refuse a good-words census above GOOD_WORDS_MAX_ORDER, before any
-    table is built."""
-    _require_order(group, GOOD_WORDS_MAX_ORDER, "good-words")
+    if order > LARGE_ORDER_THRESHOLD and not large:
+        raise BudgetError(f"group of order {order} needs --large")
 
 
 # -- parallel helper ----------------------------------------------------------
@@ -220,10 +208,9 @@ def _verify_w(group: WeylGroup, wi: int):
     xs = group.lower_interval_idx(wi)
     triples = 0
     violations = []
-    memo: dict = {}  # cover lists shared by every word of w and every x
     for word in group._iter_words_idx(wi):
         for xi, (lam, inc, dec, flags) in zip(
-                xs, _labels_idx(group, memo, word, xs)):
+                xs, _labels_idx(group, word, xs)):
             triples += 1
             if not (flags[0] == flags[1] == flags[2]):
                 violations.append({
@@ -279,10 +266,9 @@ def _stats_row_independent(group: WeylGroup, wi: int):
     flags are computed independently and must agree."""
     xs = group.lower_interval_idx(wi)
 
-    def flag_i(group, memo, word, left):
+    def flag_i(group, word, left):
         held = []
-        for xi, (_, _, _, flags) in zip(
-                left, _labels_idx(group, memo, word, left)):
+        for xi, (_, _, _, flags) in zip(left, _labels_idx(group, word, left)):
             if not flags[0] == flags[1] == flags[2]:
                 raise InvariantError(
                     "per-word flags disagree: equivalence violated")
@@ -299,7 +285,7 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     condition_b_mask per x, relying on the verified equivalence of the
     three flags; the independent mode enumerates words per element and
     computes all three flags independently."""
-    require_stats_size(group, config)
+    require_size(group, f"stats --mode {config.mode}", config.large)
     group.ensure_bruhat()
     size = group.order()
     if config.mode == "fast":
@@ -418,7 +404,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
 def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     """m(x, w) at seeded points for all pairs; condition-(B) pairs also get
     the closed product and an agreement flag."""
-    require_mtx_size(group, config)
+    require_size(group, "mtx")
     group.ensure_bruhat()
     rng = random.Random(config.seed)
     points = [sample_spectral_point(group.rs, rng)
@@ -428,18 +414,17 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
     # x, then one lexicographic search per w over just those x < w; each
-    # pair's chain roots are read from the search's cover lists
+    # pair's chain roots read the cover lists the search filled
     cond = [condition_b_mask(group, xi) for xi in range(size)]
     roots = []
     for wi in range(size):
         xs = [xi for xi in range(wi) if (cond[xi] >> wi) & 1]
-        memo: dict = {}
-        found = first_witnesses(group, wi, xs, _flag_ii_idx, memo)
+        found = first_witnesses(group, wi, xs, _flag_ii_idx)
         if len(found) != len(xs):
             raise InvariantError(
                 "a condition-(B) pair of the reachability search has no "
                 "witness word")
-        roots.append({xi: _m_product_roots_idx(group, memo, xi, word)
+        roots.append({xi: _m_product_roots_idx(group, xi, word)
                       for xi, word in found.items()})
     pairs = []
     ok = True
@@ -498,7 +483,7 @@ def cs_report(group: WeylGroup, lam) -> dict:
 def good_words_report(group: WeylGroup) -> dict:
     """Census over pairs with #S(x,w) equal to the length difference: does
     any reduced word of w delete down to x cleanly?"""
-    require_good_words_size(group, None)
+    require_size(group, "good-words")
     group.ensure_bruhat()
     pairs = []
     missing = 0
@@ -538,10 +523,9 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     for wi in range(group.order()):
         table = atom_coeffs(group, group.elem_of(wi))
         xs = group.lower_interval_idx(wi)
-        memo: dict = {}
         for word in group._iter_words_idx(wi):
             for xi, (lam, inc, _, flags) in zip(
-                    xs, _labels_idx(group, memo, word, xs)):
+                    xs, _labels_idx(group, word, xs)):
                 entry = table.entries[group.elem_of(xi)]
                 if flags[0] or flags[1]:
                     held += 1

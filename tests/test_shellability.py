@@ -10,15 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wwl import DomainError, shellability
+from wwl import DomainError, WeylGroup, build_root_system
 from wwl.errors import InvariantError
-from wwl.shellability import (_bitset, _cover_list, _flag_ii_idx,
+from wwl.shellability import (_bitset, _flag_ii_idx,
                               _greedy_chain_idx, beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, first_witnesses, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
-from wwl.workbench import SweepConfig, good_words_report, stats_sweep
+from wwl.workbench import (SweepConfig, good_words_report, stats_sweep,
+                           verify_conjecture)
 
 from test_weyl import perm_of_word, rank_matrix_leq
 
@@ -76,19 +77,18 @@ def greedy_chain_oracle(group, xi, word, pick_max):
     return tuple(label)
 
 
-def assert_greedy_matches_oracle(group, memo, word, xs, subsets=0,
-                                 rng=None):
+def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
     """Both extreme labels from one bulk walk over all of xs, and from
-    walks over `subsets` random subsets of xs, all sharing memo, against
-    the from-scratch oracle per x."""
+    walks over `subsets` random subsets of xs, all sharing the group's
+    cover table, against the from-scratch oracle per x."""
     for pick_max in (False, True):
         expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
                     for xi in xs}
-        assert _greedy_chain_idx(group, memo, word, _bitset(xs),
+        assert _greedy_chain_idx(group, word, _bitset(xs),
                                  pick_max) == expected
         for _ in range(subsets):
             some = rng.sample(xs, rng.randint(1, len(xs)))
-            assert _greedy_chain_idx(group, memo, word, _bitset(some),
+            assert _greedy_chain_idx(group, word, _bitset(some),
                                      pick_max) == \
                 {xi: expected[xi] for xi in some}
 
@@ -291,38 +291,65 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
     """Every (w, reduced word, x <= w): the labels of one bulk walk over
-    every x, and of walks over random subsets of them, read from a cover
-    memo shared by all words of w, equal the per-step recomputation."""
+    every x, and of walks over random subsets of them, read from the
+    group's cover table, equal the per-step recomputation."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     rng = random.Random(0)
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
-        memo = {}
         for word in G._iter_words_idx(wi):
-            assert_greedy_matches_oracle(G, memo, word, xs, 2, rng)
+            assert_greedy_matches_oracle(G, word, xs, 2, rng)
+
+
+def fresh_group(type_letter, rank):
+    """A group of its own, with an empty cover table, unlike the session
+    fixture's shared groups."""
+    G = WeylGroup(build_root_system(type_letter, rank))
+    G.ensure_bruhat()
+    return G
 
 
 @pytest.mark.parametrize("type_letter,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
-def test_cover_memo_holds_only_reduced_words_below_w(group_for, type_letter,
-                                                     rank):
-    """After both walks over every x for every reduced word of w, each
-    memo key is a reduced word of an element below w, so the memo holds
-    no more entries than those elements have reduced words."""
-    G = group_for(type_letter, rank)
-    G.ensure_bruhat()
-    counts = G.reduced_word_counts()
+def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
+    """Both walks over every x for every reduced word of w add to the
+    group's cover table only reduced words of elements below w.  After
+    every w, the table holds no more entries than the non-identity
+    elements have reduced words."""
+    G = fresh_group(type_letter, rank)
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
-        memo = {}
+        before = set(G._covers)
         for word in G._iter_words_idx(wi):
             for pick_max in (False, True):
-                _greedy_chain_idx(G, memo, word, _bitset(xs), pick_max)
-        assert len(memo) <= sum(counts[yi] for yi in xs)
-        for letters in memo:
+                _greedy_chain_idx(G, word, _bitset(xs), pick_max)
+        for letters in G._covers.keys() - before:
             yi = G.word_to_idx(letters)
             assert G.len_of_idx(yi) == len(letters) and G.leq_idx(yi, wi)
+    assert len(G._covers) <= sum(G.reduced_word_counts()) - 1
+
+
+def refuse(*args):
+    raise AssertionError("a word or cover list was asked for")
+
+
+def test_second_verify_builds_no_cover_list(monkeypatch):
+    """The cover table outlives a sweep: a second verify_conjecture on the
+    same group finds every cover list already built."""
+    G = fresh_group("B", 3)
+    config = SweepConfig(type_letter="B", rank=3)
+    first = verify_conjecture(G, config)
+    monkeypatch.setattr(G, "_cover_list", refuse)
+    assert verify_conjecture(G, config) == first
+
+
+def test_a4_sweep_builds_one_cover_list_per_reduced_word():
+    """A full A4 sweep builds exactly 3,060 cover lists, one per non-empty
+    reduced word of A4."""
+    G = fresh_group("A", 4)
+    verify_conjecture(G, SweepConfig(type_letter="A", rank=4))
+    assert len(G._covers) == 3060 == sum(G.reduced_word_counts()) - 1
 
 
 def test_greedy_raises_when_an_x_has_no_cover(group_for):
@@ -331,7 +358,7 @@ def test_greedy_raises_when_an_x_has_no_cover(group_for):
     G = group_for("A", 2)
     G.ensure_bruhat()
     with pytest.raises(InvariantError):
-        _greedy_chain_idx(G, {}, (1,), 1 << G.word_to_idx((2,)), False)
+        _greedy_chain_idx(G, (1,), 1 << G.word_to_idx((2,)), False)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
@@ -352,7 +379,7 @@ def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
                     if rest not in seen:
                         seen.add(rest)
                         todo.append(rest)
-            assert _cover_list(G, letters) == tuple(expected)
+            assert G._cover_list(bytes(letters)) == tuple(expected)
 
 
 @st.composite
@@ -386,20 +413,17 @@ def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
     def check(drawn):
         word, xs = drawn
         assert G.len_of_idx(G.word_to_idx(word)) == len(word)
-        assert_greedy_matches_oracle(G, {}, word, sorted(set(xs)))
+        assert_greedy_matches_oracle(G, word, sorted(set(xs)))
 
     check()
 
 
-def test_stats_fast_path_builds_no_cover_list(group_for, monkeypatch):
+def test_stats_fast_path_builds_no_cover_list(monkeypatch):
     """The statistics fast path enumerates no reduced word and builds no
     cover list; cover lists are built only when a greedy search asks for
     them."""
-    def refuse(*args):
-        raise AssertionError("words or cover lists on the fast path")
-
-    G = group_for("B", 3)
-    monkeypatch.setattr(shellability, "_cover_list", refuse)
+    G = fresh_group("B", 3)
+    monkeypatch.setattr(G, "_cover_list", refuse)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     with pytest.raises(AssertionError):
@@ -502,9 +526,8 @@ def test_walk_matches_flag_ii(group_for):
         G.ensure_bruhat()
         for wi in range(G.order()):
             xs = G.lower_interval_idx(wi)
-            memo = {}
             for word in G._iter_words_idx(wi):
-                held = set(_flag_ii_idx(G, memo, word, xs))
+                held = set(_flag_ii_idx(G, word, xs))
                 for xi in range(G.order()):
                     assert walk_flag_ii(G, xi, word) == (xi in held)
 
@@ -520,7 +543,7 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
     @given(word_and_xs(G))
     def check(drawn):
         word, xs = drawn
-        held = set(_flag_ii_idx(G, {}, word, xs))
+        held = set(_flag_ii_idx(G, word, xs))
         for xi in xs:
             assert walk_flag_ii(G, xi, word) == (xi in held)
 

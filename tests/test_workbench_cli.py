@@ -113,6 +113,10 @@ def _too_large_runs():
     yield ["stats", "--type", "A", "--rank", "6"]
     # above the stats order limit even with --large
     yield ["stats", "--type", "D", "--rank", "6", "--large"]
+    # above the order limit of the independent stats mode
+    for type_letter, rank in (("A", 5), ("F", 4)):
+        yield ["stats", "--type", type_letter, "--rank", str(rank), "--large",
+               "--mode", "independent"]
     # above the mtx order limit
     for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
@@ -244,7 +248,7 @@ def test_stats_independent_mode_cli(capsys):
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
-    def disagreeing(group, memo, word, xs):
+    def disagreeing(group, word, xs):
         return [((), (), (), (True, False, True))] * len(xs)
 
     monkeypatch.setattr(workbench, "_labels_idx", disagreeing)
@@ -291,6 +295,22 @@ def test_cache_round_trip_matches_fresh(tmp_path):
     path = save_group_cache(fresh, str(tmp_path))
     assert os.path.exists(path)
 
+    loaded = WeylGroup(build_root_system("B", 2))
+    assert load_group_cache(loaded, str(tmp_path))
+    assert loaded._bruhat == fresh._bruhat
+    assert loaded.reduced_word_counts() == fresh.reduced_word_counts()
+
+
+def test_cache_with_word_counts_still_loads(tmp_path):
+    """Earlier cache files also held the reduced-word counts; they load,
+    and the counts are recomputed rather than read."""
+    fresh = WeylGroup(build_root_system("B", 2))
+    path = save_group_cache(fresh, str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)["payload"]
+    payload["reduced_word_counts"] = [0] * fresh.order()
+    workbench._write_json_atomic(path, {
+        "payload": payload, "sha256": workbench._payload_digest(payload)})
     loaded = WeylGroup(build_root_system("B", 2))
     assert load_group_cache(loaded, str(tmp_path))
     assert loaded._bruhat == fresh._bruhat
@@ -398,20 +418,20 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
     pair's chain roots once for all points."""
     words = {}
 
-    def witnesses_for_all(group, wi, xs, holds, memo):
-        found = real_first_witnesses(group, wi, xs, holds, memo)
+    def witnesses_for_all(group, wi, xs, holds):
+        found = real_first_witnesses(group, wi, xs, holds)
         assert sorted(found) == sorted(xs)
         return found
 
     real_first_witnesses = workbench.first_witnesses
     monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
 
-    def recording_m_product_roots(group, memo, xi, word):
+    def recording_m_product_roots(group, xi, word):
         key = (group.canon_of_idx(xi),
                group.canon_of_idx(group.word_to_idx(word)))
         assert key not in words  # once per pair, not once per point
         words[key] = word
-        return real_m_product_roots(group, memo, xi, word)
+        return real_m_product_roots(group, xi, word)
 
     real_m_product_roots = workbench._m_product_roots_idx
     monkeypatch.setattr(workbench, "_m_product_roots_idx",
