@@ -50,7 +50,8 @@ from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
                        ga_sum, mul_one_minus_v_exp, reflect, t_op)
 from .roots import Weight
-from .shellability import (_checked_word_idx, _greedy_chain_idx, _labels_idx,
+from .shellability import (_checked_word_idx, _failing_flags,
+                           _greedy_chain_idx, _label_of, _label_sets_idx,
                            beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
@@ -194,14 +195,17 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     word = tuple(word)
     xi, _ = _checked_word_idx(group, x, word)
     if not check:
-        return _closed_form_product(group, word, _greedy_chain_idx(
-            group, word, 1 << xi, pick_max=False)[xi])
-    lam, inc, dec, flags = _labels_idx(group, word, [xi])[0]
-    if not (flags[0] or flags[1]):
+        return _closed_form_product(group, word, _label_of(
+            _greedy_chain_idx(group, word, 1 << xi, pick_max=False), xi))
+    lam, inc, dec = _label_sets_idx(group, word, 1 << xi)
+    fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
+    if fails_i and fails_ii:
         raise ConditionError(
             "chain condition fails for this pair and word",
-            lambda_set=lam, chain_min=inc, chain_max=dec)
-    return _closed_form_product(group, word, lam if flags[0] else inc)
+            lambda_set=_label_of(lam, xi), chain_min=_label_of(inc, xi),
+            chain_max=_label_of(dec, xi, descending=True))
+    return _closed_form_product(group, word,
+                                _label_of(inc if fails_i else lam, xi))
 
 
 def _closed_form_product(group: WeylGroup, word, indices) -> GAElement:

@@ -42,7 +42,7 @@ import weakref
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
-from .shellability import (_checked_word_idx, _greedy_chain_idx,
+from .shellability import (_checked_word_idx, _greedy_chain_idx, _label_of,
                            gamma_sequence)
 from .weyl import WeylElement, WeylGroup
 
@@ -260,12 +260,13 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
 def _m_product_roots_idx(group: WeylGroup, xi: int,
                          word) -> tuple[Coords, ...]:
     """m_product_roots for x of index xi below a word's product."""
-    inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)[xi]
-    dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)[xi]
-    if inc != dec[::-1]:
+    inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)
+    dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)
+    if inc != dec:  # both monotone, so equal position sets suffice
         raise ConditionError("chain condition fails for this pair and word",
-                             chain_min=inc, chain_max=dec)
-    return gamma_sequence(group, word, inc)
+                             chain_min=_label_of(inc, xi),
+                             chain_max=_label_of(dec, xi, descending=True))
+    return gamma_sequence(group, word, _label_of(inc, xi))
 
 
 def m_product_value(gammas, pt: SpectralPoint, factors: dict) -> int:

@@ -21,13 +21,17 @@ w = s_1...s_n and x <= w:
   satisfying (i), respectively (ii); searches run in lexicographic word
   order and stop at the first witness.
 
-Every sweep shares three kernels: _labels_idx computes the labels and flags
-of every x below one word at once, first_witnesses is the lexicographic
-witness search over the reduced words of w, and deodhar_slack_idx counts
-#S(x,w).
+Every sweep shares three kernels: _label_sets_idx computes the three
+labels of every x below one word at once, bit-sliced (one bitset over x
+per word position), and _failing_flags reads off the x failing each flag;
+first_witnesses is the lexicographic witness search over the reduced
+words of w; and deodhar_slack_idx counts #S(x,w).  Per-x tuples are read
+from the bitsets (_label_of) only where a caller needs them: violation
+records, closed forms, and the single-x public functions.
 
 Greedy chains.  _greedy_chain_idx is the one greedy search: it finds the
-label of every x in a bitset by one walk over the trie of greedy steps.
+label of every x in a bitset by one walk over the trie of greedy steps,
+and returns it bit-sliced by position.
 Each subword met along a chain is itself a reduced word of an element
 below w (the subword-complex picture of Knutson-Miller, "Subword
 complexes in Coxeter groups", Adv. Math. 2004), so its cover list depends
@@ -61,7 +65,7 @@ def _checked_word_idx(group: WeylGroup, x: WeylElement, word) -> tuple[int, int]
 def lambda_set(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Positions whose single deletion leaves an element >= x, ascending."""
     xi, _ = _checked_word_idx(group, x, word)
-    return lambda_positions_idx(group, xi, group.deleted_word_elements_idx(word))
+    return _label_of(_lambda_sets_idx(group, word, 1 << xi), xi)
 
 
 def _checked_pair_idx(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[int, int]:
@@ -76,28 +80,25 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, _ = _checked_word_idx(group, x, word)
-    return bool(_good_word_idx(group, word, [xi]))
+    return bool(_good_word_idx(group, word, 1 << xi))
 
 
-def _good_word_idx(group: WeylGroup, word, xs) -> list[int]:
-    """The x in xs for which word is good (is_good_word), from the word's
-    shared single deletions; no chain is walked."""
-    dels = group.deleted_word_elements_idx(word)
+def _good_word_idx(group: WeylGroup, word, xset: int) -> int:
+    """The x of the bitset xset for which word is good (is_good_word), from
+    the word's shared single deletions; no chain is walked."""
+    lam_sets = _lambda_sets_idx(group, word, xset)
     lw = group.len_of_idx(group.word_to_idx(word))
-    out = []
-    for xi in xs:
-        lam = lambda_positions_idx(group, xi, dels)
-        lam_set = set(lam)
-        residual = [a for i, a in enumerate(word, start=1)
-                    if i not in lam_set]
+    out = 0
+    for xi in _bit_indices(xset):
+        residual = [a for a, s in zip(word, lam_sets) if not (s >> xi) & 1]
         if group.word_to_idx(residual) != xi:
             continue
         if len(residual) != group.len_of_idx(xi) or \
-                len(lam) != lw - group.len_of_idx(xi):
+                len(word) - len(residual) != lw - group.len_of_idx(xi):
             raise InvariantError(
                 "good word whose residual or deletion set has the wrong "
                 "length")
-        out.append(xi)
+        out |= 1 << xi
     return out
 
 
@@ -167,20 +168,25 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
 
 
 def _greedy_chain_idx(group: WeylGroup, word, xset: int,
-                      pick_max: bool) -> dict[int, tuple[int, ...]]:
-    """{xi: label} for every x in the bitset xset (each x below the word's
-    product): the label of the lexicographically extreme maximal chain
-    down to x, which repeatedly deletes the least (resp. greatest) original
-    position whose deletion is a cover staying >= x.
+                      pick_max: bool) -> list[int]:
+    """The labels of the lexicographically extreme maximal chains down to
+    every x in the bitset xset (each x below the word's product), bit-sliced
+    by position: entry p - 1 is the bitset of the x whose label deletes
+    position p.  The chain repeatedly deletes the least (resp. greatest)
+    original position whose deletion is a cover staying >= x; its label is
+    checked to increase (resp. decrease), so it is its set of positions
+    read in ascending (resp. descending) order (_label_of).
 
     One walk serves every x.  A node of the walk is a subword with its
-    original positions, its element and the x routed through it.  The x
-    are handed to the node's covers in position order, forward for the
-    least position and backward for the greatest, each cover taking those
-    still unplaced below its element, so a step costs one Bruhat mask AND
-    per candidate; an x is recorded at the node whose element it is.  The
-    nodes form a trie of greedy steps, and x sharing a label prefix share
-    its nodes.
+    original positions, the x routed through it and the last position
+    deleted on the way to it.  The x are handed to the node's covers in
+    position order, forward for the least position and backward for the
+    greatest, each cover taking those still unplaced below its element,
+    so a step costs one Bruhat mask AND per candidate; an x stops at the
+    node whose element it is.  The nodes form a trie of greedy steps, and
+    x sharing a label prefix share its nodes.  A step that does not extend
+    the last position in the walk's direction marks its x as
+    non-monotone, and any such x raises InvariantError.
 
     Cover lists come from the group's cover table, keyed by the subword's
     letters and built on a miss by WeylGroup._cover_list.  Every subword
@@ -193,60 +199,81 @@ def _greedy_chain_idx(group: WeylGroup, word, xset: int,
     masks = group._bruhat
     covers = group._covers
     word = bytes(word)
-    labels: dict[int, tuple[int, ...]] = {}
-    stack = [(word, bytes(range(1, len(word) + 1)), group.word_to_idx(word),
-              xset, ())]
+    n = len(word)
+    through = [0] * n
+    bad = 0
+    # a node holds only the x strictly below its element: the x equal to
+    # it stops there, so a node with no other x is never pushed
+    xs = xset & ~(1 << group.word_to_idx(word))
+    stack = [(word, bytes(range(n)), xs, n if pick_max else -1)] if xs else []
+    pop, push = stack.pop, stack.append
     while stack:
-        letters, pos, cur, xs, label = stack.pop()
-        if (xs >> cur) & 1:
-            labels[cur] = label
-            xs ^= 1 << cur
-            if not xs:
-                continue
+        letters, pos, xs, last = pop()
         flat = covers.get(letters)
         if flat is None:
             flat = group._cover_list(letters)
-        n = len(flat)
-        for k in range(n - 2, -1, -2) if pick_max else range(0, n, 2):
+        m = len(flat)
+        for k in range(m - 2, -1, -2) if pick_max else range(0, m, 2):
             di = flat[k + 1]
             sub = xs & masks[di]
             if sub:
                 j = flat[k]
-                stack.append((letters[:j] + letters[j + 1:],
-                              pos[:j] + pos[j + 1:], di, sub,
-                              label + (pos[j],)))
+                p = pos[j]
+                through[p] |= sub
+                if (p >= last) if pick_max else (p <= last):
+                    bad |= sub
                 xs ^= sub
+                sub &= ~(1 << di)
+                if sub:
+                    push((letters[:j] + letters[j + 1:], pos[:j] + pos[j + 1:],
+                          sub, p))
                 if not xs:
                     break
         else:
             raise InvariantError(
                 "no cover stays above x: chain invariant violated")
-    return labels
+    if bad:
+        raise InvariantError(
+            f"{'decreasing' if pick_max else 'increasing'} chain label not "
+            f"monotone for the x in {bad:#x}")
+    return through
 
 
-def _bitset(xs) -> int:
-    out = 0
-    for xi in xs:
-        out |= 1 << xi
-    return out
+def _bit_indices(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _label_of(sets, xi: int, descending: bool = False) -> tuple[int, ...]:
+    """The positions p (1-based) whose bitset sets[p - 1] holds x, in
+    ascending order, or descending for a decreasing label."""
+    label = tuple(p for p, s in enumerate(sets, 1) if (s >> xi) & 1)
+    return label[::-1] if descending else label
+
+
+def _lambda_sets_idx(group: WeylGroup, word, xset: int) -> list[int]:
+    """lambda_set bit-sliced by position, like _greedy_chain_idx: entry
+    p - 1 is the bitset of the x in xset whose lambda_set holds p, read
+    from the Bruhat mask of the word's single deletion at p."""
+    group.ensure_bruhat()
+    masks = group._bruhat
+    return [xset & masks[d] for d in group.deleted_word_elements_idx(word)]
 
 
 def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)[xi]
-    if any(a >= b for a, b in zip(label, label[1:])):
-        raise InvariantError(f"increasing chain label {label} not increasing")
-    return label
+    return _label_of(_greedy_chain_idx(group, word, 1 << xi, False), xi)
 
 
 def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
     xi, _ = _checked_word_idx(group, x, word)
-    label = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)[xi]
-    if any(a <= b for a, b in zip(label, label[1:])):
-        raise InvariantError(f"decreasing chain label {label} not decreasing")
-    return label
+    return _label_of(_greedy_chain_idx(group, word, 1 << xi, True), xi,
+                     descending=True)
 
 
 def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bool, bool]:
@@ -254,56 +281,69 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
     xi, _ = _checked_word_idx(group, x, word)
-    return _labels_idx(group, word, [xi])[0][3]
+    failing = _failing_flags(*_label_sets_idx(group, word, 1 << xi))
+    return tuple(not f for f in failing)
 
 
-def _labels_idx(group: WeylGroup, word, xs) -> list:
-    """(lambda_set, increasing label, decreasing label, flags (i)-(iii))
-    for every x in xs (each below the word's product), in the order of xs.
-    lambda_set comes from the word's single deletions and each label from
-    its own greedy walk over all of xs; the three are computed
-    independently."""
-    dels = group.deleted_word_elements_idx(word)
-    xset = _bitset(xs)
-    incs = _greedy_chain_idx(group, word, xset, pick_max=False)
-    decs = _greedy_chain_idx(group, word, xset, pick_max=True)
-    out = []
-    for xi in xs:
-        lam = lambda_positions_idx(group, xi, dels)
-        inc, dec = incs[xi], decs[xi]
-        rev = dec[::-1]
-        out.append((lam, inc, dec, (lam == rev, inc == rev, lam == inc)))
+def _label_sets_idx(group: WeylGroup, word, xset: int):
+    """(lambda_set, increasing label, decreasing label) of every x in xset
+    (each below the word's product), each bit-sliced by position: entry
+    p - 1 of a list is the bitset of the x whose set holds p.  lambda_set
+    comes from the word's single deletions and each label from its own
+    greedy walk; the three are computed independently."""
+    return (_lambda_sets_idx(group, word, xset),
+            _greedy_chain_idx(group, word, xset, False),
+            _greedy_chain_idx(group, word, xset, True))
+
+
+def _differing(a, b) -> int:
+    """The x that some position holds in one of two bit-sliced sets and
+    not in the other."""
+    out = 0
+    for pa, pb in zip(a, b):
+        out |= pa ^ pb
     return out
 
 
-def _flag_i_idx(group: WeylGroup, word, xs) -> list[int]:
-    """The x in xs for which flag (i) holds on word."""
-    return [xi for xi, labels in zip(xs, _labels_idx(group, word, xs))
-            if labels[3][0]]
+def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
+    """Bitsets of the x failing flag (i), (ii) and (iii), from the
+    bit-sliced sets of _label_sets_idx.  lambda_set is ascending and the
+    labels are checked monotone, so two of them are equal as sequences
+    (one reversed) exactly when their position sets are."""
+    return _differing(lam, dec), _differing(inc, dec), _differing(lam, inc)
 
 
-def _flag_ii_idx(group: WeylGroup, word, xs) -> list[int]:
-    """The x in xs for which flag (ii) holds on word: the increasing label
-    equals the reversed decreasing one."""
-    xset = _bitset(xs)
-    incs = _greedy_chain_idx(group, word, xset, pick_max=False)
-    decs = _greedy_chain_idx(group, word, xset, pick_max=True)
-    return [xi for xi in xs if incs[xi] == decs[xi][::-1]]
+def _flag_i_idx(group: WeylGroup, word, xset: int) -> int:
+    """The x of the bitset xset for which flag (i) holds on word: lambda_set
+    equals the reversed decreasing label."""
+    return xset & ~_differing(_lambda_sets_idx(group, word, xset),
+                              _greedy_chain_idx(group, word, xset, True))
+
+
+def _flag_ii_idx(group: WeylGroup, word, xset: int) -> int:
+    """The x of the bitset xset for which flag (ii) holds on word: the
+    increasing label equals the reversed decreasing one."""
+    return xset & ~_differing(_greedy_chain_idx(group, word, xset, False),
+                              _greedy_chain_idx(group, word, xset, True))
 
 
 def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     """{xi: first reduced word of w, in lexicographic order, on which a
     flag holds for xi} for the xi in xs that have one.
-    holds(group, word, left) returns the x of `left` whose flag holds on
-    word, computing their labels in bulk (_flag_i_idx, _flag_ii_idx,
-    _good_word_idx) on the group's shared cover lists; each x drops out at
-    its first witness and the walk stops when none is left."""
+    holds(group, word, left) returns the bitset of the x of the bitset
+    `left` whose flag holds on word, computing their labels in bulk
+    (_flag_i_idx, _flag_ii_idx, _good_word_idx) on the group's shared
+    cover lists; each x drops out at its first witness and the walk stops
+    when none is left."""
     found: dict[int, tuple[int, ...]] = {}
-    left = list(xs)
+    left = 0
+    for xi in xs:
+        left |= 1 << xi
     for word in group._iter_words_idx(wi) if left else ():
-        for xi in holds(group, word, left):
+        held = holds(group, word, left)
+        left &= ~held
+        for xi in _bit_indices(held):
             found[xi] = word
-        left = [xi for xi in left if xi not in found]
         if not left:
             break
     return found
@@ -331,13 +371,6 @@ def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
     xi, wi = _checked_pair_idx(group, x, w)
     return deodhar_slack_idx(group, wi, [xi])[0] >= 0
-
-
-def lambda_positions_idx(group: WeylGroup, xi: int, dels) -> tuple[int, ...]:
-    """lambda_set against precomputed single-deletion element indices."""
-    group.ensure_bruhat()
-    masks = group._bruhat
-    return tuple(i for i, d in enumerate(dels, 1) if (masks[d] >> xi) & 1)
 
 
 # -- word-free condition search --------------------------------------------------

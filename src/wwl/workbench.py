@@ -30,7 +30,8 @@ from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
                     sample_spectral_point)
 from .roots import build_root_system
-from .shellability import (_flag_ii_idx, _good_word_idx, _labels_idx,
+from .shellability import (_bit_indices, _failing_flags, _flag_ii_idx,
+                           _good_word_idx, _label_of, _label_sets_idx,
                            condition_b_mask, deodhar_slack_idx,
                            first_witnesses)
 from .weyl import WeylGroup
@@ -42,15 +43,15 @@ MAX_ORDER = {
     # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat
     # masks alone
     "stats --mode fast": 5040,
-    # B4/C4, about 220 s at one thread (D4 about 6 s); A5 (720 elements)
+    # B4/C4, about 96 s at one thread (D4 about 3.4 s); A5 (720 elements)
     # runs past 150 s, since every reduced word of every w is labelled
     "stats --mode independent": 384,
     # B4/C4, about a minute at 8 points; the upper-interval sums grow as
     # the cube of the order, so A5 (720 elements) would take several
     # minutes
     "mtx": 384,
-    # D4, about 1.4 s; the next group up, B4/C4 (384 elements), takes
-    # about 43 s, and F4 and A5 run past 30 s: a qualifying pair without a
+    # D4, about 1.2 s; the next group up, B4/C4 (384 elements), takes
+    # about 30 s, and F4 and A5 run past 30 s: a qualifying pair without a
     # good word is tested on every reduced word of w
     "good-words": 192,
 }
@@ -187,9 +188,14 @@ def _worker(item):
     return _WORKER_FN(_WORKER_GROUP, item)
 
 
-def parallel_over(group: WeylGroup, fn, items, threads: int):
+def parallel_over(group: WeylGroup, fn, items, threads: int, costs=None):
     """Map fn(group, item) over items, preserving order.  Forks only when
-    asked to and possible; the group tables must already be built."""
+    asked to and possible; the group tables must already be built.
+
+    Without costs, workers take chunks of consecutive items, which suits
+    uniform work.  With costs (one estimate per item), items are handed
+    out one per task, heaviest first, so a worker that draws the few
+    heavy items is not left with a long chunk behind them."""
     items = list(items)
     if threads <= 1 or len(items) <= 1 or \
             multiprocessing.get_start_method(allow_none=True) not in (None, "fork"):
@@ -197,31 +203,51 @@ def parallel_over(group: WeylGroup, fn, items, threads: int):
     global _WORKER_GROUP, _WORKER_FN
     _WORKER_GROUP, _WORKER_FN = group, fn
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(items) // (threads * 8))
     with ctx.Pool(threads) as pool:
-        return pool.map(_worker, items, chunksize=chunk)
+        if costs is None:
+            chunk = max(1, len(items) // (threads * 8))
+            return pool.map(_worker, items, chunksize=chunk)
+        order = sorted(range(len(items)), key=lambda k: -costs[k])
+        results = [None] * len(items)
+        for k, result in zip(order, pool.map(
+                _worker, [items[k] for k in order], chunksize=1)):
+            results[k] = result
+        return results
 
 
 # -- conjecture verification ----------------------------------------------------
 
+def _triples_per_w(group: WeylGroup) -> list[int]:
+    """The (reduced word, x <= w) triples of every w, the work of labelling
+    w's words; the Bruhat masks must be built."""
+    counts = group.reduced_word_counts()
+    return [counts[wi] * group.bruhat_mask(wi).bit_count()
+            for wi in range(group.order())]
+
+
 def _verify_w(group: WeylGroup, wi: int):
+    """Every (reduced word, x <= w) triple of one w: the three flags of all
+    x of a word are compared at once on bitsets over x, and per-x labels
+    are read only for the x whose flags disagree."""
     xs = group.lower_interval_idx(wi)
+    xset = group.bruhat_mask(wi)
     triples = 0
     violations = []
     for word in group._iter_words_idx(wi):
-        for xi, (lam, inc, dec, flags) in zip(
-                xs, _labels_idx(group, word, xs)):
-            triples += 1
-            if not (flags[0] == flags[1] == flags[2]):
-                violations.append({
-                    "w": list(group.canon_of_idx(wi)),
-                    "word": list(word),
-                    "x": list(group.canon_of_idx(xi)),
-                    "lambda": list(lam),
-                    "chain_min": list(inc),
-                    "chain_max": list(dec),
-                    "flags": list(flags),
-                })
+        triples += len(xs)
+        lam, inc, dec = labels = _label_sets_idx(group, word, xset)
+        fails = _failing_flags(*labels)
+        for xi in _bit_indices((fails[0] | fails[1] | fails[2])
+                               & ~(fails[0] & fails[1] & fails[2])):
+            violations.append({
+                "w": list(group.canon_of_idx(wi)),
+                "word": list(word),
+                "x": list(group.canon_of_idx(xi)),
+                "lambda": list(_label_of(lam, xi)),
+                "chain_min": list(_label_of(inc, xi)),
+                "chain_max": list(_label_of(dec, xi, descending=True)),
+                "flags": [not (f >> xi) & 1 for f in fails],
+            })
     deodhar_failures = [
         {"w": list(group.canon_of_idx(wi)), "x": list(group.canon_of_idx(xi))}
         for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs)) if slack < 0]
@@ -233,10 +259,8 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
     """Exhaustively test the equivalence of the three per-word flags over
     every (w, reduced word, x <= w) triple, stopping at the triple budget."""
     group.ensure_bruhat()
-    counts = group.reduced_word_counts()
     size = group.order()
-    per_w = [counts[wi] * group.bruhat_mask(wi).bit_count()
-             for wi in range(size)]
+    per_w = _triples_per_w(group)
     included = []
     cum = 0
     for wi in range(size):
@@ -245,7 +269,8 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
         cum += per_w[wi]
         included.append(wi)
     partial = len(included) < size
-    results = parallel_over(group, _verify_w, included, config.threads)
+    results = parallel_over(group, _verify_w, included, config.threads,
+                            costs=per_w[:len(included)])
     report = {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,
@@ -267,14 +292,12 @@ def _stats_row_independent(group: WeylGroup, wi: int):
     xs = group.lower_interval_idx(wi)
 
     def flag_i(group, word, left):
-        held = []
-        for xi, (_, _, _, flags) in zip(left, _labels_idx(group, word, left)):
-            if not flags[0] == flags[1] == flags[2]:
-                raise InvariantError(
-                    "per-word flags disagree: equivalence violated")
-            if flags[0]:
-                held.append(xi)
-        return held
+        fails_i, fails_ii, fails_iii = _failing_flags(
+            *_label_sets_idx(group, word, left))
+        if not fails_i == fails_ii == fails_iii:
+            raise InvariantError(
+                "per-word flags disagree: equivalence violated")
+        return left & ~fails_i
 
     return len(xs), len(first_witnesses(group, wi, xs, flag_i))
 
@@ -292,15 +315,13 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
         cond = [0] * size
         for mask in parallel_over(group, condition_b_mask, range(size),
                                   config.threads):
-            while mask:
-                low = mask & -mask
-                cond[low.bit_length() - 1] += 1
-                mask ^= low
+            for wi in _bit_indices(mask):
+                cond[wi] += 1
         counts = [(group.bruhat_mask(wi).bit_count(), cond[wi])
                   for wi in range(size)]
     else:
         counts = parallel_over(group, _stats_row_independent, range(size),
-                               config.threads)
+                               config.threads, costs=_triples_per_w(group))
 
     rows = []
     for wi in sorted(range(size), key=group.canon_of_idx):
@@ -523,19 +544,21 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     for wi in range(group.order()):
         table = atom_coeffs(group, group.elem_of(wi))
         xs = group.lower_interval_idx(wi)
+        xset = group.bruhat_mask(wi)
         for word in group._iter_words_idx(wi):
-            for xi, (lam, inc, _, flags) in zip(
-                    xs, _labels_idx(group, word, xs)):
+            lam, inc, _ = labels = _label_sets_idx(group, word, xset)
+            fails_i, fails_ii, _ = _failing_flags(*labels)
+            for xi in xs:
                 entry = table.entries[group.elem_of(xi)]
-                if flags[0] or flags[1]:
+                if not (fails_i & fails_ii) >> xi & 1:
                     held += 1
-                    closed = _closed_form_product(
-                        group, word, lam if flags[0] else inc)
+                    closed = _closed_form_product(group, word, _label_of(
+                        inc if (fails_i >> xi) & 1 else lam, xi))
                     if closed != entry:
                         mismatches += 1
                 elif not failing_differs:
-                    failing_differs = \
-                        _closed_form_product(group, word, inc) != entry
+                    failing_differs = _closed_form_product(
+                        group, word, _label_of(inc, xi)) != entry
     return {
         "condition_triples": held,
         "mismatches": mismatches,

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from wwl import DomainError, WeylGroup, build_root_system
 from wwl.errors import InvariantError
-from wwl.shellability import (_bitset, _flag_ii_idx,
-                              _greedy_chain_idx, beta_sequence, condition_A,
+from wwl.shellability import (_failing_flags, _flag_i_idx, _flag_ii_idx,
+                              _greedy_chain_idx, _label_of, _label_sets_idx,
+                              beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, first_witnesses, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
-from wwl.workbench import (SweepConfig, good_words_report, stats_sweep,
-                           verify_conjecture)
+from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
+                           stats_sweep, verify_conjecture)
 
 from test_weyl import perm_of_word, rank_matrix_leq
 
@@ -77,6 +78,39 @@ def greedy_chain_oracle(group, xi, word, pick_max):
     return tuple(label)
 
 
+def labels_oracle(group, word, xs):
+    """(lambda_set, increasing label, decreasing label, flags (i)-(iii))
+    for every x in xs, in the order of xs, as tuples and one x at a time:
+    lambda_set from a Bruhat test per single deletion, each label from
+    greedy_chain_oracle, each flag by comparing two tuples."""
+    dels = group.deleted_word_elements_idx(word)
+    out = []
+    for xi in xs:
+        lam = tuple(i for i, d in enumerate(dels, 1) if group.leq_idx(xi, d))
+        inc = greedy_chain_oracle(group, xi, word, False)
+        dec = greedy_chain_oracle(group, xi, word, True)
+        rev = dec[::-1]
+        out.append((lam, inc, dec, (lam == rev, inc == rev, lam == inc)))
+    return out
+
+
+def bitset(xs):
+    out = 0
+    for xi in xs:
+        out |= 1 << xi
+    return out
+
+
+def sliced(labels, n):
+    """{xi: label} bit-sliced by position: entry p - 1 holds the x whose
+    label deletes p."""
+    out = [0] * n
+    for xi, label in labels.items():
+        for p in label:
+            out[p - 1] |= 1 << xi
+    return out
+
+
 def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
     """Both extreme labels from one bulk walk over all of xs, and from
     walks over `subsets` random subsets of xs, all sharing the group's
@@ -84,13 +118,36 @@ def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
     for pick_max in (False, True):
         expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
                     for xi in xs}
-        assert _greedy_chain_idx(group, word, _bitset(xs),
-                                 pick_max) == expected
+        through = _greedy_chain_idx(group, word, bitset(xs), pick_max)
+        assert through == sliced(expected, len(word))
+        for xi in xs:
+            assert _label_of(through, xi, pick_max) == expected[xi]
         for _ in range(subsets):
             some = rng.sample(xs, rng.randint(1, len(xs)))
-            assert _greedy_chain_idx(group, word, _bitset(some),
-                                     pick_max) == \
-                {xi: expected[xi] for xi in some}
+            assert _greedy_chain_idx(group, word, bitset(some), pick_max) \
+                == sliced({xi: expected[xi] for xi in some}, len(word))
+
+
+def assert_flags_match_tuple_oracle(group, word, xs):
+    """The bit-sliced label sets and flag bitsets of one word, against
+    labels_oracle: every x's three labels and three flags, the x whose
+    flags disagree, and the single-flag predicates."""
+    lam, inc, dec = _label_sets_idx(group, word, bitset(xs))
+    fails = _failing_flags(lam, inc, dec)
+    disagree = set()
+    for xi, (o_lam, o_inc, o_dec, o_flags) in zip(
+            xs, labels_oracle(group, word, xs)):
+        assert _label_of(lam, xi) == o_lam
+        assert _label_of(inc, xi) == o_inc
+        assert _label_of(dec, xi, descending=True) == o_dec
+        assert tuple(not (f >> xi) & 1 for f in fails) == o_flags
+        if len(set(o_flags)) > 1:
+            disagree.add(xi)
+    mixed = (fails[0] | fails[1] | fails[2]) & \
+        ~(fails[0] & fails[1] & fails[2])
+    assert mixed == bitset(disagree)
+    assert _flag_i_idx(group, word, bitset(xs)) == bitset(xs) & ~fails[0]
+    assert _flag_ii_idx(group, word, bitset(xs)) == bitset(xs) & ~fails[1]
 
 
 # -- lambda sets ---------------------------------------------------------------
@@ -323,7 +380,7 @@ def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
         before = set(G._covers)
         for word in G._iter_words_idx(wi):
             for pick_max in (False, True):
-                _greedy_chain_idx(G, word, _bitset(xs), pick_max)
+                _greedy_chain_idx(G, word, bitset(xs), pick_max)
         for letters in G._covers.keys() - before:
             yi = G.word_to_idx(letters)
             assert G.len_of_idx(yi) == len(letters) and G.leq_idx(yi, wi)
@@ -416,6 +473,91 @@ def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
         assert_greedy_matches_oracle(G, word, sorted(set(xs)))
 
     check()
+
+
+def verify_w_oracle(group, wi):
+    """_verify_w's triple count and violation records, from labels_oracle."""
+    xs = group.lower_interval_idx(wi)
+    triples, violations = 0, []
+    for word in group._iter_words_idx(wi):
+        for xi, (lam, inc, dec, flags) in zip(
+                xs, labels_oracle(group, word, xs)):
+            triples += 1
+            if len(set(flags)) > 1:
+                violations.append({
+                    "w": list(group.canon_of_idx(wi)), "word": list(word),
+                    "x": list(group.canon_of_idx(xi)), "lambda": list(lam),
+                    "chain_min": list(inc), "chain_max": list(dec),
+                    "flags": list(flags)})
+    return triples, violations
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_flags_match_tuple_oracle_exhaustive(group_for, type_letter, rank):
+    """Every (w, reduced word, x <= w): the bit-sliced labels, flags and
+    disagreeing x equal the tuple oracle's, and so do the triple count and
+    violation records of the verify sweep."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xs = G.lower_interval_idx(wi)
+        for word in G._iter_words_idx(wi):
+            assert_flags_match_tuple_oracle(G, word, xs)
+        got = _verify_w(G, wi)
+        assert (got["triples"], got["violations"]) == verify_w_oracle(G, wi)
+
+
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
+def test_flags_match_tuple_oracle_sampled(group_for, type_letter, rank):
+    """Seeded samples of (w, reduced word, some x <= w) past the exhaustive
+    groups."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+
+    @settings(max_examples=30 if type_letter == "F" else 120)
+    @given(word_and_xs(G))
+    def check(drawn):
+        word, xs = drawn
+        assert_flags_match_tuple_oracle(G, word, sorted(set(xs)))
+
+    check()
+
+
+def test_failing_flags_on_disagreeing_labels():
+    """Labels that no real word produces, each pair of them differing on
+    some x: the bitsets of failing x equal the tuple comparisons of
+    labels_oracle, flag by flag."""
+    lam = {0: (1, 2), 1: (1,), 2: (1,), 3: (3,)}
+    inc = {0: (1, 2), 1: (2,), 2: (1,), 3: (1,)}
+    dec = {0: (2, 1), 1: (2,), 2: (2,), 3: (3,)}
+    fails = _failing_flags(sliced(lam, 3), sliced(inc, 3), sliced(dec, 3))
+    for xi in range(4):
+        rev = dec[xi][::-1]
+        expected = (lam[xi] == rev, inc[xi] == rev, lam[xi] == inc[xi])
+        assert tuple(not (f >> xi) & 1 for f in fails) == expected
+    assert fails == (0b0110, 0b1100, 0b1010)
+
+
+@pytest.mark.parametrize("pick_max,kept", [(False, 2), (True, 0)])
+def test_corrupted_cover_list_raises(pick_max, kept):
+    """With one cover of the word 1,2,1 of A2 struck from its cover list,
+    the walk down to e deletes the other outer position first and then a
+    position on the wrong side of it, so its label is not monotone: the
+    walk, the sweeps' label sets and the public chain raise."""
+    G = fresh_group("A", 2)
+    word = (1, 2, 1)
+    flat = G._cover_list(bytes(word))
+    assert flat[::2] == (0, 2)
+    k = flat[::2].index(kept) * 2
+    G._covers[bytes(word)] = flat[k:k + 2]
+    with pytest.raises(InvariantError, match="not monotone"):
+        _greedy_chain_idx(G, word, 1, pick_max)
+    with pytest.raises(InvariantError, match="not monotone"):
+        _label_sets_idx(G, word, 1)
+    chain = lex_max_chain if pick_max else lex_min_chain
+    with pytest.raises(InvariantError, match="not monotone"):
+        chain(G, G.identity, word)
 
 
 def test_stats_fast_path_builds_no_cover_list(monkeypatch):
@@ -527,9 +669,9 @@ def test_walk_matches_flag_ii(group_for):
         for wi in range(G.order()):
             xs = G.lower_interval_idx(wi)
             for word in G._iter_words_idx(wi):
-                held = set(_flag_ii_idx(G, word, xs))
+                held = _flag_ii_idx(G, word, bitset(xs))
                 for xi in range(G.order()):
-                    assert walk_flag_ii(G, xi, word) == (xi in held)
+                    assert walk_flag_ii(G, xi, word) == bool(held >> xi & 1)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
@@ -543,9 +685,9 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
     @given(word_and_xs(G))
     def check(drawn):
         word, xs = drawn
-        held = set(_flag_ii_idx(G, word, xs))
+        held = _flag_ii_idx(G, word, bitset(xs))
         for xi in xs:
-            assert walk_flag_ii(G, xi, word) == (xi in held)
+            assert walk_flag_ii(G, xi, word) == bool(held >> xi & 1)
 
     check()
 

@@ -13,7 +13,7 @@ import pytest
 from wwl import WeylGroup, build_root_system, roots, workbench
 from wwl.cli import main
 from wwl.errors import InvariantError
-from wwl.shellability import condition_B
+from wwl.shellability import _failing_flags, condition_B
 from wwl.workbench import (SweepConfig, load_group_cache, mtx_report,
                            parse_int_seq, pct_string, save_group_cache,
                            stats_sweep, verify_conjecture)
@@ -213,6 +213,21 @@ def test_stats_threads_do_not_change_output():
     assert env_two[1] == one[1]
 
 
+def test_heaviest_first_dispatch_keeps_input_order():
+    """Items handed to two workers heaviest first come back in input
+    order, so the independent statistics agree at one and two threads."""
+    group = WeylGroup(build_root_system("A", 3))
+    group.ensure_bruhat()
+    costs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+    assert workbench.parallel_over(
+        group, lambda g, item: (item, g.order()), range(10), 2,
+        costs=costs) == [(item, 24) for item in range(10)]
+    one, two = (stats_sweep(group, SweepConfig("A", 3, mode="independent",
+                                               threads=threads))
+                for threads in (1, 2))
+    assert one == two
+
+
 def _golden_a4():
     return json.load(open(os.path.join(os.path.dirname(__file__), "data",
                                        "stats_a4_golden.json")))
@@ -248,13 +263,39 @@ def test_stats_independent_mode_cli(capsys):
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
-    def disagreeing(group, word, xs):
-        return [((), (), (), (True, False, True))] * len(xs)
+    def disagreeing(lam, inc, dec):
+        fails_i, fails_ii, fails_iii = _failing_flags(lam, inc, dec)
+        return fails_i, fails_ii ^ 1, fails_iii  # flag (ii) of e flipped
 
-    monkeypatch.setattr(workbench, "_labels_idx", disagreeing)
+    monkeypatch.setattr(workbench, "_failing_flags", disagreeing)
     group = WeylGroup(build_root_system("A", 2))
     with pytest.raises(InvariantError):
         stats_sweep(group, SweepConfig("A", 2, mode="independent"))
+
+
+def test_verify_flag_disagreement_is_one_violation(monkeypatch, capsys):
+    """Flag (ii) of x = e forced to fail on the first reduced word of the
+    longest element of A2, and nowhere else: the sweep reports exactly
+    that triple, with its true labels, and the command exits 2."""
+    forced = []
+
+    def disagreeing(lam, inc, dec):
+        fails = _failing_flags(lam, inc, dec)
+        if len(lam) < 3 or forced:
+            return fails
+        forced.append(True)
+        return fails[0], fails[1] ^ 1, fails[2]
+
+    monkeypatch.setattr(workbench, "_failing_flags", disagreeing)
+    code, out, _ = run_cli(capsys, "verify-conjecture", "--type", "A",
+                           "--rank", "2", "--threads", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["triples_tested"] == 25
+    assert report["violations"] == [{
+        "w": [1, 2, 1], "word": [1, 2, 1], "x": [],
+        "lambda": [1, 2, 3], "chain_min": [1, 2, 3], "chain_max": [3, 2, 1],
+        "flags": [True, False, True]}]
 
 
 # sha256 of the stdout of `verify-conjecture`, as printed while each
@@ -265,12 +306,14 @@ VERIFY_DIGESTS = {
     ("B", 3): "b18b46a42d5a507834cbdee2fb7dae92f5d6749b1337fb10802deefb1ab859c6",
     ("C", 3): "b1103fa423ee267f52004956d2815cc0474372b3b6e654e2e9151cc673973973",
     ("G", 2): "d3ec9764e7ee6403619fff54bc2fc72a9e9735f8225ad37f4d779c4b15bc1305",
+    # 1,379,685 triples; recorded while the flags compared per-x tuples
+    ("D", 4): "38aa9ae4ee926e19ac23df44eda5a2eea0522184375c7e91d1f038d2b25211d4",
 }
 
 
 @pytest.mark.parametrize("type_letter,rank,threads",
                          [("A", 4, "1"), ("A", 4, "2"), ("B", 3, "1"),
-                          ("C", 3, "1"), ("G", 2, "1")])
+                          ("C", 3, "1"), ("G", 2, "1"), ("D", 4, "2")])
 def test_verify_digests(type_letter, rank, threads):
     code, out, _ = run_proc("verify-conjecture", "--type", type_letter,
                             "--rank", str(rank), "--threads", threads)
