@@ -38,8 +38,8 @@ del_alpha pi_y = pi_(sy) when sy > y, pi_y otherwise, give for y <= s cur:
 
 The lifted term (1 - v e^(-alpha)) s(d[y]) of each y with sy > y is computed
 once and shared with sy.  The alternating interval sums of the atom table
-(char_from_atom_coeffs) give the same table with one addition per pair of
-the interval; they are kept as the tests' oracle.
+give the same table with one addition per pair of the interval; the tests
+keep them as the oracle.
 """
 
 from __future__ import annotations
@@ -249,29 +249,6 @@ def char_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable
     table = _word_recursion(group, w, word, _char_step)
     return CoefficientTable(
         anchor=w, entries={group.elem_of(yi): val for yi, val in table.items()})
-
-
-def char_from_atom_coeffs(group: WeylGroup, table: CoefficientTable) -> CoefficientTable:
-    """Character coefficients from the atom coefficient table of w, as
-    alternating sums over Bruhat intervals; one addition per pair, kept as
-    the oracle of char_coeffs."""
-    w = table.anchor
-    entries: dict[WeylElement, GAElement] = {}
-    for x in table.entries:
-        lx = group.length(x)
-        entries[x] = ga_sum(
-            -table.entries[y] if (group.length(y) - lx) % 2
-            else table.entries[y] for y in group.interval(x, w))
-    return CoefficientTable(anchor=w, entries=entries)
-
-
-def atom_from_char_coeffs(group: WeylGroup, table: CoefficientTable) -> CoefficientTable:
-    """Inverse transform: plain interval sums of the character coefficients."""
-    w = table.anchor
-    entries: dict[WeylElement, GAElement] = {}
-    for x in table.entries:
-        entries[x] = ga_sum(table.entries[y] for y in group.interval(x, w))
-    return CoefficientTable(anchor=w, entries=entries)
 
 
 def tilde_coeffs(group: WeylGroup, w: WeylElement) -> CoefficientTable:

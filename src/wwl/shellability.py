@@ -29,16 +29,12 @@ words of w; and deodhar_slack_idx counts #S(x,w).  Per-x tuples are read
 from the bitsets (_label_of) only where a caller needs them: violation
 records, closed forms, and the single-x public functions.
 
-Greedy chains.  _greedy_chain_idx is the one greedy search: it finds the
-label of every x in a bitset by one walk over the trie of greedy steps,
-and returns it bit-sliced by position.
-Each subword met along a chain is itself a reduced word of an element
-below w (the subword-complex picture of Knutson-Miller, "Subword
-complexes in Coxeter groups", Adv. Math. 2004), so its cover list depends
-only on the group and its letters.  Cover lists live in the group's cover
-table (WeylGroup._cover_list), keyed by letters and filled on demand:
-every reduced word of every w and every x read the same table, which
-holds at most one entry per reduced word of the group.
+Greedy chains.  _greedy_chain_idx is the one greedy search: it returns
+the label of every x in a bitset, bit-sliced by position, from the group's
+label table (WeylGroup._labels), keyed by letters.  _fill_labels fills it
+on demand: a word's label for x is its first cover position followed by
+that cover word's label, so each reduced word is labelled once per x and
+direction, from its covers' entries, and one x costs one greedy path.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -48,6 +44,8 @@ pre-pass read it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DomainError, InvariantError
 from .roots import Coords
 from .weyl import WeylElement, WeylGroup
@@ -56,6 +54,8 @@ from .weyl import WeylElement, WeylGroup
 def _checked_word_idx(group: WeylGroup, x: WeylElement, word) -> tuple[int, int]:
     group.ensure_bruhat()
     wi = group.word_to_idx(word)
+    if group.len_of_idx(wi) != len(word):
+        raise DomainError("word is not reduced")
     xi = group.idx_of(x)
     if not group.leq_idx(xi, wi):
         raise DomainError("x is not below the product of the word")
@@ -175,68 +175,93 @@ def _greedy_chain_idx(group: WeylGroup, word, xset: int,
     position p.  The chain repeatedly deletes the least (resp. greatest)
     original position whose deletion is a cover staying >= x; its label is
     checked to increase (resp. decrease), so it is its set of positions
-    read in ascending (resp. descending) order (_label_of).
-
-    One walk serves every x.  A node of the walk is a subword with its
-    original positions, the x routed through it and the last position
-    deleted on the way to it.  The x are handed to the node's covers in
-    position order, forward for the least position and backward for the
-    greatest, each cover taking those still unplaced below its element,
-    so a step costs one Bruhat mask AND per candidate; an x stops at the
-    node whose element it is.  The nodes form a trie of greedy steps, and
-    x sharing a label prefix share its nodes.  A step that does not extend
-    the last position in the walk's direction marks its x as
-    non-monotone, and any such x raises InvariantError.
-
-    Cover lists come from the group's cover table, keyed by the subword's
-    letters and built on a miss by WeylGroup._cover_list.  Every subword
-    along a chain is a reduced word of an element below the product, so
-    the table depends on nothing but the group and serves every word and
-    every x.  Letters and positions are held as bytes, the most compact
-    key: a tabulated group has at most 8 letters and reduced words of at
-    most 36."""
+    read in ascending (resp. descending) order (_label_of).  The labels are
+    read from the group's label table, filled on demand by _fill_labels."""
     group.ensure_bruhat()
-    masks = group._bruhat
-    covers = group._covers
     word = bytes(word)
-    n = len(word)
-    through = [0] * n
-    bad = 0
-    # a node holds only the x strictly below its element: the x equal to
-    # it stops there, so a node with no other x is never pushed
     xs = xset & ~(1 << group.word_to_idx(word))
-    stack = [(word, bytes(range(n)), xs, n if pick_max else -1)] if xs else []
-    pop, push = stack.pop, stack.append
-    while stack:
-        letters, pos, xs, last = pop()
-        flat = covers.get(letters)
-        if flat is None:
-            flat = group._cover_list(letters)
-        m = len(flat)
-        for k in range(m - 2, -1, -2) if pick_max else range(0, m, 2):
-            di = flat[k + 1]
-            sub = xs & masks[di]
-            if sub:
-                j = flat[k]
-                p = pos[j]
-                through[p] |= sub
-                if (p >= last) if pick_max else (p <= last):
-                    bad |= sub
-                xs ^= sub
-                sub &= ~(1 << di)
-                if sub:
-                    push((letters[:j] + letters[j + 1:], pos[:j] + pos[j + 1:],
-                          sub, p))
-                if not xs:
-                    break
-        else:
-            raise InvariantError(
-                "no cover stays above x: chain invariant violated")
-    if bad:
+    packed = _fill_labels(group, word, xs, pick_max) if xs else 0
+    size = len(group._bruhat)
+    out = []
+    for _ in word:
+        out.append(packed & xs)
+        packed >>= size
+    return out
+
+
+@lru_cache(maxsize=None)
+def _replicator(size: int, k: int) -> int:
+    """Sum of 1 << q*size for q < k: times a bitset over x, k copies of
+    it, one per slot of a packed label."""
+    return ((1 << k * size) - 1) // ((1 << size) - 1)
+
+
+def _fill_labels(group: WeylGroup, letters: bytes, xset: int,
+                 pick_max: bool) -> int:
+    """The packed greedy labels of the reduced word `letters`, after
+    labelling the x of the bitset xset (each strictly below its product)
+    that its entry of the group's label table does not hold yet.
+
+    An entry is [filled_inc, inc, filled_dec, dec]: filled_* is the bitset
+    of the x labelled in that direction, and inc (dec) packs the labels,
+    slot q (bits q*|W| to (q+1)*|W| - 1) being the bitset of the x whose
+    label deletes position q + 1.  The x to label are handed to the word's
+    covers (WeylGroup._cover_list) in position order, forward for the least
+    position and backward for the greatest, each cover j taking those still
+    unplaced below its element, one Bruhat mask AND per candidate.  A chain
+    through cover j deletes j and then follows the label of the subword,
+    which is one deletion shorter: so the subword is asked for those x
+    only, its slots below j stay, the slots from j up move up one, and
+    slot j gets the x.  The increasing label must leave the slots below j
+    empty and the decreasing label those from j up, or InvariantError;
+    an x that no cover takes raises too.
+
+    Each subword met along a chain is a reduced word of an element below
+    the product (Knutson-Miller, "Subword complexes in Coxeter groups",
+    Adv. Math. 2004), and its labels depend only on its letters and x, so
+    the table serves every word and every x and each word is labelled at
+    most once per x and direction.  The fill is demand-driven: one x costs
+    one greedy path."""
+    f = 2 if pick_max else 0
+    entry = group._labels.get(letters)
+    need = xset if entry is None else xset & ~entry[f]
+    if not need:
+        return entry[f + 1]
+    masks = group._bruhat
+    size = len(masks)
+    flat = group._cover_list(letters)
+    m = len(flat)
+    left, packed = need, 0
+    for k in range(m - 2, -1, -2) if pick_max else range(0, m, 2):
+        d = flat[k + 1]
+        sub = left & masks[d]
+        if not sub:
+            continue
+        j = flat[k]
+        shift = j * size
+        packed |= sub << shift
+        rest = sub & ~(1 << d)
+        if rest:
+            child = _fill_labels(group, letters[:j] + letters[j + 1:], rest,
+                                 pick_max) & \
+                rest * _replicator(size, len(letters) - 1)
+            if (child >> shift) if pick_max else (child & ((1 << shift) - 1)):
+                raise InvariantError(
+                    f"{'decreasing' if pick_max else 'increasing'} chain "
+                    f"label not monotone through position {j + 1} of "
+                    f"{tuple(letters)}")
+            packed |= child if pick_max else child << size
+        left ^= sub
+        if not left:
+            break
+    else:
         raise InvariantError(
-            f"{'decreasing' if pick_max else 'increasing'} chain label not "
-            f"monotone for the x in {bad:#x}")
-    return through
+            "no cover stays above x: chain invariant violated")
+    if entry is None:
+        entry = group._labels[letters] = [0, 0, 0, 0]
+    entry[f] |= need
+    entry[f + 1] |= packed
+    return entry[f + 1]
 
 
 def _bit_indices(mask: int):
@@ -333,7 +358,7 @@ def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     holds(group, word, left) returns the bitset of the x of the bitset
     `left` whose flag holds on word, computing their labels in bulk
     (_flag_i_idx, _flag_ii_idx, _good_word_idx) on the group's shared
-    cover lists; each x drops out at its first witness and the walk stops
+    label table; each x drops out at its first witness and the walk stops
     when none is left."""
     found: dict[int, tuple[int, ...]] = {}
     left = 0

@@ -14,11 +14,12 @@ products, words) reads an indexed layer that a WeylGroup builds on first
 use: the full element list, generator multiplication tables, inverses,
 canonical words, and the Bruhat order as one bitmask per element.  The
 tables are built once and read-only afterwards, so they can be shared
-freely across parallel workers.  The one exception is the cover table,
-which maps a reduced word (as bytes) to its covers and fills on demand as
-greedy chain searches meet new subwords; its entries depend only on their
-letters, so each forked worker fills its own copy and no output depends on
-which entries happen to be present.
+freely across parallel workers.  The one exception is the label table,
+which maps a reduced word (as bytes) to the packed greedy chain labels of
+the x below it met so far (see shellability._fill_labels) and fills on
+demand; an entry's labels depend only on its letters and each x, so each
+forked worker fills its own copy and no output depends on which entries
+happen to be present.
 
 The element list is found on the W-orbit of rho.  Each element w is keyed
 by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
@@ -134,8 +135,9 @@ class WeylGroup:
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
         self._ascents: list[list[tuple[int, int]]] | None = None
-        # reduced word as bytes -> its covers, filled by _cover_list
-        self._covers: dict[bytes, tuple[int, ...]] = {}
+        # reduced word as bytes -> [filled_inc, inc, filled_dec, dec], the
+        # packed greedy chain labels filled by shellability._fill_labels
+        self._labels: dict[bytes, list[int]] = {}
 
     # -- element-level API --------------------------------------------------
 
@@ -239,11 +241,6 @@ class WeylGroup:
             raise DomainError("interval endpoints not comparable: x must be <= w")
         return [self._elements[yi] for yi in self.lower_interval_idx(wi)
                 if (self._bruhat[yi] >> xi) & 1]
-
-    def covers_down(self, w: WeylElement) -> list[WeylElement]:
-        """All y covered by w, i.e. y < w with l(y) = l(w) - 1."""
-        flat = self._cover_list(bytes(self.canonical_word(w)))
-        return [self._elements[di] for di in sorted(set(flat[1::2]))]
 
     # -- indexed layer --------------------------------------------------------
 
@@ -415,18 +412,15 @@ class WeylGroup:
         """The chain steps from a reduced word given as bytes: for each
         0-based position j whose deletion drops the length by exactly one,
         j and the element index left, flattened in position order into one
-        tuple (j, d, j, d, ...).  Built on the first request for the word
-        and kept in the cover table; the tables must be built."""
-        flat = self._covers.get(letters)
-        if flat is None:
-            target = len(letters) - 1
-            lens = self._len
-            steps: list[int] = []
-            for j, di in enumerate(self.deleted_word_elements_idx(letters)):
-                if lens[di] == target:
-                    steps += (j, di)
-            flat = self._covers[letters] = tuple(steps)
-        return flat
+        tuple (j, d, j, d, ...).  Nothing is kept: the label table holds
+        what the chains read from it.  The tables must be built."""
+        target = len(letters) - 1
+        lens = self._len
+        steps: list[int] = []
+        for j, di in enumerate(self.deleted_word_elements_idx(letters)):
+            if lens[di] == target:
+                steps += (j, di)
+        return tuple(steps)
 
     def reduced_word_counts(self) -> list[int]:
         """Number of reduced words for every element, indexed like the

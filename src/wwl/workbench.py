@@ -9,7 +9,7 @@ identical configurations produce byte-identical output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
 the read-only tables are built; each worker fills its own copy of the
-group's cover table, and results are merged in index order, so the thread
+group's label table, and results are merged in index order, so the thread
 count never changes the output.
 """
 
@@ -43,8 +43,10 @@ MAX_ORDER = {
     # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat
     # masks alone
     "stats --mode fast": 5040,
-    # B4/C4, about 96 s at one thread (D4 about 3.4 s); A5 (720 elements)
-    # runs past 150 s, since every reduced word of every w is labelled
+    # B4/C4, about 28 s and 210 MB at one thread (D4 about 2.2 s): every
+    # reduced word of every w is labelled, and the label table packs
+    # 2 * l * |W| bits per word; A5 (720 elements) has 1,095,265 reduced
+    # words, so its table alone would take gigabytes
     "stats --mode independent": 384,
     # B4/C4, about a minute at 8 points; the upper-interval sums grow as
     # the cube of the order, so A5 (720 elements) would take several
@@ -435,7 +437,7 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
     # x, then one lexicographic search per w over just those x < w; each
-    # pair's chain roots read the cover lists the search filled
+    # pair's chain roots read the labels the search filled
     cond = [condition_b_mask(group, xi) for xi in range(size)]
     roots = []
     for wi in range(size):

@@ -11,13 +11,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwl import ConditionError, DomainError
-from wwl.coeffs import (atom_coeffs, atom_from_char_coeffs,
+from wwl.coeffs import (CoefficientTable, atom_coeffs,
                         casselman_shalika_check, char_coeffs,
-                        char_from_atom_coeffs,
                         closed_form_coeff, demazure_atom, demazure_character,
                         spherical_whittaker, tilde_coeffs, whittaker_function)
-from wwl.groupalg import (GAElement, atom_op, demazure, mul_one_minus_v_exp,
-                          one_minus_v_exp, specialize_v, t_op)
+from wwl.groupalg import (GAElement, atom_op, demazure, ga_sum,
+                          mul_one_minus_v_exp, one_minus_v_exp, specialize_v,
+                          t_op)
+
+
+def char_from_atom_coeffs(group, table):
+    """Character coefficients from the atom coefficient table of w, as
+    alternating sums over Bruhat intervals; one addition per pair, the
+    oracle of char_coeffs."""
+    w = table.anchor
+    entries = {}
+    for x in table.entries:
+        lx = group.length(x)
+        entries[x] = ga_sum(
+            -table.entries[y] if (group.length(y) - lx) % 2
+            else table.entries[y] for y in group.interval(x, w))
+    return CoefficientTable(anchor=w, entries=entries)
+
+
+def atom_from_char_coeffs(group, table):
+    """Inverse transform: plain interval sums of the character
+    coefficients."""
+    w = table.anchor
+    entries = {x: ga_sum(table.entries[y] for y in group.interval(x, w))
+               for x in table.entries}
+    return CoefficientTable(anchor=w, entries=entries)
 
 
 def rand_dominant(rs, rng, hi=3):

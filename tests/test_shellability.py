@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwl import DomainError, WeylGroup, build_root_system
+from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
+from wwl.hecke import m_product_roots
 from wwl.shellability import (_failing_flags, _flag_i_idx, _flag_ii_idx,
                               _greedy_chain_idx, _label_of, _label_sets_idx,
                               beta_sequence, condition_A,
@@ -114,7 +116,7 @@ def sliced(labels, n):
 def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
     """Both extreme labels from one bulk walk over all of xs, and from
     walks over `subsets` random subsets of xs, all sharing the group's
-    cover table, against the from-scratch oracle per x."""
+    label table, against the from-scratch oracle per x."""
     for pick_max in (False, True):
         expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
                     for xi in xs}
@@ -186,6 +188,26 @@ def test_lambda_set_requires_x_below(group_for):
     G = group_for("A", 2)
     with pytest.raises(DomainError):
         lambda_set(G, G.element_from_word((2,)), (1,))
+
+
+@pytest.mark.parametrize("word", [(1, 1), (1, 2, 1, 2), (1, 2, 1, 2, 1)])
+@pytest.mark.parametrize("query", [
+    lambda G, x, word: lambda_set(G, x, word),
+    lambda G, x, word: lex_min_chain(G, x, word),
+    lambda G, x, word: lex_max_chain(G, x, word),
+    lambda G, x, word: condition_per_word(G, x, word),
+    lambda G, x, word: is_good_word(G, x, word),
+    lambda G, x, word: closed_form_coeff(G, x, word),
+    lambda G, x, word: m_product_roots(G, x, G.element_from_word(word), word),
+], ids=["lambda_set", "lex_min_chain", "lex_max_chain", "condition_per_word",
+        "is_good_word", "closed_form_coeff", "m_product_roots"])
+def test_non_reduced_word_rejected(query, word):
+    """Every per-word query refuses a word whose length is not the length
+    of its product with DomainError, before any label is filled."""
+    G = fresh_group("A", 2)
+    with pytest.raises(DomainError, match="not reduced"):
+        query(G, G.identity, word)
+    assert G._labels == {}
 
 
 def test_lambda_size_matches_s_set(group_for):
@@ -349,7 +371,7 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
 def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
     """Every (w, reduced word, x <= w): the labels of one bulk walk over
     every x, and of walks over random subsets of them, read from the
-    group's cover table, equal the per-step recomputation."""
+    group's label table, equal the per-step recomputation."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     rng = random.Random(0)
@@ -360,7 +382,7 @@ def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
 
 
 def fresh_group(type_letter, rank):
-    """A group of its own, with an empty cover table, unlike the session
+    """A group of its own, with an empty label table, unlike the session
     fixture's shared groups."""
     G = WeylGroup(build_root_system(type_letter, rank))
     G.ensure_bruhat()
@@ -371,20 +393,24 @@ def fresh_group(type_letter, rank):
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
     """Both walks over every x for every reduced word of w add to the
-    group's cover table only reduced words of elements below w.  After
-    every w, the table holds no more entries than the non-identity
-    elements have reduced words."""
+    group's label table only reduced words of elements below w, labelled
+    only for x strictly below their product.  After every w, the table
+    holds no more entries than the non-identity elements have reduced
+    words."""
     G = fresh_group(type_letter, rank)
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
-        before = set(G._covers)
+        before = set(G._labels)
         for word in G._iter_words_idx(wi):
             for pick_max in (False, True):
                 _greedy_chain_idx(G, word, bitset(xs), pick_max)
-        for letters in G._covers.keys() - before:
+        for letters in G._labels.keys() - before:
             yi = G.word_to_idx(letters)
             assert G.len_of_idx(yi) == len(letters) and G.leq_idx(yi, wi)
-    assert len(G._covers) <= sum(G.reduced_word_counts()) - 1
+            filled_inc, _, filled_dec, _ = G._labels[letters]
+            below = G.bruhat_mask(yi) & ~(1 << yi)
+            assert filled_inc & ~below == 0 == filled_dec & ~below
+    assert len(G._labels) <= sum(G.reduced_word_counts()) - 1
 
 
 def refuse(*args):
@@ -392,8 +418,9 @@ def refuse(*args):
 
 
 def test_second_verify_builds_no_cover_list(monkeypatch):
-    """The cover table outlives a sweep: a second verify_conjecture on the
-    same group finds every cover list already built."""
+    """The label table outlives a sweep: a second verify_conjecture on the
+    same group finds every label already filled and builds no cover
+    list."""
     G = fresh_group("B", 3)
     config = SweepConfig(type_letter="B", rank=3)
     first = verify_conjecture(G, config)
@@ -401,21 +428,56 @@ def test_second_verify_builds_no_cover_list(monkeypatch):
     assert verify_conjecture(G, config) == first
 
 
-def test_a4_sweep_builds_one_cover_list_per_reduced_word():
-    """A full A4 sweep builds exactly 3,060 cover lists, one per non-empty
-    reduced word of A4."""
+def test_a4_sweep_builds_one_cover_list_per_reduced_word(monkeypatch):
+    """A full A4 sweep in one process leaves exactly 3,060 label table
+    entries, one per non-empty reduced word of A4, each filled in both
+    directions for the whole strict lower interval of its product.  It
+    builds one cover list per word and direction: the sweep meets the
+    words in table order, so every subword is labelled before the words
+    above it ask for it."""
     G = fresh_group("A", 4)
+    built = []
+    cover_list = G._cover_list
+
+    def counted(letters):
+        built.append(letters)
+        return cover_list(letters)
+
+    monkeypatch.setattr(G, "_cover_list", counted)
     verify_conjecture(G, SweepConfig(type_letter="A", rank=4))
-    assert len(G._covers) == 3060 == sum(G.reduced_word_counts()) - 1
+    assert len(G._labels) == 3060 == sum(G.reduced_word_counts()) - 1
+    assert len(built) == 2 * 3060 and set(built) == set(G._labels)
+    for letters, (filled_inc, _, filled_dec, _) in G._labels.items():
+        yi = G.word_to_idx(letters)
+        below = G.bruhat_mask(yi) & ~(1 << yi)
+        assert filled_inc == below == filled_dec
+
+
+def test_single_x_chain_fills_one_greedy_path():
+    """A single-x chain query labels only the words on its greedy path:
+    on the canonical word of w0 of F4, lex_min_chain and lex_max_chain of
+    one x add at most 2 * (l(w0) - l(x)) + 1 entries to the label table,
+    not one per word of the interval."""
+    G = fresh_group("F", 4)
+    w0 = G.longest_element()
+    word = G.canonical_word(w0)
+    for x in (G.identity, G.element_from_word((1, 2, 3)),
+              G.element_from_word((4, 3, 2, 1, 4))):
+        before = len(G._labels)
+        lex_min_chain(G, x, word)
+        lex_max_chain(G, x, word)
+        bound = 2 * (G.length(w0) - G.length(x)) + 1
+        assert len(G._labels) - before <= bound
 
 
 def test_greedy_raises_when_an_x_has_no_cover(group_for):
-    """An x not below the word's product is never reached: the walk raises
-    rather than return a partial answer."""
+    """An x not below the word's product is never reached: the fill raises
+    rather than return a partial answer, also for the empty word."""
     G = group_for("A", 2)
     G.ensure_bruhat()
-    with pytest.raises(InvariantError):
-        _greedy_chain_idx(G, (1,), 1 << G.word_to_idx((2,)), False)
+    for word in ((1,), ()):
+        with pytest.raises(InvariantError, match="no cover"):
+            _greedy_chain_idx(G, word, 1 << G.word_to_idx((2,)), False)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
@@ -540,17 +602,23 @@ def test_failing_flags_on_disagreeing_labels():
 
 
 @pytest.mark.parametrize("pick_max,kept", [(False, 2), (True, 0)])
-def test_corrupted_cover_list_raises(pick_max, kept):
+def test_corrupted_cover_list_raises(monkeypatch, pick_max, kept):
     """With one cover of the word 1,2,1 of A2 struck from its cover list,
     the walk down to e deletes the other outer position first and then a
     position on the wrong side of it, so its label is not monotone: the
     walk, the sweeps' label sets and the public chain raise."""
     G = fresh_group("A", 2)
     word = (1, 2, 1)
-    flat = G._cover_list(bytes(word))
+    cover_list = G._cover_list
+    flat = cover_list(bytes(word))
     assert flat[::2] == (0, 2)
     k = flat[::2].index(kept) * 2
-    G._covers[bytes(word)] = flat[k:k + 2]
+
+    def corrupted(letters):
+        return flat[k:k + 2] if letters == bytes(word) else \
+            cover_list(letters)
+
+    monkeypatch.setattr(G, "_cover_list", corrupted)
     with pytest.raises(InvariantError, match="not monotone"):
         _greedy_chain_idx(G, word, 1, pick_max)
     with pytest.raises(InvariantError, match="not monotone"):
@@ -562,8 +630,8 @@ def test_corrupted_cover_list_raises(pick_max, kept):
 
 def test_stats_fast_path_builds_no_cover_list(monkeypatch):
     """The statistics fast path enumerates no reduced word and builds no
-    cover list; cover lists are built only when a greedy search asks for
-    them."""
+    cover list; cover lists are built only when a greedy search fills a
+    label."""
     G = fresh_group("B", 3)
     monkeypatch.setattr(G, "_cover_list", refuse)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)

@@ -557,7 +557,8 @@ def test_stats_a4_matches_golden(group_for):
 # -- fast path vs independent mode -----------------------------------------------------------
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3), ("B", 3),
-                                              ("C", 3), ("G", 2), ("A", 4)])
+                                              ("C", 3), ("G", 2), ("A", 4),
+                                              ("D", 4)])
 def test_stats_fast_path_consistent(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     fast = stats_sweep(G, SweepConfig(type_letter=type_letter, rank=rank,
