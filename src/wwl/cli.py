@@ -50,8 +50,6 @@ def _add_common(sub):
     sub.add_argument("--threads", type=int, default=None,
                      help="worker processes; defaults to the available "
                           "parallelism and never changes the output")
-    sub.add_argument("--format", dest="fmt", default="json",
-                     choices=["json", "csv"])
     sub.add_argument("--cache", dest="cache_dir", default=None)
     sub.add_argument("--large", action="store_true")
 
@@ -73,6 +71,8 @@ def _build_parser() -> _Parser:
                         help="per-element condition percentages and histogram")
     _add_common(p)
     p.add_argument("--mode", choices=["fast", "independent"], default="fast")
+    p.add_argument("--format", dest="fmt", default="json",
+                   choices=["json", "csv"])
 
     p = subs.add_parser("coeff", help="dump transition coefficients for one w")
     _add_common(p)
@@ -99,11 +99,18 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> SweepConfig:
-    default_threads = args.threads if args.threads is not None else \
-        (os.cpu_count() or 1)
-    threads = int(os.environ.get("WWL_THREADS", default_threads))
+    threads = os.environ.get("WWL_THREADS")
+    if threads is None:
+        threads = args.threads if args.threads is not None else \
+            (os.cpu_count() or 1)
+    else:
+        try:
+            threads = int(threads)
+        except ValueError:
+            raise DomainError(f"WWL_THREADS must be an integer, not "
+                              f"{threads!r}") from None
     config = SweepConfig(type_letter=args.type_letter, rank=args.rank,
-                         seed=args.seed, threads=threads, fmt=args.fmt,
+                         seed=args.seed, threads=threads,
                          cache_dir=args.cache_dir, large=args.large)
     if getattr(args, "points", None) is not None:
         config.points = args.points
@@ -147,7 +154,7 @@ def main(argv=None) -> int:
 
         if args.command == "stats":
             report = stats_sweep(group, config)
-            if config.fmt == "csv":
+            if args.fmt == "csv":
                 sys.stdout.write(stats_to_csv(report))
             else:
                 _emit(report)

@@ -262,7 +262,7 @@ def _m_product_roots_idx(group: WeylGroup, xi: int,
     """m_product_roots for x of index xi below a word's product."""
     inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)
     dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)
-    if inc != dec:  # both monotone, so equal position sets suffice
+    if inc != dec:  # position sets, read in opposite orders
         raise ConditionError("chain condition fails for this pair and word",
                              chain_min=_label_of(inc, xi),
                              chain_max=_label_of(dec, xi, descending=True))

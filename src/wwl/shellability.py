@@ -12,7 +12,7 @@ w = s_1...s_n and x <= w:
   original positions deleted.  There is a unique chain with strictly
   increasing label (also the lexicographically least one) and a unique
   chain with strictly decreasing label (the lexicographically greatest);
-  both are found greedily, and monotonicity of the result is checked.
+  both are read off the two extreme reduced subwords of x (below).
 * The per-word conditions compare, all computed independently:
       (i)   lambda_set equals the reversed decreasing-chain label,
       (ii)  the increasing-chain label equals the reversed decreasing one,
@@ -21,20 +21,45 @@ w = s_1...s_n and x <= w:
   satisfying (i), respectively (ii); searches run in lexicographic word
   order and stop at the first witness.
 
-Every sweep shares three kernels: _label_sets_idx computes the three
-labels of every x below one word at once, bit-sliced (one bitset over x
-per word position), and _failing_flags reads off the x failing each flag;
-first_witnesses is the lexicographic witness search over the reduced
-words of w; and deodhar_slack_idx counts #S(x,w).  Per-x tuples are read
-from the bitsets (_label_of) only where a caller needs them: violation
-records, closed forms, and the single-x public functions.
+Labels are held bit-sliced, one bitset over x per word position:
+_label_sets_idx computes the three labels of every x below one word at
+once, and _failing_flags reads off the x failing each flag.  The sweeps
+that visit every word of w (verify, the independent statistics, the
+main-theorem sweep) take both chain labels of all its words from
+_word_labels_idx; first_witnesses is the lexicographic witness search
+over the reduced words of w; and deodhar_slack_idx counts #S(x,w).  Per-x
+tuples are read from the bitsets (_label_of) only where a caller needs
+them: violation records, closed forms, and the single-x public functions.
 
-Greedy chains.  _greedy_chain_idx is the one greedy search: it returns
-the label of every x in a bitset, bit-sliced by position, from the group's
-label table (WeylGroup._labels), keyed by letters.  _fill_labels fills it
-on demand: a word's label for x is its first cover position followed by
-that cover word's label, so each reduced word is labelled once per x and
-direction, from its covers' entries, and one x costs one greedy path.
+Extreme chains from extreme subwords.  The decreasing label is the
+complement of the leftmost reduced subword L of x: scan the word left to
+right with a residual y = x, and keep position i when s_i y < y (then
+y <- s_i y).  The increasing label is the complement of the rightmost
+reduced subword: scan right to left and keep i when y s_i < y.  These
+are the lexicographically first and last facets of the subword complex
+of (word, x) (Knutson-Miller, "Subword complexes in Coxeter groups",
+Adv. Math. 2004; the greedy facets of Pilaud-Stump, "EL-labelings and
+canonical spanning trees for subword complexes", 2013).  Why the
+decreasing chain deletes exactly the complement of L:
+  1. L is componentwise least among the reduced subwords of x: at every
+     step its residual is Bruhat-below that of any other subword, by the
+     lifting property.
+  2. So every reduced subword of x contains all positions after j, the
+     last position not in L, and no position after j can be deleted while
+     the subword stays reduced and >= x.
+  3. Write the word as A s_j B and x = u*b with u <= v = prod A.
+     Deleting j leaves AB reduced: otherwise the Demazure product v * b,
+     which is >= x, would drop a letter of B, against (2).  So the
+     greatest position a chain step can delete is j.
+  4. Induction on the word with j deleted, whose leftmost subword of x is
+     still L, gives the rest.
+The increasing label follows by reversing the word and inverting x.  A
+scan whose residual does not end at e means x is not below the word, and
+raises InvariantError.  One step of a scan (_scan_step) moves a map
+{residual y: bitset of the x having it}, so every x is scanned at once.
+_greedy_chain_idx scans one word; _word_labels_idx walks all reduced
+words of w as a prefix trie for the left scan and as a suffix trie for
+the right scan, so each trie edge applies its letter once.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -43,8 +68,6 @@ pre-pass read it.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .errors import DomainError, InvariantError
 from .roots import Coords
@@ -167,101 +190,88 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     return tuple(betas)
 
 
+def _scan_step(residuals: dict, row, lens) -> tuple[dict, int]:
+    """One letter of a label scan.  residuals maps each residual y to the
+    bitset of the x that have it, and row is the letter's left (or right)
+    multiplication row.  Where the letter is a left (right) descent of y,
+    those x keep the position and y moves down.  Returns the new map and
+    the bitset of the x that keep the position."""
+    out: dict[int, int] = {}
+    kept = 0
+    for y, xs in residuals.items():
+        t = row[y]
+        if lens[t] < lens[y]:
+            kept |= xs
+            y = t
+        out[y] = out.get(y, 0) | xs
+    return out, kept
+
+
+def _check_scanned(residuals: dict) -> None:
+    """A scan's residuals all end at e exactly when every x lies below the
+    word's product; a stray residual is a broken invariant."""
+    if residuals.keys() - {0}:
+        raise InvariantError(
+            "an x's residual does not end at e: x is not below the word")
+
+
 def _greedy_chain_idx(group: WeylGroup, word, xset: int,
                       pick_max: bool) -> list[int]:
     """The labels of the lexicographically extreme maximal chains down to
     every x in the bitset xset (each x below the word's product), bit-sliced
     by position: entry p - 1 is the bitset of the x whose label deletes
-    position p.  The chain repeatedly deletes the least (resp. greatest)
-    original position whose deletion is a cover staying >= x; its label is
-    checked to increase (resp. decrease), so it is its set of positions
-    read in ascending (resp. descending) order (_label_of).  The labels are
-    read from the group's label table, filled on demand by _fill_labels."""
-    group.ensure_bruhat()
-    word = bytes(word)
-    xs = xset & ~(1 << group.word_to_idx(word))
-    packed = _fill_labels(group, word, xs, pick_max) if xs else 0
-    size = len(group._bruhat)
+    position p.  The decreasing label (pick_max) is the complement of the
+    leftmost reduced subword of x, one left-to-right scan; the increasing
+    label the complement of the rightmost one, one right-to-left scan."""
+    group.ensure_tables()
+    rows = group._lmul if pick_max else group._rmul
+    lens = group._len
+    residuals = {xi: 1 << xi for xi in _bit_indices(xset)}
     out = []
-    for _ in word:
-        out.append(packed & xs)
-        packed >>= size
-    return out
+    for a in (word if pick_max else reversed(word)):
+        residuals, kept = _scan_step(residuals, rows[a - 1], lens)
+        out.append(xset & ~kept)
+    _check_scanned(residuals)
+    return out if pick_max else out[::-1]
 
 
-@lru_cache(maxsize=None)
-def _replicator(size: int, k: int) -> int:
-    """Sum of 1 << q*size for q < k: times a bitset over x, k copies of
-    it, one per slot of a packed label."""
-    return ((1 << k * size) - 1) // ((1 << size) - 1)
+def _scan_words(group: WeylGroup, vi: int, residuals: dict, rows,
+                xset: int):
+    """The scans of every reduced word of v in one direction: depth first
+    over the words, peeling a descent of v off the side that rows multiply
+    on (_lmul: left, _rmul: right), letters in increasing order, so each
+    edge of the prefix (suffix) trie applies its letter once.  Yields
+    (peeled letters, label bitsets), both in peeling order."""
+    lens = group._len
+
+    def walk(vi, residuals, peeled, labels):
+        if vi == 0:
+            _check_scanned(residuals)
+            yield peeled, labels
+            return
+        lv = lens[vi]
+        for a, row in enumerate(rows, 1):
+            ui = row[vi]
+            if lens[ui] < lv:
+                nxt, kept = _scan_step(residuals, row, lens)
+                yield from walk(ui, nxt, peeled + (a,),
+                                labels + (xset & ~kept,))
+
+    return walk(vi, residuals, (), ())
 
 
-def _fill_labels(group: WeylGroup, letters: bytes, xset: int,
-                 pick_max: bool) -> int:
-    """The packed greedy labels of the reduced word `letters`, after
-    labelling the x of the bitset xset (each strictly below its product)
-    that its entry of the group's label table does not hold yet.
-
-    An entry is [filled_inc, inc, filled_dec, dec]: filled_* is the bitset
-    of the x labelled in that direction, and inc (dec) packs the labels,
-    slot q (bits q*|W| to (q+1)*|W| - 1) being the bitset of the x whose
-    label deletes position q + 1.  The x to label are handed to the word's
-    covers (WeylGroup._cover_list) in position order, forward for the least
-    position and backward for the greatest, each cover j taking those still
-    unplaced below its element, one Bruhat mask AND per candidate.  A chain
-    through cover j deletes j and then follows the label of the subword,
-    which is one deletion shorter: so the subword is asked for those x
-    only, its slots below j stay, the slots from j up move up one, and
-    slot j gets the x.  The increasing label must leave the slots below j
-    empty and the decreasing label those from j up, or InvariantError;
-    an x that no cover takes raises too.
-
-    Each subword met along a chain is a reduced word of an element below
-    the product (Knutson-Miller, "Subword complexes in Coxeter groups",
-    Adv. Math. 2004), and its labels depend only on its letters and x, so
-    the table serves every word and every x and each word is labelled at
-    most once per x and direction.  The fill is demand-driven: one x costs
-    one greedy path."""
-    f = 2 if pick_max else 0
-    entry = group._labels.get(letters)
-    need = xset if entry is None else xset & ~entry[f]
-    if not need:
-        return entry[f + 1]
-    masks = group._bruhat
-    size = len(masks)
-    flat = group._cover_list(letters)
-    m = len(flat)
-    left, packed = need, 0
-    for k in range(m - 2, -1, -2) if pick_max else range(0, m, 2):
-        d = flat[k + 1]
-        sub = left & masks[d]
-        if not sub:
-            continue
-        j = flat[k]
-        shift = j * size
-        packed |= sub << shift
-        rest = sub & ~(1 << d)
-        if rest:
-            child = _fill_labels(group, letters[:j] + letters[j + 1:], rest,
-                                 pick_max) & \
-                rest * _replicator(size, len(letters) - 1)
-            if (child >> shift) if pick_max else (child & ((1 << shift) - 1)):
-                raise InvariantError(
-                    f"{'decreasing' if pick_max else 'increasing'} chain "
-                    f"label not monotone through position {j + 1} of "
-                    f"{tuple(letters)}")
-            packed |= child if pick_max else child << size
-        left ^= sub
-        if not left:
-            break
-    else:
-        raise InvariantError(
-            "no cover stays above x: chain invariant violated")
-    if entry is None:
-        entry = group._labels[letters] = [0, 0, 0, 0]
-    entry[f] |= need
-    entry[f + 1] |= packed
-    return entry[f + 1]
+def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
+    """(word, increasing label, decreasing label) for every reduced word of
+    w, in lexicographic order, each label bit-sliced over the x of xset
+    like _greedy_chain_idx.  The decreasing labels come from the prefix
+    trie of the words, the increasing ones from the suffix trie, which
+    are held until their word comes up."""
+    group.ensure_tables()
+    start = {xi: 1 << xi for xi in _bit_indices(xset)}
+    inc = {word[::-1]: labels[::-1] for word, labels in
+           _scan_words(group, wi, start, group._rmul, xset)}
+    for word, dec in _scan_words(group, wi, start, group._lmul, xset):
+        yield word, inc.pop(word), dec
 
 
 def _bit_indices(mask: int):
@@ -315,7 +325,7 @@ def _label_sets_idx(group: WeylGroup, word, xset: int):
     (each below the word's product), each bit-sliced by position: entry
     p - 1 of a list is the bitset of the x whose set holds p.  lambda_set
     comes from the word's single deletions and each label from its own
-    greedy walk; the three are computed independently."""
+    scan; the three are computed independently."""
     return (_lambda_sets_idx(group, word, xset),
             _greedy_chain_idx(group, word, xset, False),
             _greedy_chain_idx(group, word, xset, True))
@@ -332,9 +342,10 @@ def _differing(a, b) -> int:
 
 def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
     """Bitsets of the x failing flag (i), (ii) and (iii), from the
-    bit-sliced sets of _label_sets_idx.  lambda_set is ascending and the
-    labels are checked monotone, so two of them are equal as sequences
-    (one reversed) exactly when their position sets are."""
+    bit-sliced sets of _label_sets_idx.  lambda_set and the increasing
+    label read ascending and the decreasing label descending, so two of
+    them are equal as sequences (one reversed) exactly when their position
+    sets are."""
     return _differing(lam, dec), _differing(inc, dec), _differing(lam, inc)
 
 
@@ -357,9 +368,8 @@ def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     flag holds for xi} for the xi in xs that have one.
     holds(group, word, left) returns the bitset of the x of the bitset
     `left` whose flag holds on word, computing their labels in bulk
-    (_flag_i_idx, _flag_ii_idx, _good_word_idx) on the group's shared
-    label table; each x drops out at its first witness and the walk stops
-    when none is left."""
+    (_flag_i_idx, _flag_ii_idx, _good_word_idx); each x drops out at its
+    first witness and the walk stops when none is left."""
     found: dict[int, tuple[int, ...]] = {}
     left = 0
     for xi in xs:

@@ -1,4 +1,4 @@
-"""Weyl group arithmetic: elements, words, length, Bruhat order, covers,
+"""Weyl group arithmetic: elements, words, length, Bruhat order,
 intervals and reduced-word enumeration.
 
 An element is stored as its integer action matrix on the root lattice (plus
@@ -13,13 +13,8 @@ Every element query (length, canonical word, Bruhat order, inverse,
 products, words) reads an indexed layer that a WeylGroup builds on first
 use: the full element list, generator multiplication tables, inverses,
 canonical words, and the Bruhat order as one bitmask per element.  The
-tables are built once and read-only afterwards, so they can be shared
-freely across parallel workers.  The one exception is the label table,
-which maps a reduced word (as bytes) to the packed greedy chain labels of
-the x below it met so far (see shellability._fill_labels) and fills on
-demand; an entry's labels depend only on its letters and each x, so each
-forked worker fills its own copy and no output depends on which entries
-happen to be present.
+tables are built once and read-only afterwards, so forked workers share
+them all; nothing is memoised per word.
 
 The element list is found on the W-orbit of rho.  Each element w is keyed
 by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
@@ -135,9 +130,6 @@ class WeylGroup:
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
         self._ascents: list[list[tuple[int, int]]] | None = None
-        # reduced word as bytes -> [filled_inc, inc, filled_dec, dec], the
-        # packed greedy chain labels filled by shellability._fill_labels
-        self._labels: dict[bytes, list[int]] = {}
 
     # -- element-level API --------------------------------------------------
 
@@ -407,20 +399,6 @@ class WeylGroup:
         for k in range(m - 1, -1, -1):
             suf[k] = lmul[letters[k] - 1][suf[k + 1]]
         return [self.idx_mul(pre[i], suf[i + 1]) for i in range(m)]
-
-    def _cover_list(self, letters: bytes) -> tuple[int, ...]:
-        """The chain steps from a reduced word given as bytes: for each
-        0-based position j whose deletion drops the length by exactly one,
-        j and the element index left, flattened in position order into one
-        tuple (j, d, j, d, ...).  Nothing is kept: the label table holds
-        what the chains read from it.  The tables must be built."""
-        target = len(letters) - 1
-        lens = self._len
-        steps: list[int] = []
-        for j, di in enumerate(self.deleted_word_elements_idx(letters)):
-            if lens[di] == target:
-                steps += (j, di)
-        return tuple(steps)
 
     def reduced_word_counts(self) -> list[int]:
         """Number of reduced words for every element, indexed like the

@@ -8,9 +8,9 @@ two decimals, and every random choice is driven by the configured seed, so
 identical configurations produce byte-identical output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
-the read-only tables are built; each worker fills its own copy of the
-group's label table, and results are merged in index order, so the thread
-count never changes the output.
+the tables are built; the tables are read-only, so the workers share them,
+and results are merged in index order, so the thread count never changes
+the output.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
                     sample_spectral_point)
 from .roots import build_root_system
 from .shellability import (_bit_indices, _failing_flags, _flag_ii_idx,
-                           _good_word_idx, _label_of, _label_sets_idx,
-                           condition_b_mask, deodhar_slack_idx,
-                           first_witnesses)
+                           _good_word_idx, _label_of, _lambda_sets_idx,
+                           _word_labels_idx, condition_b_mask,
+                           deodhar_slack_idx, first_witnesses)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -43,10 +43,10 @@ MAX_ORDER = {
     # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat
     # masks alone
     "stats --mode fast": 5040,
-    # B4/C4, about 28 s and 210 MB at one thread (D4 about 2.2 s): every
-    # reduced word of every w is labelled, and the label table packs
-    # 2 * l * |W| bits per word; A5 (720 elements) has 1,095,265 reduced
-    # words, so its table alone would take gigabytes
+    # B4/C4, about 8 s and 41 MB at one thread (D4 about 0.8 s): every
+    # reduced word of every w is scanned, and w's increasing labels, l
+    # bitsets over x per word, are held until its words come up; A5 (720
+    # elements) has 1,095,265 reduced words, 292,864 of them for w0 alone
     "stats --mode independent": 384,
     # B4/C4, about a minute at 8 points; the upper-interval sums grow as
     # the cube of the order, so A5 (720 elements) would take several
@@ -65,7 +65,6 @@ class SweepConfig:
     rank: int = 2
     seed: int = 0
     threads: int = 1
-    fmt: str = "json"
     cache_dir: str | None = None
     large: bool = False
     points: int = 20
@@ -235,10 +234,10 @@ def _verify_w(group: WeylGroup, wi: int):
     xset = group.bruhat_mask(wi)
     triples = 0
     violations = []
-    for word in group._iter_words_idx(wi):
+    for word, inc, dec in _word_labels_idx(group, wi, xset):
         triples += len(xs)
-        lam, inc, dec = labels = _label_sets_idx(group, word, xset)
-        fails = _failing_flags(*labels)
+        lam = _lambda_sets_idx(group, word, xset)
+        fails = _failing_flags(lam, inc, dec)
         for xi in _bit_indices((fails[0] | fails[1] | fails[2])
                                & ~(fails[0] & fails[1] & fails[2])):
             violations.append({
@@ -290,18 +289,19 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
 
 def _stats_row_independent(group: WeylGroup, wi: int):
     """(n_leq, n_cond) of one w from its reduced words: per word all three
-    flags are computed independently and must agree."""
-    xs = group.lower_interval_idx(wi)
-
-    def flag_i(group, word, left):
+    flags are computed independently and must agree.  The walk stops at
+    the first word by which every x has a witness."""
+    xset = left = group.bruhat_mask(wi)
+    for word, inc, dec in _word_labels_idx(group, wi, xset):
         fails_i, fails_ii, fails_iii = _failing_flags(
-            *_label_sets_idx(group, word, left))
+            _lambda_sets_idx(group, word, xset), inc, dec)
         if not fails_i == fails_ii == fails_iii:
             raise InvariantError(
                 "per-word flags disagree: equivalence violated")
-        return left & ~fails_i
-
-    return len(xs), len(first_witnesses(group, wi, xs, flag_i))
+        left &= fails_i
+        if not left:
+            break
+    return xset.bit_count(), (xset & ~left).bit_count()
 
 
 def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
@@ -427,6 +427,8 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
 def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     """m(x, w) at seeded points for all pairs; condition-(B) pairs also get
     the closed product and an agreement flag."""
+    if config.points < 1:
+        raise DomainError("mtx needs at least one spectral point")
     require_size(group, "mtx")
     group.ensure_bruhat()
     rng = random.Random(config.seed)
@@ -458,7 +460,7 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
                 "x": list(group.canon_of_idx(xi)),
                 "w": list(group.canon_of_idx(wi)),
                 "points": config.points,
-                "value_at_point0": str(values[0]) if values else "0",
+                "value_at_point0": str(values[0]),
             }
             if not group.leq_idx(xi, wi):
                 entry["upper_triangular_zero"] = all(v == 0 for v in values)
@@ -547,9 +549,9 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
         table = atom_coeffs(group, group.elem_of(wi))
         xs = group.lower_interval_idx(wi)
         xset = group.bruhat_mask(wi)
-        for word in group._iter_words_idx(wi):
-            lam, inc, _ = labels = _label_sets_idx(group, word, xset)
-            fails_i, fails_ii, _ = _failing_flags(*labels)
+        for word, inc, dec in _word_labels_idx(group, wi, xset):
+            lam = _lambda_sets_idx(group, word, xset)
+            fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
             for xi in xs:
                 entry = table.entries[group.elem_of(xi)]
                 if not (fails_i & fails_ii) >> xi & 1:

@@ -3,6 +3,7 @@ chains of an interval are enumerated recursively and the greedy extreme
 chains must match the unique monotone labels; the deletion set is
 recomputed through the independent rank-matrix Bruhat oracle for type A."""
 
+import copy
 import itertools
 import random
 
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wwl import DomainError, WeylGroup, build_root_system
+from wwl import (DomainError, WeylGroup, build_root_system, shellability,
+                 workbench)
 from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.shellability import (_failing_flags, _flag_i_idx, _flag_ii_idx,
                               _greedy_chain_idx, _label_of, _label_sets_idx,
-                              beta_sequence, condition_A,
+                              _word_labels_idx, beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, first_witnesses, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
@@ -114,9 +116,9 @@ def sliced(labels, n):
 
 
 def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
-    """Both extreme labels from one bulk walk over all of xs, and from
-    walks over `subsets` random subsets of xs, all sharing the group's
-    label table, against the from-scratch oracle per x."""
+    """Both extreme labels from one bulk scan over all of xs, and from
+    scans over `subsets` random subsets of xs, against the from-scratch
+    oracle per x."""
     for pick_max in (False, True):
         expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
                     for xi in xs}
@@ -203,11 +205,10 @@ def test_lambda_set_requires_x_below(group_for):
         "is_good_word", "closed_form_coeff", "m_product_roots"])
 def test_non_reduced_word_rejected(query, word):
     """Every per-word query refuses a word whose length is not the length
-    of its product with DomainError, before any label is filled."""
+    of its product with DomainError."""
     G = fresh_group("A", 2)
     with pytest.raises(DomainError, match="not reduced"):
         query(G, G.identity, word)
-    assert G._labels == {}
 
 
 def test_lambda_size_matches_s_set(group_for):
@@ -369,9 +370,9 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
 @pytest.mark.parametrize("type_letter,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
-    """Every (w, reduced word, x <= w): the labels of one bulk walk over
-    every x, and of walks over random subsets of them, read from the
-    group's label table, equal the per-step recomputation."""
+    """Every (w, reduced word, x <= w): the labels of one bulk scan over
+    every x, and of scans over random subsets of them, equal the per-step
+    recomputation."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     rng = random.Random(0)
@@ -382,109 +383,150 @@ def test_shared_covers_match_oracle_exhaustive(group_for, type_letter, rank):
 
 
 def fresh_group(type_letter, rank):
-    """A group of its own, with an empty label table, unlike the session
-    fixture's shared groups."""
+    """A group of its own, unlike the session fixture's shared groups, with
+    its tables built."""
     G = WeylGroup(build_root_system(type_letter, rank))
     G.ensure_bruhat()
+    G.reduced_word_counts()
+    G.right_ascents_idx()
     return G
+
+
+def tables(group):
+    """A copy of the group's state, less its root system and its cache of
+    reflections by root."""
+    return copy.deepcopy({k: v for k, v in vars(group).items()
+                          if k not in ("rs", "_refl_cache")})
+
+
+def word_scans(group, wi, xset):
+    """(word, increasing label, decreasing label) of every reduced word of
+    w from the single-word scans, in lexicographic order."""
+    return [(word, _greedy_chain_idx(group, word, xset, False),
+             _greedy_chain_idx(group, word, xset, True))
+            for word in group._iter_words_idx(wi)]
+
+
+def element_labels(group, wi, xset):
+    """_word_labels_idx as lists, comparable with word_scans."""
+    return [(word, list(inc), list(dec))
+            for word, inc, dec in _word_labels_idx(group, wi, xset)]
 
 
 @pytest.mark.parametrize("type_letter,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
-    """Both walks over every x for every reduced word of w add to the
-    group's label table only reduced words of elements below w, labelled
-    only for x strictly below their product.  After every w, the table
-    holds no more entries than the non-identity elements have reduced
-    words."""
+    """The scans hold no memo: the per-element walk yields exactly the
+    reduced words of w, once each and in lexicographic order, and after
+    it and both single-word scans over every x for every w the group's
+    tables are as they were built."""
     G = fresh_group(type_letter, rank)
+    built = tables(G)
     for wi in range(G.order()):
-        xs = G.lower_interval_idx(wi)
-        before = set(G._labels)
-        for word in G._iter_words_idx(wi):
-            for pick_max in (False, True):
-                _greedy_chain_idx(G, word, bitset(xs), pick_max)
-        for letters in G._labels.keys() - before:
-            yi = G.word_to_idx(letters)
-            assert G.len_of_idx(yi) == len(letters) and G.leq_idx(yi, wi)
-            filled_inc, _, filled_dec, _ = G._labels[letters]
-            below = G.bruhat_mask(yi) & ~(1 << yi)
-            assert filled_inc & ~below == 0 == filled_dec & ~below
-    assert len(G._labels) <= sum(G.reduced_word_counts()) - 1
+        xset = G.bruhat_mask(wi)
+        assert [word for word, _, _ in element_labels(G, wi, xset)] == \
+            list(G._iter_words_idx(wi))
+        word_scans(G, wi, xset)
+    assert tables(G) == built
+
+
+def test_second_verify_builds_no_cover_list():
+    """A second verify_conjecture on the same group gives the same report,
+    and neither sweep changes the group's tables."""
+    G = fresh_group("B", 3)
+    built = tables(G)
+    config = SweepConfig(type_letter="B", rank=3)
+    first = verify_conjecture(G, config)
+    assert tables(G) == built
+    assert verify_conjecture(G, config) == first
+    assert tables(G) == built
 
 
 def refuse(*args):
-    raise AssertionError("a word or cover list was asked for")
+    raise AssertionError("a word or a chain label was asked for")
 
 
-def test_second_verify_builds_no_cover_list(monkeypatch):
-    """The label table outlives a sweep: a second verify_conjecture on the
-    same group finds every label already filled and builds no cover
-    list."""
-    G = fresh_group("B", 3)
-    config = SweepConfig(type_letter="B", rank=3)
-    first = verify_conjecture(G, config)
-    monkeypatch.setattr(G, "_cover_list", refuse)
-    assert verify_conjecture(G, config) == first
+class CountedRow(list):
+    """A multiplication-table row that counts its reads."""
+    reads = 0
+
+    def __getitem__(self, k):
+        CountedRow.reads += 1
+        return list.__getitem__(self, k)
 
 
-def test_a4_sweep_builds_one_cover_list_per_reduced_word(monkeypatch):
-    """A full A4 sweep in one process leaves exactly 3,060 label table
-    entries, one per non-empty reduced word of A4, each filled in both
-    directions for the whole strict lower interval of its product.  It
-    builds one cover list per word and direction: the sweep meets the
-    words in table order, so every subword is labelled before the words
-    above it ask for it."""
-    G = fresh_group("A", 4)
-    built = []
-    cover_list = G._cover_list
-
-    def counted(letters):
-        built.append(letters)
-        return cover_list(letters)
-
-    monkeypatch.setattr(G, "_cover_list", counted)
-    verify_conjecture(G, SweepConfig(type_letter="A", rank=4))
-    assert len(G._labels) == 3060 == sum(G.reduced_word_counts()) - 1
-    assert len(built) == 2 * 3060 and set(built) == set(G._labels)
-    for letters, (filled_inc, _, filled_dec, _) in G._labels.items():
-        yi = G.word_to_idx(letters)
-        below = G.bruhat_mask(yi) & ~(1 << yi)
-        assert filled_inc == below == filled_dec
-
-
-def test_single_x_chain_fills_one_greedy_path():
-    """A single-x chain query labels only the words on its greedy path:
-    on the canonical word of w0 of F4, lex_min_chain and lex_max_chain of
-    one x add at most 2 * (l(w0) - l(x)) + 1 entries to the label table,
-    not one per word of the interval."""
+def test_single_x_chain_fills_one_greedy_path(monkeypatch):
+    """A single-x chain query is one scan of the word: on the canonical
+    word of w0 of F4, lex_min_chain and lex_max_chain of one x enumerate
+    no reduced word and read the multiplication tables at most twice per
+    letter (once to check the word, once to scan it)."""
     G = fresh_group("F", 4)
     w0 = G.longest_element()
     word = G.canonical_word(w0)
+    monkeypatch.setattr(G, "_iter_words_idx", refuse)
+    monkeypatch.setattr(G, "_lmul", [CountedRow(r) for r in G._lmul])
+    monkeypatch.setattr(G, "_rmul", [CountedRow(r) for r in G._rmul])
     for x in (G.identity, G.element_from_word((1, 2, 3)),
               G.element_from_word((4, 3, 2, 1, 4))):
-        before = len(G._labels)
-        lex_min_chain(G, x, word)
-        lex_max_chain(G, x, word)
-        bound = 2 * (G.length(w0) - G.length(x)) + 1
-        assert len(G._labels) - before <= bound
+        xi = G.idx_of(x)
+        for chain, pick_max in ((lex_min_chain, False),
+                                (lex_max_chain, True)):
+            CountedRow.reads = 0
+            label = chain(G, x, word)
+            assert CountedRow.reads <= 2 * len(word)
+            assert label == greedy_chain_oracle(G, xi, word, pick_max)
 
 
-def test_greedy_raises_when_an_x_has_no_cover(group_for):
-    """An x not below the word's product is never reached: the fill raises
-    rather than return a partial answer, also for the empty word."""
+def test_greedy_raises_when_an_x_is_not_below_the_word(group_for):
+    """An x not below the word's product keeps a residual other than e:
+    the single-word scan raises rather than return a partial answer, in
+    both directions and also for the empty word, and so does the
+    per-element walk."""
     G = group_for("A", 2)
     G.ensure_bruhat()
+    s2 = G.word_to_idx((2,))
     for word in ((1,), ()):
-        with pytest.raises(InvariantError, match="no cover"):
-            _greedy_chain_idx(G, word, 1 << G.word_to_idx((2,)), False)
+        for pick_max in (False, True):
+            with pytest.raises(InvariantError, match="does not end at e"):
+                _greedy_chain_idx(G, word, 1 << s2, pick_max)
+    s1 = G.word_to_idx((1,))
+    with pytest.raises(InvariantError, match="does not end at e"):
+        list(_word_labels_idx(G, s1, G.bruhat_mask(s1) | 1 << s2))
+
+
+@pytest.mark.parametrize("table", ["_lmul", "_rmul"])
+def test_corrupted_multiplication_row_raises(table):
+    """In A2, w = s1 s2 has the one reduced word 1,2.  With s1 made a
+    fixed point of the left multiplication by s1, the left scan of
+    x = s1 never takes a letter; with s2 made a fixed point of the right
+    multiplication by s2, neither does the right scan of x = s2.  Both
+    entries lie off the walk from w down to e, so the word is still
+    found, and the single-word scan, the sweeps' label sets, the public
+    chain and the per-element walk all raise."""
+    G = fresh_group("A", 2)
+    word = (1, 2)
+    wi = G.word_to_idx(word)
+    letter, xi = (1, G.word_to_idx((1,))) if table == "_lmul" else \
+        (2, G.word_to_idx((2,)))
+    getattr(G, table)[letter - 1][xi] = xi
+    pick_max = table == "_lmul"
+    with pytest.raises(InvariantError, match="does not end at e"):
+        _greedy_chain_idx(G, word, 1 << xi, pick_max)
+    with pytest.raises(InvariantError, match="does not end at e"):
+        _label_sets_idx(G, word, 1 << xi)
+    chain = lex_max_chain if pick_max else lex_min_chain
+    with pytest.raises(InvariantError, match="does not end at e"):
+        chain(G, G.elem_of(xi), word)
+    with pytest.raises(InvariantError, match="does not end at e"):
+        list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
 def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
-    """For a word of every w and every subword a chain can reach, the cover
-    list names each deletion that leaves a reduced word, with its element,
-    in position order."""
+    """For a word of every w and every subword a chain can reach, the
+    single deletions of deleted_word_elements_idx that drop the length by
+    one are exactly the deletions that leave a reduced word, with their
+    elements, in position order."""
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
         todo, seen = [G.canonical_word(w)], set()
@@ -494,11 +536,68 @@ def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
             for j in range(len(letters)):
                 rest = letters[:j] + letters[j + 1:]
                 if G.is_reduced(rest):
-                    expected += (j, G.word_to_idx(rest))
+                    expected.append((j, G.word_to_idx(rest)))
                     if rest not in seen:
                         seen.add(rest)
                         todo.append(rest)
-            assert G._cover_list(bytes(letters)) == tuple(expected)
+            got = [(j, d) for j, d in
+                   enumerate(G.deleted_word_elements_idx(letters))
+                   if G.len_of_idx(d) == len(letters) - 1]
+            assert got == expected
+
+
+def test_word_labels_match_per_word_scans_a4(group_for):
+    """Every reduced word of every w of A4: the per-element walk over the
+    whole lower interval gives the single-word scans' labels, word for
+    word, in lexicographic order."""
+    G = group_for("A", 4)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        assert element_labels(G, wi, xset) == word_scans(G, wi, xset)
+
+
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
+def test_word_labels_match_per_word_scans_sampled(group_for, type_letter,
+                                                  rank):
+    """Seeded samples past A4: a random w with at most 3,000 reduced words
+    (F4's longest elements have far more) and a random subset of the x
+    below it."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    counts = G.reduced_word_counts()
+    small = [wi for wi in range(G.order()) if counts[wi] <= 3000]
+
+    @settings(max_examples=15 if type_letter == "F" else 30, deadline=None)
+    @given(st.sampled_from(small), st.randoms(use_true_random=False))
+    def check(wi, rng):
+        xs = G.lower_interval_idx(wi)
+        xset = bitset(rng.sample(xs, rng.randint(1, len(xs))))
+        assert element_labels(G, wi, xset) == word_scans(G, wi, xset)
+
+    check()
+
+
+def test_word_labels_apply_each_trie_edge_once(monkeypatch):
+    """The per-element walk of w0 of B3 takes one scan step per prefix of
+    its reduced words (the left scans) and one per suffix (the right
+    scans), fewer than the two scans of every word would take."""
+    G = fresh_group("B", 3)
+    wi = G.order() - 1
+    words = list(G._iter_words_idx(wi))
+    steps = []
+    step = shellability._scan_step
+
+    def counted(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(shellability, "_scan_step", counted)
+    list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
+    prefixes = {word[:k] for word in words for k in range(1, len(word) + 1)}
+    suffixes = {word[k:] for word in words for k in range(len(word))}
+    assert len(steps) == len(prefixes) + len(suffixes)
+    assert len(steps) < 2 * len(words) * len(words[0])
 
 
 @st.composite
@@ -601,40 +700,14 @@ def test_failing_flags_on_disagreeing_labels():
     assert fails == (0b0110, 0b1100, 0b1010)
 
 
-@pytest.mark.parametrize("pick_max,kept", [(False, 2), (True, 0)])
-def test_corrupted_cover_list_raises(monkeypatch, pick_max, kept):
-    """With one cover of the word 1,2,1 of A2 struck from its cover list,
-    the walk down to e deletes the other outer position first and then a
-    position on the wrong side of it, so its label is not monotone: the
-    walk, the sweeps' label sets and the public chain raise."""
-    G = fresh_group("A", 2)
-    word = (1, 2, 1)
-    cover_list = G._cover_list
-    flat = cover_list(bytes(word))
-    assert flat[::2] == (0, 2)
-    k = flat[::2].index(kept) * 2
-
-    def corrupted(letters):
-        return flat[k:k + 2] if letters == bytes(word) else \
-            cover_list(letters)
-
-    monkeypatch.setattr(G, "_cover_list", corrupted)
-    with pytest.raises(InvariantError, match="not monotone"):
-        _greedy_chain_idx(G, word, 1, pick_max)
-    with pytest.raises(InvariantError, match="not monotone"):
-        _label_sets_idx(G, word, 1)
-    chain = lex_max_chain if pick_max else lex_min_chain
-    with pytest.raises(InvariantError, match="not monotone"):
-        chain(G, G.identity, word)
-
-
-def test_stats_fast_path_builds_no_cover_list(monkeypatch):
-    """The statistics fast path enumerates no reduced word and builds no
-    cover list; cover lists are built only when a greedy search fills a
-    label."""
+def test_stats_fast_path_computes_no_label(monkeypatch):
+    """The statistics fast path enumerates no reduced word and calls
+    neither label routine."""
     G = fresh_group("B", 3)
-    monkeypatch.setattr(G, "_cover_list", refuse)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
+    for module in (shellability, workbench):
+        monkeypatch.setattr(module, "_word_labels_idx", refuse)
+    monkeypatch.setattr(shellability, "_greedy_chain_idx", refuse)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     with pytest.raises(AssertionError):
         lex_min_chain(G, G.identity, G.canonical_word(G.longest_element()))

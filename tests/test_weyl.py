@@ -421,9 +421,12 @@ def test_interval_requires_comparable(group_for):
 
 
 def covers_down(G, w):
-    """All y covered by w, read from the cover list of w's canonical word."""
-    flat = G._cover_list(bytes(G.canonical_word(w)))
-    return {G.elem_of(di) for di in flat[1::2]}
+    """All y covered by w: the single deletions of w's canonical word that
+    drop the length by one."""
+    target = G.length(w) - 1
+    return {G.elem_of(di)
+            for di in G.deleted_word_elements_idx(G.canonical_word(w))
+            if G.len_of_idx(di) == target}
 
 
 def test_covers_down_matches_definition(group_for):

@@ -99,6 +99,33 @@ def test_unknown_flag(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-conjecture"], ["coeff", "--w", "1,2"], ["mtx"],
+    ["cs-check", "--lambda", "1,1"], ["good-words"]], ids=lambda c: c[0])
+def test_format_is_a_stats_flag(capsys, command):
+    """Only stats writes CSV; every other command refuses --format rather
+    than print JSON under it."""
+    code, out, err = run_cli(capsys, *command, "--type", "A", "--rank", "2",
+                             "--format", "csv")
+    assert (code, out) == (4, "")
+    assert "--format" in err
+
+
+def test_non_integer_threads_variable_exits_4():
+    code, out, err = run_proc("verify-conjecture", "--type", "A", "--rank",
+                              "2", env={"WWL_THREADS": "two"})
+    assert (code, out) == (4, "")
+    assert "WWL_THREADS" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_mtx_needs_a_point(capsys, points):
+    code, out, err = run_cli(capsys, "mtx", "--type", "A", "--rank", "2",
+                             "--points", points)
+    assert (code, out) == (4, "")
+    assert "point" in err
+
+
 def _too_large_runs():
     for rank in (7, 8):
         zero = ",".join(["0"] * rank)
