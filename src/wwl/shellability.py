@@ -57,9 +57,9 @@ The increasing label follows by reversing the word and inverting x.  A
 scan whose residual does not end at e means x is not below the word, and
 raises InvariantError.  One step of a scan (_scan_step) moves a map
 {residual y: bitset of the x having it}, so every x is scanned at once.
-_greedy_chain_idx scans one word; _word_labels_idx walks all reduced
-words of w as a prefix trie for the left scan and as a suffix trie for
-the right scan, so each trie edge applies its letter once.
+_greedy_chain_idx scans one word; _word_labels_idx carries the scans
+down the prefix and the suffix trie of the group's walk over the reduced
+words of w, so each trie edge applies its letter once.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -235,43 +235,25 @@ def _greedy_chain_idx(group: WeylGroup, word, xset: int,
     return out if pick_max else out[::-1]
 
 
-def _scan_words(group: WeylGroup, vi: int, residuals: dict, rows,
-                xset: int):
-    """The scans of every reduced word of v in one direction: depth first
-    over the words, peeling a descent of v off the side that rows multiply
-    on (_lmul: left, _rmul: right), letters in increasing order, so each
-    edge of the prefix (suffix) trie applies its letter once.  Yields
-    (peeled letters, label bitsets), both in peeling order."""
-    lens = group._len
-
-    def walk(vi, residuals, peeled, labels):
-        if vi == 0:
-            _check_scanned(residuals)
-            yield peeled, labels
-            return
-        lv = lens[vi]
-        for a, row in enumerate(rows, 1):
-            ui = row[vi]
-            if lens[ui] < lv:
-                nxt, kept = _scan_step(residuals, row, lens)
-                yield from walk(ui, nxt, peeled + (a,),
-                                labels + (xset & ~kept,))
-
-    return walk(vi, residuals, (), ())
-
-
 def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
     """(word, increasing label, decreasing label) for every reduced word of
     w, in lexicographic order, each label bit-sliced over the x of xset
-    like _greedy_chain_idx.  The decreasing labels come from the prefix
-    trie of the words, the increasing ones from the suffix trie, which
-    are held until their word comes up."""
+    like _greedy_chain_idx: the scans ride the word walk of
+    WeylGroup._iter_words_idx, down its prefix and its suffix trie."""
     group.ensure_tables()
-    start = {xi: 1 << xi for xi in _bit_indices(xset)}
-    inc = {word[::-1]: labels[::-1] for word, labels in
-           _scan_words(group, wi, start, group._rmul, xset)}
-    for word, dec in _scan_words(group, wi, start, group._lmul, xset):
-        yield word, inc.pop(word), dec
+    lens = group._len
+
+    def scan(state, row, vi):
+        residuals, labels = state
+        residuals, kept = _scan_step(residuals, row, lens)
+        if vi == 0:  # a leaf keeps only its labels
+            _check_scanned(residuals)
+            residuals = None
+        return residuals, labels + (xset & ~kept,)
+
+    start = ({xi: 1 << xi for xi in _bit_indices(xset)}, ())
+    for word, (_, inc), (_, dec) in group._iter_words_idx(wi, scan, start):
+        yield word, inc[::-1], dec
 
 
 def _bit_indices(mask: int):

@@ -206,16 +206,36 @@ class WeylGroup:
     def all_reduced_words(self, w: WeylElement) -> list[tuple[int, ...]]:
         return list(self.iter_reduced_words(w))
 
-    def _iter_words_idx(self, wi: int):
-        if self._len[wi] == 0:
-            yield ()
+    def _iter_words_idx(self, wi: int, step=None, state=None):
+        """The reduced words of w in lexicographic order: the walk peels
+        left descents, so it follows the prefix trie of the words.  With
+        step, a state also rides down every edge of the prefix trie and of
+        the suffix trie (right descents peeled, last letter first) as
+        step(state, multiplication row of the edge's letter, child), and
+        each item is (word, suffix-trie state, prefix-trie state)."""
+        if step is None:
+            yield from (word for word, _ in
+                        self._walk_words(wi, self._lmul, None, None))
             return
+        right = {peeled[::-1]: end for peeled, end in
+                 self._walk_words(wi, self._rmul, step, state)}
+        for word, end in self._walk_words(wi, self._lmul, step, state):
+            yield word, right.pop(word), end
+
+    def _walk_words(self, wi: int, rows, step, state, peeled=()):
+        """(peeled letters, leaf state) for every reduced word of w, depth
+        first, peeling letters in increasing order off the side that rows
+        multiply on (_lmul: left, _rmul: right)."""
         lw = self._len[wi]
-        for i in range(1, self.rs.rank + 1):
-            wj = self._lmul[i - 1][wi]
-            if self._len[wj] < lw:
-                for rest in self._iter_words_idx(wj):
-                    yield (i,) + rest
+        if lw == 0:
+            yield peeled, state
+            return
+        for a, row in enumerate(rows, 1):
+            vi = row[wi]
+            if self._len[vi] < lw:
+                yield from self._walk_words(vi, rows, step, step and
+                                            step(state, row, vi),
+                                            peeled + (a,))
 
     def enumerate_group(self) -> list[WeylElement]:
         self.ensure_tables()

@@ -442,6 +442,26 @@ def test_second_verify_builds_no_cover_list():
     assert tables(G) == built
 
 
+def test_verify_takes_its_words_from_the_group_walk(monkeypatch):
+    """The verify sweep reads its words from WeylGroup._iter_words_idx,
+    one call per w, and that walk yields every reduced word of every w
+    once."""
+    G = fresh_group("B", 3)
+    walk = G._iter_words_idx
+    calls, words = [], []
+
+    def counted(wi, *args):
+        calls.append(wi)
+        for item in walk(wi, *args):
+            words.append(item[0])
+            yield item
+
+    monkeypatch.setattr(G, "_iter_words_idx", counted)
+    verify_conjecture(G, SweepConfig(type_letter="B", rank=3))
+    assert sorted(calls) == list(range(G.order()))
+    assert len(words) == sum(G.reduced_word_counts())
+
+
 def refuse(*args):
     raise AssertionError("a word or a chain label was asked for")
 
