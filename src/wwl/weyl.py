@@ -27,6 +27,15 @@ update (`_times_simple`).  The key of w^-1 is w rho, the row sums of the
 weight matrix, which gives the inverse table and with it left
 multiplication, s_i w = (w^-1 s_i)^-1.
 
+The Bruhat mask of w is bit(w) OR the masks of the single deletions of
+w's canonical word, so the masks are built in table order with one bigint
+OR per deletion.  This is exact: every deletion is w t for a reflection t
+and is shorter, so it lies below w; every x < w lies below some coatom of
+[x, w]; and by strong exchange every coatom of w is a single deletion of
+any reduced word of w.  The deletions ride down the canonical words: if
+canon[w] = (a,) + canon[w1], then w1 = s_a w and the other deletions of w
+are s_a d for the deletions d of w1, O(l(w)) table reads per element.
+
 The table order is by length, then by root-action matrix within a length.
 That is the order of a breadth-first search over matrix products sorted
 per level, so element indices, canonical words and interval order do not
@@ -321,6 +330,12 @@ class WeylGroup:
         self._canon = canon
 
     def ensure_bruhat(self) -> None:
+        """One bitmask per element w, bit x set iff x <= w: bit(w) OR the
+        masks of the single deletions of canon[w].  Every deletion w t is
+        shorter, hence below w; every x < w lies below a coatom of [x, w];
+        and every coatom of w is a single deletion of any reduced word of
+        w (strong exchange).  With canon[w] = (a,) + canon[w1], the
+        deletions are w1 = s_a w and s_a d for each deletion d of w1."""
         if self._bruhat is not None:
             return
         order = self.rs.group_order
@@ -330,28 +345,20 @@ class WeylGroup:
                 f"take {order * order // 8} bytes; the limit is "
                 f"{MAX_BRUHAT_BYTES}")
         self.ensure_tables()
-        size = len(self._elements)
-        lengths = self._len
-        # per generator: the y with y < s*y, each bundled with bit(y)|bit(s*y)
-        gen_pairs = []
-        for i in range(self.rs.rank):
-            lm = self._lmul[i]
-            pairs = [(y, (1 << y) | (1 << lm[y])) for y in range(size)
-                     if lengths[y] < lengths[lm[y]]]
-            gen_pairs.append(pairs)
+        canon, lmul = self._canon, self._lmul
+        size = len(canon)
         masks = [0] * size
         masks[0] = 1
-        for w in range(1, size):
-            lw = lengths[w]
-            for i in range(self.rs.rank):
-                w1 = self._lmul[i][w]
-                if lengths[w1] < lw:
-                    break
-            m1 = masks[w1]
-            acc = 0
-            for y, bits in gen_pairs[i]:
-                if (m1 >> y) & 1:
-                    acc |= bits
+        # dels[w]: the single deletions of canon[w], one per position
+        dels: list[tuple[int, ...]] = [()] * size
+        for w in range(1, size):  # ascending length: every deletion is done
+            row = lmul[canon[w][0] - 1]
+            w1 = row[w]
+            dw = (w1,) + tuple(row[d] for d in dels[w1])
+            dels[w] = dw
+            acc = 1 << w
+            for d in dw:
+                acc |= masks[d]
             masks[w] = acc
         self._bruhat = masks
 

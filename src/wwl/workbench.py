@@ -40,8 +40,10 @@ DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
 # Largest group each sweep accepts, keyed by command (stats by mode too)
 MAX_ORDER = {
-    # A6; the next group, D6 (23,040 elements), takes 80 s for its Bruhat
-    # masks alone
+    # A6, about 16 s and 42 MB at one thread; the next group, D6 (23,040
+    # elements), builds its element tables in about 1.5 s and its Bruhat
+    # masks in 0.25 s, but the sweep over its pairs then runs for about
+    # 330 s and peaks at 188 MB at one thread
     "stats --mode fast": 5040,
     # B4/C4, about 8 s and 41 MB at one thread (D4 about 0.8 s): every
     # reduced word of every w is scanned, and w's increasing labels, l
@@ -137,10 +139,14 @@ def save_group_cache(group: WeylGroup, cache_dir: str) -> str:
 
 
 def load_group_cache(group: WeylGroup, cache_dir: str) -> bool:
-    """Install cached Bruhat masks; False when absent or corrupt (a
-    corrupt file is ignored, not trusted).  Other keys, such as the word
-    counts that earlier files held, are ignored."""
-    path = _cache_path(cache_dir, group.rs.type_letter, group.rs.rank)
+    """Install cached Bruhat masks; False when absent, corrupt or made for
+    another group (such a file is ignored, not trusted, and the caller
+    rebuilds the masks).  A digest only shows that the file is intact, so
+    the type, rank, order and mask count are checked against the group
+    and every mask is parsed before any is installed.  Other keys, such
+    as the word counts that earlier files held, are ignored."""
+    rs = group.rs
+    path = _cache_path(cache_dir, rs.type_letter, rs.rank)
     if not os.path.exists(path):
         return False
     try:
@@ -149,12 +155,16 @@ def load_group_cache(group: WeylGroup, cache_dir: str) -> bool:
         payload = blob["payload"]
         if blob["sha256"] != _payload_digest(payload):
             return False
-        if payload["order"] != group.order():
+        order = group.order()
+        hexes = payload["bruhat"]
+        if (payload["type"] != rs.type_letter or payload["rank"] != rs.rank
+                or payload["order"] != order or len(hexes) != order):
             return False
-    except (KeyError, ValueError, OSError):
+        masks = [int(h, 16) for h in hexes]
+    except (KeyError, TypeError, ValueError, OSError):
         return False
     group.ensure_tables()
-    group._bruhat = [int(h, 16) for h in payload["bruhat"]]
+    group._bruhat = masks
     return True
 
 

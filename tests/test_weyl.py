@@ -61,6 +61,30 @@ def subword_leq(group, x, word):
     return False
 
 
+def bruhat_masks_oracle(G):
+    """The Bruhat masks by the lifting property, one generator at a time:
+    with s a left descent of w, x <= w iff the shorter of x and s*x lies
+    below s*w, so the mask of w is read off that of s*w by testing every
+    y < s*y for membership, O(|W|) bit tests per element."""
+    G.ensure_tables()
+    size = len(G._elements)
+    lengths, lmul = G._len, G._lmul
+    # per generator: the y with y < s*y, each bundled with bit(y)|bit(s*y)
+    gen_pairs = [[(y, (1 << y) | (1 << lm[y])) for y in range(size)
+                  if lengths[y] < lengths[lm[y]]] for lm in lmul]
+    masks = [0] * size
+    masks[0] = 1
+    for w in range(1, size):
+        i = G._canon[w][0] - 1
+        m1 = masks[lmul[i][w]]
+        acc = 0
+        for y, bits in gen_pairs[i]:
+            if (m1 >> y) & 1:
+                acc |= bits
+        masks[w] = acc
+    return masks
+
+
 def matrix_bfs_tables(G):
     """The element tables built by dense matrix products: a breadth-first
     search over w * s_i, each level sorted by root-action matrix, whose
@@ -256,7 +280,8 @@ def test_spec_pair_comparable(group_for):
     assert G.bruhat_leq(x, w)
 
 
-@pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3), ("B", 2)])
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("G", 2)])
 def test_bruhat_matches_subword_oracle(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     elements = G.enumerate_group()
@@ -264,6 +289,15 @@ def test_bruhat_matches_subword_oracle(group_for, type_letter, rank):
         word = G.canonical_word(w)
         for x in elements:
             assert G.bruhat_leq(x, w) == subword_leq(G, x, word)
+
+
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2)])
+def test_bruhat_masks_match_lifting_oracle(group_for, type_letter, rank):
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    assert G._bruhat == bruhat_masks_oracle(G)
 
 
 def test_bruhat_matches_rank_matrix_oracle(group_for):

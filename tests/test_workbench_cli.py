@@ -398,6 +398,51 @@ def test_cache_rejects_corruption(tmp_path):
     assert not load_group_cache(other, str(tmp_path))
 
 
+def assert_bad_cache_rebuilt(capsys, cache_dir, type_letter):
+    """The loader refuses the file, and verify-conjecture with --cache
+    ignores it: the output is that of a run without the cache, and the
+    file is rewritten with the group's own masks."""
+    assert not load_group_cache(WeylGroup(build_root_system(type_letter, 3)),
+                                str(cache_dir))
+    args = ("verify-conjecture", "--type", type_letter, "--rank", "3")
+    code, plain, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, cached, err = run_cli(capsys, *args, "--cache", str(cache_dir))
+    assert (code, cached, err) == (0, plain, "")
+    fresh = WeylGroup(build_root_system(type_letter, 3))
+    fresh.ensure_bruhat()
+    loaded = WeylGroup(build_root_system(type_letter, 3))
+    assert load_group_cache(loaded, str(cache_dir))
+    assert loaded._bruhat == fresh._bruhat
+
+
+@pytest.mark.parametrize("bad_masks", [
+    lambda masks: masks.__setitem__(5, "not hex"),
+    lambda masks: masks.__delitem__(slice(10, None))],
+    ids=["non-hex-mask", "short-mask-list"])
+def test_cache_with_matching_digest_but_bad_masks_is_rebuilt(
+        tmp_path, capsys, bad_masks):
+    """The digest only shows that the file is intact: a file written with
+    a matching digest around unusable masks is still refused."""
+    path = save_group_cache(WeylGroup(build_root_system("B", 3)),
+                            str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)["payload"]
+    bad_masks(payload["bruhat"])
+    workbench._write_json_atomic(path, {
+        "payload": payload, "sha256": workbench._payload_digest(payload)})
+    assert_bad_cache_rebuilt(capsys, tmp_path, "B")
+
+
+def test_cache_of_another_group_is_rebuilt(tmp_path, capsys):
+    """B3 and C3 have the same order; a B3 file renamed to C3's name is
+    not loaded as C3's masks."""
+    b3 = WeylGroup(build_root_system("B", 3))
+    os.replace(save_group_cache(b3, str(tmp_path)),
+               tmp_path / "wwl-C3.json")
+    assert_bad_cache_rebuilt(capsys, tmp_path, "C")
+
+
 def test_interrupted_cache_rewrite_keeps_old_cache(tmp_path, monkeypatch):
     group = WeylGroup(build_root_system("B", 2))
     group.ensure_bruhat()
