@@ -12,10 +12,9 @@ from .shellability import (beta_sequence, condition_A, condition_B,
                            condition_per_word, deodhar_check, gamma_sequence,
                            is_good_word, lambda_set, lex_max_chain,
                            lex_min_chain, s_set)
-from .coeffs import (CoefficientTable, atom_coeffs, casselman_shalika_check,
-                     char_coeffs, closed_form_coeff, demazure_atom,
-                     demazure_character, spherical_whittaker, tilde_coeffs,
-                     whittaker_function)
+from .coeffs import (atom_coeffs, casselman_shalika_check, char_coeffs,
+                     closed_form_coeff, demazure_atom, demazure_character,
+                     spherical_whittaker, tilde_coeffs, whittaker_function)
 from .hecke import (SpectralPoint, m_direct, m_product, mu, psi,
                     sample_spectral_point)
 

@@ -10,7 +10,7 @@
 Exit codes: 0 ok, 2 mathematical violation, 3 size budget exceeded,
 4 bad input, 5 unlucky-point exhaustion.  All JSON output has sorted keys;
 identical configurations produce byte-identical output.  WWL_THREADS
-overrides --threads.
+overrides --threads; either must be an integer of at least 1.
 """
 
 from __future__ import annotations
@@ -109,6 +109,9 @@ def _config_from(args) -> SweepConfig:
         except ValueError:
             raise DomainError(f"WWL_THREADS must be an integer, not "
                               f"{threads!r}") from None
+    for count in (args.threads, threads):
+        if count is not None and count < 1:
+            raise DomainError(f"a thread count must be at least 1, not {count}")
     config = SweepConfig(type_letter=args.type_letter, rank=args.rank,
                          seed=args.seed, threads=threads,
                          cache_dir=args.cache_dir, large=args.large)

@@ -3,7 +3,10 @@ coefficients between them.
 
 Everything composes the operator calculus along reduced words.  The
 operators all satisfy the braid relations, so any reduced word gives the
-same answer; the canonical word of an element is used by default.
+same answer; the canonical word of an element is used by default.  A
+coefficient table is a dict from element index (the group's table order)
+to coefficient; the public functions take WeylElements and return such
+dicts, read back with group.elem_of or group.canon_of_idx.
 
 The central object is the table of coefficients c anchored at w, defined by
 expanding the deformed operator product through atom operators:
@@ -44,15 +47,13 @@ keep them as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
                        ga_sum, mul_one_minus_v_exp, reflect, t_op)
 from .roots import Weight
 from .shellability import (_checked_word_idx, _failing_flags,
                            _greedy_chain_idx, _label_of, _label_sets_idx,
-                           beta_sequence)
+                           _reduced_word_idx, beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -93,53 +94,37 @@ def demazure_atom(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
 def spherical_whittaker(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
     """Sum of the Whittaker functions over the lower interval of w.
 
-    The interval is walked in index order, so for x with canonical word
-    (a, ...) the element s_a x < x comes earlier and t_x e^lam is one t_op
-    on t_(s_a x) e^lam."""
+    The interval is walked in index order, which is by length, so for x
+    with canonical word (a, ...) the element s_a x < x is on the previous
+    length level and t_x e^lam is one t_op on t_(s_a x) e^lam.  The values
+    are summed as they come, and only the previous level is kept."""
     lam = _check_dominant(group, lam)
     rs = group.rs
-    group.ensure_bruhat()
-    values: dict[int, GAElement] = {}
-    for xi in group.lower_interval_idx(group.idx_of(w)):
-        word = group.canon_of_idx(xi)
-        if word:
-            a = word[0]
-            f = t_op(rs, rs.simple_root(a), values[group.lmul_idx(a, xi)])
-        else:
-            f = GAElement.monomial(lam)
-        values[xi] = f
-    return ga_sum(values.values())
+
+    def values():
+        prev, cur, level = {}, {0: GAElement.monomial(lam)}, 0
+        yield cur[0]
+        for xi in group.lower_interval_idx(group.idx_of(w))[1:]:
+            a = group.canon_of_idx(xi)[0]
+            if group.len_of_idx(xi) > level:
+                prev, cur, level = cur, {}, level + 1
+            f = cur[xi] = t_op(rs, rs.simple_root(a),
+                               prev[group.lmul_idx(a, xi)])
+            yield f
+
+    return ga_sum(values())
 
 
-@dataclass
-class CoefficientTable:
-    """Transition coefficients anchored at one element; the key set is the
-    full lower interval.  zero_keys records interior entries that came out
-    identically zero (none are expected, but occurrences are data, not
-    errors)."""
-
-    anchor: WeylElement
-    entries: dict[WeylElement, GAElement]
-    zero_keys: list[WeylElement] = field(default_factory=list)
-
-
-def _word_recursion(group: WeylGroup, w: WeylElement, word,
+def _word_recursion(group: WeylGroup, wi: int, word,
                     step) -> dict[int, GAElement]:
-    """Left multiplication along a reduced word of w (the canonical one by
-    default), rightmost letter first.  Starting from {e: 1}, each letter s
-    with cur < s cur maps the table on [e, cur] to the table on [e, s cur]
-    by step(group, letter, table, new_idx); new entries come in index
-    order, which lists s y before y whenever s y < y."""
-    group.ensure_bruhat()
-    if word is None:
-        word = group.canonical_word(w)
-    word = tuple(word)
-    wi = group.word_to_idx(word)
-    if group.idx_of(w) != wi:
-        raise DomainError("word is not a word for w")
-    if group.len_of_idx(wi) != len(word):
-        raise DomainError("word is not reduced")
-    cur = group.idx_of(group.identity)
+    """Left multiplication along a reduced word of the element of index wi
+    (the canonical one by default), rightmost letter first.  Starting from
+    {e: 1}, each letter s with cur < s cur maps the table on [e, cur] to the
+    table on [e, s cur] by step(group, letter, table, new_idx); new entries
+    come in index order, which lists s y before y whenever s y < y."""
+    word = group.canon_of_idx(wi) if word is None else tuple(word)
+    _reduced_word_idx(group, word, wi)
+    cur = 0  # the identity
     table = {cur: GAElement.one(group.rs.rank)}
     for letter in reversed(word):
         cur = group.lmul_idx(letter, cur)
@@ -166,21 +151,24 @@ def _atom_step(group: WeylGroup, letter: int, table, new_idx):
     return out
 
 
-def atom_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
-    """Coefficient table for w via the three-case left-multiplication
-    recursion along a reduced word (the canonical one by default)."""
-    table = _word_recursion(group, w, word, _atom_step)
-    entries = {group.elem_of(xi): val for xi, val in table.items()}
-    result = CoefficientTable(anchor=w, entries=entries)
-    ident = group.identity
-    if not entries[ident]:
+def _atom_coeffs_idx(group: WeylGroup, wi: int,
+                     word=None) -> dict[int, GAElement]:
+    """atom_coeffs for the element of index wi.  An interior entry may be
+    zero (none is expected; it is data, not an error), an end may not."""
+    table = _word_recursion(group, wi, word, _atom_step)
+    if not table[0]:
         raise InvariantError("coefficient at the identity vanished")
-    if not entries[w]:
+    if not table[wi]:
         raise InvariantError("coefficient at the anchor vanished")
-    for x, val in entries.items():
-        if not val:
-            result.zero_keys.append(x)
-    return result
+    return table
+
+
+def atom_coeffs(group: WeylGroup, w: WeylElement,
+                word=None) -> dict[int, GAElement]:
+    """c[w,x] for every x <= w, keyed by the index of x, via the three-case
+    left-multiplication recursion along a reduced word (the canonical one
+    by default)."""
+    return _atom_coeffs_idx(group, group.idx_of(w), word)
 
 
 def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
@@ -194,6 +182,12 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     is the variant whose failure off-condition is itself a tested fact."""
     word = tuple(word)
     xi, _ = _checked_word_idx(group, x, word)
+    return _closed_form_idx(group, word, xi, check)
+
+
+def _closed_form_idx(group: WeylGroup, word, xi: int,
+                     check: bool = True) -> GAElement:
+    """closed_form_coeff for the x of index xi below a reduced word."""
     if not check:
         return _closed_form_product(group, word, _label_of(
             _greedy_chain_idx(group, word, 1 << xi, pick_max=False), xi))
@@ -243,26 +237,22 @@ def _char_step(group: WeylGroup, letter: int, table, new_idx):
     return out
 
 
-def char_coeffs(group: WeylGroup, w: WeylElement, word=None) -> CoefficientTable:
-    """Coefficients on Demazure characters, by their own left-multiplication
-    recursion along a reduced word (the canonical one by default)."""
-    table = _word_recursion(group, w, word, _char_step)
-    return CoefficientTable(
-        anchor=w, entries={group.elem_of(yi): val for yi, val in table.items()})
+def char_coeffs(group: WeylGroup, w: WeylElement,
+                word=None) -> dict[int, GAElement]:
+    """d[w,y] for every y <= w, keyed by the index of y, by their own
+    left-multiplication recursion along a reduced word (the canonical one
+    by default)."""
+    return _word_recursion(group, group.idx_of(w), word, _char_step)
 
 
-def tilde_coeffs(group: WeylGroup, w: WeylElement) -> CoefficientTable:
+def tilde_coeffs(group: WeylGroup, w: WeylElement) -> dict[int, GAElement]:
     """Coefficients of the summed (spherical-type) function on Demazure
-    characters: for each x, sum the character coefficients of every y in
-    [x, w].  Needs one recursion per y below w."""
-    group.ensure_bruhat()
-    char_tables = {y: char_coeffs(group, y)
-                   for y in group.interval(group.identity, w)}
-    entries: dict[WeylElement, GAElement] = {}
-    for x in group.interval(group.identity, w):
-        entries[x] = ga_sum(char_tables[y].entries[x]
-                            for y in group.interval(x, w))
-    return CoefficientTable(anchor=w, entries=entries)
+    characters, keyed by element index: for each x, sum the character
+    coefficients d[y,x] of every y in [x, w].  Needs one recursion per y
+    below w; the table of y holds x exactly when x <= y."""
+    ys = group.lower_interval_idx(group.idx_of(w))
+    tables = [_word_recursion(group, yi, None, _char_step) for yi in ys]
+    return {xi: ga_sum(t[xi] for t in tables if xi in t) for xi in ys}
 
 
 def casselman_shalika_check(group: WeylGroup, lam: Weight) -> bool:

@@ -4,9 +4,9 @@ basis and the dual intertwining basis.
 
 Instead of exact rational functions in rank-many torus variables, every
 identity is tested at random points of a large prime field (default
-modulus 2^61 - 1): an element is a finite map from group elements to field
-scalars, the basis vector t_w being the characteristic function of w.  The
-generators satisfy
+modulus 2^61 - 1): an element is a dict from element index (the group's
+table order, 0 the identity) to nonzero field scalars, the basis vector
+t_w being {index of w: 1}.  The generators satisfy
 
     t_i * t_w = t_(s_i w)                  if s_i w > w,
     t_i * t_w = (q-1) t_w + q t_(s_i w)    if s_i w < w,
@@ -48,7 +48,7 @@ from .weyl import WeylElement, WeylGroup
 
 MODULUS_DEFAULT = (1 << 61) - 1
 
-HeckeElement = dict  # WeylElement -> field scalar
+HeckeElement = dict  # element index -> field scalar
 
 
 class SpectralPoint:
@@ -108,41 +108,38 @@ def hecke_left_mul_gen(group: WeylGroup, letter: int, f: HeckeElement,
     """t_i * f by the generator rule, extended linearly."""
     p, q = pt.p, pt.q
     qm1 = (q - 1) % p
-    group.simple_reflection(letter)  # range check
+    group.word_to_idx((letter,))  # checks the letter, builds the tables
     out: HeckeElement = {}
-    for w, c in f.items():
-        wi = group.idx_of(w)
+    for wi, c in f.items():
         swi = group.lmul_idx(letter, wi)
-        sw = group.elem_of(swi)
         if group.len_of_idx(swi) > group.len_of_idx(wi):
-            out[sw] = (out.get(sw, 0) + c) % p
+            out[swi] = (out.get(swi, 0) + c) % p
         else:
-            out[w] = (out.get(w, 0) + qm1 * c) % p
-            out[sw] = (out.get(sw, 0) + q * c) % p
-    return {w: c for w, c in out.items() if c}
+            out[wi] = (out.get(wi, 0) + qm1 * c) % p
+            out[swi] = (out.get(swi, 0) + q * c) % p
+    return {wi: c for wi, c in out.items() if c}
 
 
 def hecke_mul(group: WeylGroup, f: HeckeElement, g: HeckeElement,
               pt: SpectralPoint) -> HeckeElement:
     """f * g, expanding each basis element of f through a reduced word."""
     p = pt.p
+    group.ensure_tables()
     out: HeckeElement = {}
-    for w, c in f.items():
+    for wi, c in f.items():
         h = g
-        for letter in reversed(group.canonical_word(w)):
+        for letter in reversed(group.canon_of_idx(wi)):
             h = hecke_left_mul_gen(group, letter, h, pt)
-        for y, d in h.items():
-            out[y] = (out.get(y, 0) + c * d) % p
-    return {w: c for w, c in out.items() if c}
+        for yi, d in h.items():
+            out[yi] = (out.get(yi, 0) + c * d) % p
+    return {wi: c for wi, c in out.items() if c}
 
 
 def psi(group: WeylGroup, x: WeylElement) -> HeckeElement:
     """Indicator sum of t_w over the upper interval {w : w >= x}."""
     group.ensure_bruhat()
     xi = group.idx_of(x)
-    size = group.order()
-    return {group.elem_of(wi): 1 for wi in range(size)
-            if group.leq_idx(xi, wi)}
+    return {wi: 1 for wi in range(group.order()) if group.leq_idx(xi, wi)}
 
 
 # per group: steps[w] = (b, g, beta) for every w but e, where the canonical
@@ -208,12 +205,12 @@ def mu(group: WeylGroup, w: WeylElement, pt: SpectralPoint) -> HeckeElement:
     f = [1] + [0] * (group.order() - 1)
     for b, _, beta in reversed(chain):
         f = _mu_step(f, right[b], _root_coeff(pt, beta), pt.u, pt.p)
-    return {group.elem_of(i): c for i, c in enumerate(f) if c}
+    return {i: c for i, c in enumerate(f) if c}
 
 
 def lambda_functional(group: WeylGroup, f: HeckeElement) -> int:
     """Coefficient of t_e."""
-    return f.get(group.identity, 0)
+    return f.get(0, 0)
 
 
 def m_direct(group: WeylGroup, x: WeylElement, w: WeylElement,
@@ -251,9 +248,7 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
     above x and that the chain condition holds for (x, word), and returns
     the roots gamma of the increasing-chain label."""
     word = tuple(word)
-    xi, wi = _checked_word_idx(group, x, word)
-    if wi != group.idx_of(w):
-        raise DomainError("word is not a word for w")
+    xi, _ = _checked_word_idx(group, x, word, w)
     return _m_product_roots_idx(group, xi, word)
 
 

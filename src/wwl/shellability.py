@@ -74,11 +74,23 @@ from .roots import Coords
 from .weyl import WeylElement, WeylGroup
 
 
-def _checked_word_idx(group: WeylGroup, x: WeylElement, word) -> tuple[int, int]:
-    group.ensure_bruhat()
-    wi = group.word_to_idx(word)
-    if group.len_of_idx(wi) != len(word):
+def _reduced_word_idx(group: WeylGroup, word, wi: int | None = None) -> int:
+    """Index of the product of word, which must be reduced and, when wi is
+    given, a word for the element of index wi."""
+    vi = group.word_to_idx(word)
+    if group.len_of_idx(vi) != len(word):
         raise DomainError("word is not reduced")
+    if wi is not None and vi != wi:
+        raise DomainError("word is not a word for w")
+    return vi
+
+
+def _checked_word_idx(group: WeylGroup, x: WeylElement, word,
+                      w: WeylElement | None = None) -> tuple[int, int]:
+    """(x, word's product) as indices; the word must be reduced, above x,
+    and a word for w when w is given."""
+    group.ensure_bruhat()
+    wi = _reduced_word_idx(group, word, None if w is None else group.idx_of(w))
     xi = group.idx_of(x)
     if not group.leq_idx(xi, wi):
         raise DomainError("x is not below the product of the word")

@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import (_check_dominant, _closed_form_product, atom_coeffs,
-                     casselman_shalika_check, char_coeffs,
-                     closed_form_coeff)
+from .coeffs import (_atom_coeffs_idx, _check_dominant, _closed_form_idx,
+                     _closed_form_product, atom_coeffs,
+                     casselman_shalika_check, char_coeffs)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
                     sample_spectral_point)
@@ -201,15 +201,17 @@ def _worker(item):
 
 
 def parallel_over(group: WeylGroup, fn, items, threads: int, costs=None):
-    """Map fn(group, item) over items, preserving order.  Forks only when
-    asked to and possible; the group tables must already be built.
+    """Map fn(group, item) over items, preserving order, forking when
+    asked to and possible, at most one worker per item and per CPU; the
+    group tables must already be built.
 
     Without costs, workers take chunks of consecutive items, which suits
     uniform work.  With costs (one estimate per item), items are handed
     out one per task, heaviest first, so a worker that draws the few
     heavy items is not left with a long chunk behind them."""
     items = list(items)
-    if threads <= 1 or len(items) <= 1 or \
+    threads = min(threads, len(items), os.cpu_count() or 1)
+    if threads <= 1 or \
             multiprocessing.get_start_method(allow_none=True) not in (None, "fork"):
         return [fn(group, it) for it in items]
     global _WORKER_GROUP, _WORKER_FN
@@ -386,21 +388,19 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     group.ensure_bruhat()
     w_word = tuple(w_word)
     w = group.element_from_word(w_word)
-    if group.length(w) != len(w_word):
-        raise DomainError("the given word for w is not reduced")
-    table = atom_coeffs(group, w, w_word)
+    table = atom_coeffs(group, w, w_word)  # checks that w_word is reduced
     chars = char_coeffs(group, w, w_word) if include_char else None
 
-    def entry_for(x):
+    def entry_for(xi):
         obj = {
-            "x": list(group.canonical_word(x)),
-            "value": table.entries[x].to_json_obj(),
+            "x": list(group.canon_of_idx(xi)),
+            "value": table[xi].to_json_obj(),
         }
         try:
-            closed = closed_form_coeff(group, x, w_word)
+            closed = _closed_form_idx(group, w_word, xi)
             obj["condition"] = "holds"
             obj["closed_form"] = closed.to_json_obj()
-            obj["closed_form_matches"] = closed == table.entries[x]
+            obj["closed_form_matches"] = closed == table[xi]
         except ConditionError as exc:
             obj["condition"] = "fails"
             obj["closed_form"] = None
@@ -410,24 +410,23 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
                 "chain_max": list(exc.chain_max or ()),
             }
         if chars is not None:
-            obj["char_coeff"] = chars.entries[x].to_json_obj()
+            obj["char_coeff"] = chars[xi].to_json_obj()
         return obj
 
     report = {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,
         "w": list(w_word),
-        "zero_entries": [list(group.canonical_word(x))
-                         for x in table.zero_keys],
+        "zero_entries": [list(group.canon_of_idx(xi))
+                         for xi, val in table.items() if not val],
     }
     if x_word is None:
-        report["coeffs"] = [entry_for(x) for x in
-                            group.interval(group.identity, w)]
+        report["coeffs"] = [entry_for(xi) for xi in table]
     else:
-        x = group.element_from_word(tuple(x_word))
-        if not group.bruhat_leq(x, w):
+        xi = group.word_to_idx(x_word)
+        if xi not in table:
             raise DomainError("x is not below w")
-        report["coeffs"] = [entry_for(x)]
+        report["coeffs"] = [entry_for(xi)]
     return report
 
 
@@ -555,14 +554,12 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     mismatches = 0
     failing_differs = False
     for wi in range(group.order()):
-        table = atom_coeffs(group, group.elem_of(wi))
-        xs = group.lower_interval_idx(wi)
+        table = _atom_coeffs_idx(group, wi)
         xset = group.bruhat_mask(wi)
         for word, inc, dec in _word_labels_idx(group, wi, xset):
             lam = _lambda_sets_idx(group, word, xset)
             fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
-            for xi in xs:
-                entry = table.entries[group.elem_of(xi)]
+            for xi, entry in table.items():
                 if not (fails_i & fails_ii) >> xi & 1:
                     held += 1
                     closed = _closed_form_product(group, word, _label_of(

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wwl import ConditionError, DomainError
-from wwl.coeffs import (CoefficientTable, atom_coeffs,
-                        casselman_shalika_check, char_coeffs,
+from wwl.coeffs import (atom_coeffs, casselman_shalika_check, char_coeffs,
                         closed_form_coeff, demazure_atom, demazure_character,
                         spherical_whittaker, tilde_coeffs, whittaker_function)
 from wwl.groupalg import (GAElement, atom_op, demazure, ga_sum,
@@ -20,27 +19,27 @@ from wwl.groupalg import (GAElement, atom_op, demazure, ga_sum,
                           t_op)
 
 
-def char_from_atom_coeffs(group, table):
+def char_from_atom_coeffs(group, w, table):
     """Character coefficients from the atom coefficient table of w, as
-    alternating sums over Bruhat intervals; one addition per pair, the
-    oracle of char_coeffs."""
-    w = table.anchor
+    alternating sums over the Bruhat intervals [x, w]; one addition per
+    pair, the oracle of char_coeffs.  Both tables are keyed by element
+    index."""
     entries = {}
-    for x in table.entries:
+    for xi in table:
+        x = group.elem_of(xi)
         lx = group.length(x)
-        entries[x] = ga_sum(
-            -table.entries[y] if (group.length(y) - lx) % 2
-            else table.entries[y] for y in group.interval(x, w))
-    return CoefficientTable(anchor=w, entries=entries)
+        entries[xi] = ga_sum(
+            -table[group.idx_of(y)] if (group.length(y) - lx) % 2
+            else table[group.idx_of(y)] for y in group.interval(x, w))
+    return entries
 
 
-def atom_from_char_coeffs(group, table):
+def atom_from_char_coeffs(group, w, table):
     """Inverse transform: plain interval sums of the character
     coefficients."""
-    w = table.anchor
-    entries = {x: ga_sum(table.entries[y] for y in group.interval(x, w))
-               for x in table.entries}
-    return CoefficientTable(anchor=w, entries=entries)
+    return {xi: ga_sum(table[group.idx_of(y)]
+                       for y in group.interval(group.elem_of(xi), w))
+            for xi in table}
 
 
 def rand_dominant(rs, rng, hi=3):
@@ -174,15 +173,16 @@ def test_left_multiplication_rules(group_for, type_letter, rank):
 def test_atom_coeffs_identity(group_for):
     G = group_for("A", 2)
     table = atom_coeffs(G, G.identity)
-    assert table.entries == {G.identity: GAElement.one(2)}
+    assert table == {G.idx_of(G.identity): GAElement.one(2)}
 
 
 def test_atom_coeffs_rank_one_values(group_for):
     G = group_for("A", 1)
     s1 = G.element_from_word((1,))
     table = atom_coeffs(G, s1)
-    assert table.entries[s1] == GAElement({(0,): (1,), (-2,): (0, -1)})
-    assert table.entries[G.identity] == GAElement({(-2,): (0, -1)})
+    assert set(table) == {G.idx_of(s1), G.idx_of(G.identity)}
+    assert table[G.idx_of(s1)] == GAElement({(0,): (1,), (-2,): (0, -1)})
+    assert table[G.idx_of(G.identity)] == GAElement({(-2,): (0, -1)})
 
 
 def test_atom_coeffs_rejects_non_reduced(group_for):
@@ -198,7 +198,7 @@ def test_atom_coeffs_word_independent(group_for, type_letter, rank):
         words = G.all_reduced_words(w)
         base = atom_coeffs(G, w, words[0])
         for word in words[1:]:
-            assert atom_coeffs(G, w, word).entries == base.entries
+            assert atom_coeffs(G, w, word) == base
 
 
 def test_corollary_edge_coefficients(group_for):
@@ -211,11 +211,11 @@ def test_corollary_edge_coefficients(group_for):
         tw1 = GAElement.one(rs.rank)
         for letter in reversed(G.canonical_word(w)):
             tw1 = t_op(rs, rs.simple_root(letter), tw1)
-        assert table.entries[G.identity] == tw1
+        assert table[G.idx_of(G.identity)] == tw1
         prod = GAElement.one(rs.rank)
         for alpha in G.inversion_set(w):
             prod = mul_one_minus_v_exp(rs, alpha, prod)
-        assert table.entries[w] == prod
+        assert table[G.idx_of(w)] == prod
 
 
 def test_operator_identity_small(group_for):
@@ -225,8 +225,8 @@ def test_operator_identity_small(group_for):
         for w in G.enumerate_group():
             table = atom_coeffs(G, w)
             total = GAElement.zero()
-            for x, c in table.entries.items():
-                total = total + c * demazure_atom(G, x, lam)
+            for xi, c in table.items():
+                total = total + c * demazure_atom(G, G.elem_of(xi), lam)
             assert total == whittaker_function(G, w, lam)
 
 
@@ -254,7 +254,7 @@ def test_closed_form_spec_example(group_for):
     x = G.element_from_word((2, 3))
     word = (1, 2, 1, 3, 2, 1)
     w = G.element_from_word(word)
-    assert closed_form_coeff(G, x, word) == atom_coeffs(G, w).entries[x]
+    assert closed_form_coeff(G, x, word) == atom_coeffs(G, w)[G.idx_of(x)]
 
 
 def test_closed_form_condition_error_carries_labels(group_for):
@@ -275,8 +275,9 @@ def test_char_coeffs_rank_one(group_for):
     G = group_for("A", 1)
     s1 = G.element_from_word((1,))
     table = char_coeffs(G, s1)
-    assert table.entries[s1] == GAElement({(0,): (1,), (-2,): (0, -1)})
-    assert table.entries[G.identity] == GAElement({(0,): (-1,)})
+    assert set(table) == {G.idx_of(s1), G.idx_of(G.identity)}
+    assert table[G.idx_of(s1)] == GAElement({(0,): (1,), (-2,): (0, -1)})
+    assert table[G.idx_of(G.identity)] == GAElement({(0,): (-1,)})
 
 
 def test_char_atom_round_trip(group_for):
@@ -284,8 +285,7 @@ def test_char_atom_round_trip(group_for):
     for w in G.enumerate_group():
         atoms = atom_coeffs(G, w)
         chars = char_coeffs(G, w)
-        back = atom_from_char_coeffs(G, chars)
-        assert back.entries == atoms.entries
+        assert atom_from_char_coeffs(G, w, chars) == atoms
 
 
 def test_char_coeffs_expand_whittaker(group_for):
@@ -294,8 +294,8 @@ def test_char_coeffs_expand_whittaker(group_for):
     for w in G.enumerate_group():
         table = char_coeffs(G, w)
         total = GAElement.zero()
-        for x, c in table.entries.items():
-            total = total + c * demazure_character(G, x, lam)
+        for xi, c in table.items():
+            total = total + c * demazure_character(G, G.elem_of(xi), lam)
         assert total == whittaker_function(G, w, lam)
 
 
@@ -305,9 +305,11 @@ def test_tilde_coeffs_expand_spherical(group_for):
     for word in [(), (1,), (1, 2), (1, 2, 1)]:
         w = G.element_from_word(word)
         table = tilde_coeffs(G, w)
+        assert set(table) == {G.idx_of(x)
+                              for x in G.interval(G.identity, w)}
         total = GAElement.zero()
-        for x, c in table.entries.items():
-            total = total + c * demazure_character(G, x, lam)
+        for xi, c in table.items():
+            total = total + c * demazure_character(G, G.elem_of(xi), lam)
         assert total == spherical_whittaker(G, w, lam)
 
 
@@ -332,9 +334,10 @@ def test_zero_entries_recorded_not_asserted(group_for):
     G = group_for("A", 3)
     for w in G.enumerate_group():
         table = atom_coeffs(G, w)
-        assert set(table.entries) == set(G.interval(G.identity, w))
-        for x in table.zero_keys:
-            assert x != G.identity and x != w
+        assert set(table) == {G.idx_of(x) for x in G.interval(G.identity, w)}
+        for xi, c in table.items():
+            if not c:
+                assert xi not in (G.idx_of(G.identity), G.idx_of(w))
 
 
 # -- the character recursion and the shared Whittaker sums -------------------------
@@ -346,8 +349,8 @@ def test_char_recursion_matches_interval_sums(group_for, type_letter, rank):
     atom table for every w."""
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
-        oracle = char_from_atom_coeffs(G, atom_coeffs(G, w))
-        assert char_coeffs(G, w).entries == oracle.entries
+        oracle = char_from_atom_coeffs(G, w, atom_coeffs(G, w))
+        assert char_coeffs(G, w) == oracle
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 4), ("D", 4)])
@@ -355,8 +358,8 @@ def test_char_recursion_matches_interval_sums_at_w0(group_for, type_letter,
                                                     rank):
     G = group_for(type_letter, rank)
     w0 = G.longest_element()
-    oracle = char_from_atom_coeffs(G, atom_coeffs(G, w0))
-    assert char_coeffs(G, w0).entries == oracle.entries
+    oracle = char_from_atom_coeffs(G, w0, atom_coeffs(G, w0))
+    assert char_coeffs(G, w0) == oracle
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -416,7 +419,7 @@ def test_closed_form_matches_recursion_sampled(group_for, type_letter, rank,
         if wi not in tables:
             tables[wi] = atom_coeffs(G, G.elem_of(wi))
         held.append(drawn)
-        assert closed == tables[wi].entries[x]
+        assert closed == tables[wi][xi]
 
     check()
     assert held

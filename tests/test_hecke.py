@@ -25,15 +25,15 @@ def mu_via_word(G, word, pt):
     """Oracle for mu: peel the last letter of a reduced word and translate
     the point, mu_z(w) = mu_z(s_c) mu_(s_c z)(w s_c)."""
     if not word:
-        return {G.identity: 1}
+        return {G.idx_of(G.identity): 1}
     letter = word[-1]
     s = G.simple_reflection(letter)
     z = pt.z[letter - 1]
     denom = (1 - z) % pt.p
     coeff = (1 - pt.u) * z % pt.p * inv(denom, pt.p) % pt.p
-    factor = {s: pt.u}
+    factor = {G.idx_of(s): pt.u}
     if coeff:
-        factor[G.identity] = coeff
+        factor[G.idx_of(G.identity)] = coeff
     rest = mu_via_word(G, word[:-1], pt.translate(G, s))
     return hecke_mul(G, factor, rest, pt)
 
@@ -44,7 +44,7 @@ def walk_column_oracle(G, wi, pt):
     up the weak order, then the psi sums of their t_e coefficients."""
     G.ensure_bruhat()
     size = G.order()
-    ident = G.identity
+    ident = G.idx_of(G.identity)
     muw = mu(G, G.elem_of(wi), pt)
     lam_vals = [0] * size
     tymu = [None] * size
@@ -123,24 +123,53 @@ def test_left_mul_gen_rules(group_for, rng):
     G = group_for("A", 2)
     pt = sample_spectral_point(G.rs, rng)
     p, q = pt.p, pt.q
-    e, s1 = G.identity, G.element_from_word((1,))
+    e, s1 = G.idx_of(G.identity), G.word_to_idx((1,))
     assert hecke_left_mul_gen(G, 1, {e: 1}, pt) == {s1: 1}
     assert hecke_left_mul_gen(G, 1, {s1: 1}, pt) == \
         {s1: (q - 1) % p, e: q}
-    s12 = G.element_from_word((1, 2))
-    assert hecke_left_mul_gen(G, 1, {G.element_from_word((2,)): 1}, pt) == \
+    s12 = G.word_to_idx((1, 2))
+    assert hecke_left_mul_gen(G, 1, {G.word_to_idx((2,)): 1}, pt) == \
         {s12: 1}
+
+
+@pytest.mark.parametrize("type_letter,rank", [("B", 3), ("G", 2)])
+def test_left_mul_gen_matches_matrix_oracle(group_for, rng, type_letter,
+                                            rank):
+    """t_a t_w on every (letter, w), with s_a w found by multiplying the
+    element matrices rather than from the multiplication tables; then the
+    product with a random combination of all basis vectors, by
+    linearity."""
+    G = group_for(type_letter, rank)
+    pt = sample_spectral_point(G.rs, rng)
+    p, q = pt.p, pt.q
+    coeffs = {wi: rng.randrange(1, p) for wi in range(G.order())}
+    for a in range(1, rank + 1):
+        total = {}
+        for wi, c in coeffs.items():
+            swi = G.idx_of(G.simple_reflection(a) * G.elem_of(wi))
+            if G.len_of_idx(swi) > G.len_of_idx(wi):
+                want = {swi: 1}
+            else:
+                want = {wi: (q - 1) % p, swi: q}
+            assert hecke_left_mul_gen(G, a, {wi: 1}, pt) == want
+            for yi, d in want.items():
+                total[yi] = (total.get(yi, 0) + c * d) % p
+        assert hecke_left_mul_gen(G, a, coeffs, pt) == \
+            {yi: d for yi, d in total.items() if d}
+    with pytest.raises(DomainError):
+        hecke_left_mul_gen(G, rank + 1, {0: 1}, pt)
 
 
 def test_hecke_mul_unit_and_associativity(group_for, rng):
     G = group_for("A", 2)
-    e = G.identity
+    e = G.idx_of(G.identity)
     for _ in range(5):
         pt = sample_spectral_point(G.rs, rng)
-        f = {G.element_from_word((1,)): 3, G.element_from_word((2, 1)): 5}
+        f = {G.word_to_idx((1,)): 3, G.word_to_idx((2, 1)): 5}
         assert hecke_mul(G, f, {e: 1}, pt) == f
-        t1 = {G.element_from_word((1,)): 1}
-        t2 = {G.element_from_word((2,)): 1}
+        assert hecke_mul(G, {e: 1}, f, pt) == f
+        t1 = {G.word_to_idx((1,)): 1}
+        t2 = {G.word_to_idx((2,)): 1}
         left = hecke_mul(G, hecke_mul(G, t1, t2, pt), t1, pt)
         right = hecke_mul(G, t1, hecke_mul(G, t2, t1, pt), pt)
         assert left == right
@@ -150,9 +179,9 @@ def test_longest_element_square_rank_one(group_for, rng):
     G = group_for("A", 1)
     pt = sample_spectral_point(G.rs, rng)
     p, q = pt.p, pt.q
-    s1 = G.element_from_word((1,))
+    s1 = G.word_to_idx((1,))
     got = hecke_mul(G, {s1: 1}, {s1: 1}, pt)
-    assert got == {s1: (q - 1) % p, G.identity: q}
+    assert got == {s1: (q - 1) % p, G.idx_of(G.identity): q}
 
 
 # -- intertwining elements --------------------------------------------------------------
@@ -160,7 +189,7 @@ def test_longest_element_square_rank_one(group_for, rng):
 def test_mu_identity(group_for, rng):
     G = group_for("A", 2)
     pt = sample_spectral_point(G.rs, rng)
-    assert mu(G, G.identity, pt) == {G.identity: 1}
+    assert mu(G, G.identity, pt) == {G.idx_of(G.identity): 1}
 
 
 def test_mu_one_generator_formula(group_for, rng):
@@ -170,7 +199,7 @@ def test_mu_one_generator_formula(group_for, rng):
     z = pt.z[0]
     got = mu(G, G.element_from_word((1,)), pt)
     coeff = (1 - pt.u) * z % p * inv((1 - z) % p, p) % p
-    assert got == {G.element_from_word((1,)): pt.u, G.identity: coeff}
+    assert got == {G.word_to_idx((1,)): pt.u, G.idx_of(G.identity): coeff}
 
 
 def test_mu_word_independent(group_for, rng):
@@ -212,8 +241,9 @@ def test_mu_unlucky_denominator(group_for):
 def test_psi_extremes(group_for):
     G = group_for("A", 2)
     w0 = G.longest_element()
-    assert psi(G, w0) == {w0: 1}
-    assert psi(G, G.identity) == {w: 1 for w in G.enumerate_group()}
+    assert psi(G, w0) == {G.idx_of(w0): 1}
+    assert psi(G, G.identity) == {G.idx_of(w): 1
+                                  for w in G.enumerate_group()}
 
 
 def test_psi_support_of_generator(group_for):
@@ -221,8 +251,9 @@ def test_psi_support_of_generator(group_for):
     s1 = G.element_from_word((1,))
     support = psi(G, s1)
     assert len(support) == 4
-    assert set(support) == {s1, G.element_from_word((1, 2)),
-                            G.element_from_word((2, 1)), G.longest_element()}
+    assert set(support) == {G.idx_of(w) for w in (
+        s1, G.element_from_word((1, 2)), G.element_from_word((2, 1)),
+        G.longest_element())}
 
 
 # -- transition coefficients ------------------------------------------------------------
@@ -305,7 +336,8 @@ def test_trace_identity(group_for, rng, type_letter, rank):
         want = pow(pt.q, G.length(y), pt.p)
         y_inv = G.inverse(y)
         for v in elements:
-            got = lambda_functional(G, hecke_mul(G, {y: 1}, {v: 1}, pt))
+            got = lambda_functional(G, hecke_mul(
+                G, {G.idx_of(y): 1}, {G.idx_of(v): 1}, pt))
             assert got == (want if v == y_inv else 0)
 
 
@@ -334,9 +366,9 @@ def test_interval_sum_eigen_relation(group_for, rng, type_letter, rank):
                 psi_x = psi(G, x)
                 rem = {w: (upper.get(w, 0) - psi_x.get(w, 0)) % p
                        for w in set(upper) | set(psi_x)}
-                for w, c in rem.items():
+                for wi, c in rem.items():
                     if c:
-                        assert G.bruhat_leq(xs, w)
+                        assert G.bruhat_leq(xs, G.elem_of(wi))
 
 
 def test_product_theorem_b2(group_for, rng):

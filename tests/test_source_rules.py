@@ -60,3 +60,34 @@ def test_oracle_only_helpers_not_in_library():
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []
+
+
+def test_elements_by_index_inside_library():
+    """Inside the library an element is its table index: coefficient
+    tables and Hecke elements are keyed by index, so there is no
+    element-keyed table class; a WeylElement is fetched by index only to
+    act on a root or a weight; and no code lists an interval of
+    WeylElements."""
+    assert [place for place, name in library_names()
+            if name == "CoefficientTable"] == []
+    paths = sorted(pathlib.Path(wwl.__file__).parent.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        actions = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("apply_root", "apply_weight"):
+                actions.add(id(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "elem_of" and id(node) not in actions:
+                found.append(f"{path.name}:{node.lineno}:elem_of")
+            if name == "interval":
+                found.append(f"{path.name}:{node.lineno}:interval")
+    assert found == []

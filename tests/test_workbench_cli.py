@@ -118,6 +118,61 @@ def test_non_integer_threads_variable_exits_4():
     assert "WWL_THREADS" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["--threads", "0"], None), (["--threads", "-1"], None),
+    ([], "-1"), ([], "0"), (["--threads", "2"], "-1")])
+def test_thread_counts_below_one_exit_4(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("WWL_THREADS", env)
+    code, out, err = run_cli(capsys, "verify-conjecture", "--type", "A",
+                             "--rank", "2", *argv)
+    assert (code, out) == (4, "")
+    assert "at least 1" in err
+
+
+class FakePoolContext:
+    """Stands in for a fork context: records the size of every pool asked
+    for and maps in this process, so no worker is started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("threads,items,cpus,size", [
+    (8, 3, 64, 3), (8, 10, 2, 2), (3, 10, 64, 3), (2, 10, None, None),
+    (4, 1, 64, None), (1, 10, 64, None)])
+@pytest.mark.parametrize("costs", [False, True])
+def test_pool_capped_by_items_and_cpus(monkeypatch, threads, items, cpus,
+                                       size, costs):
+    """parallel_over asks for at most one worker per item and per CPU, and
+    none when that leaves one; the results do not depend on the count."""
+    ctx = FakePoolContext()
+    monkeypatch.setattr(workbench.multiprocessing, "get_context",
+                        lambda method: ctx)
+    monkeypatch.setattr(workbench.multiprocessing, "get_start_method",
+                        lambda allow_none=False: "fork")
+    monkeypatch.setattr(workbench.os, "cpu_count", lambda: cpus)
+    group = WeylGroup(build_root_system("A", 2))
+    got = workbench.parallel_over(
+        group, lambda g, item: (item, g.order()), range(items), threads,
+        costs=list(range(items)) if costs else None)
+    assert got == [(item, 6) for item in range(items)]
+    assert ctx.sizes == ([] if size is None else [size])
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_mtx_needs_a_point(capsys, points):
     code, out, err = run_cli(capsys, "mtx", "--type", "A", "--rank", "2",
