@@ -24,8 +24,10 @@ is b followed by that of g, then
 
     mu_z(w) = mu_z(g) (u t_b + c_beta t_e),    beta = g^-1 alpha_b > 0.
 
-Right multiplication by t_b reads rmul and the length table: O(|W|^2) per
-point for every mu_z, one inversion per positive root.  m(x, w) is the t_e
+`mu` applies it along the canonical word of w, and `m_matrix` builds
+every mu_z(w) in table order.  Right multiplication by t_b reads the
+group's rmul and length tables, nothing else is kept: O(|W|^2) per point
+for every mu_z, one inversion per positive root.  m(x, w) is the t_e
 coefficient of psi(x) mu_z(w), psi(x) the sum of t_y over y >= x.  The t_e
 coefficient of t_y t_v is q^l(y) if v = y^-1 and 0 otherwise (the
 symmetrizing trace), so m(x, w) = sum over y >= x of q^l(y) mu_z(w)[y^-1]:
@@ -38,7 +40,6 @@ time; a vanishing denominator met later raises a retryable error.
 from __future__ import annotations
 
 import random
-import weakref
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
@@ -142,39 +143,6 @@ def psi(group: WeylGroup, x: WeylElement) -> HeckeElement:
     return {wi: 1 for wi in range(group.order()) if group.leq_idx(xi, wi)}
 
 
-# per group: steps[w] = (b, g, beta) for every w but e, where the canonical
-# word of w is letter b + 1 followed by that of g, and beta = g^-1 alpha_(b+1);
-# and right[b][y] = (y s_(b+1), whether it is below y)
-_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# per group, built on first use by m_matrix: for every x, the y >= x
-_UPPER: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _steps(group: WeylGroup):
-    if group not in _STEPS:
-        group.ensure_tables()
-        lens, lmul = group._len, group._lmul
-        steps: list = [None]
-        for w in range(1, group.order()):
-            b = group.canon_of_idx(w)[0] - 1
-            g = lmul[b][w]
-            steps.append((b, g, group.elem_of(group._inv[g]).apply_root(
-                group.rs.simple_root(b + 1))))
-        right = [[(ys, lens[ys] < lens[y]) for y, ys in enumerate(row)]
-                 for row in group._rmul]
-        _STEPS[group] = steps, right
-    return _STEPS[group]
-
-
-def _upper_intervals(group: WeylGroup) -> list[list[int]]:
-    if group not in _UPPER:
-        group.ensure_bruhat()
-        masks = group._bruhat
-        _UPPER[group] = [[y for y, m in enumerate(masks) if (m >> x) & 1]
-                         for x in range(len(masks))]
-    return _UPPER[group]
-
-
 def _root_coeff(pt: SpectralPoint, beta: Coords) -> int:
     """c_beta = (1-u) z^beta / (1-z^beta) at the point."""
     p = pt.p
@@ -185,30 +153,34 @@ def _root_coeff(pt: SpectralPoint, beta: Coords) -> int:
     return (1 - pt.u) * zb % p * pow(denom, p - 2, p) % p
 
 
-def _mu_step(f: list[int], right_b, c: int, u: int, p: int) -> list[int]:
+def _mu_beta(group: WeylGroup, b: int, g: int) -> Coords:
+    """g^-1 alpha_b, with g given by its index."""
+    return group.elem_of(group._inv[g]).apply_root(group.rs.simple_root(b))
+
+
+def _mu_step(group: WeylGroup, f: list[int], b: int, c: int, u: int,
+             p: int) -> list[int]:
     """f (u t_b + c t_e) for f dense over element indices; with uq = 1,
     u t_y t_b is t_(y s_b) if y s_b > y, else (1-u) t_y + u t_(y s_b)."""
     cd = (c + 1 - u) % p
-    return [(cd * fy + u * f[ys]) % p if down else (c * fy + f[ys]) % p
-            for fy, (ys, down) in zip(f, right_b)]
+    lens = group._len
+    return [(cd * fy + u * f[ys]) % p if lens[ys] < ly
+            else (c * fy + f[ys]) % p
+            for fy, ys, ly in zip(f, group._rmul[b - 1], lens)]
 
 
 def mu(group: WeylGroup, w: WeylElement, pt: SpectralPoint) -> HeckeElement:
     """The intertwining element for w at the point, built along the
-    canonical word of w by mu_z(s_b g) = mu_z(g) (u t_b + c_beta t_e)."""
-    steps, right = _steps(group)
-    chain = []
-    wi = group.idx_of(w)
-    while wi:
-        chain.append(steps[wi])
-        wi = steps[wi][1]
-    f = [1] + [0] * (group.order() - 1)
-    for b, _, beta in reversed(chain):
-        f = _mu_step(f, right[b], _root_coeff(pt, beta), pt.u, pt.p)
+    canonical word of w from the right by the recursion above."""
+    f, g = [1] + [0] * (group.order() - 1), 0
+    for b in reversed(group.canon_of_idx(group.idx_of(w))):
+        c = _root_coeff(pt, _mu_beta(group, b, g))
+        f = _mu_step(group, f, b, c, pt.u, pt.p)
+        g = group.lmul_idx(b, g)
     return {i: c for i, c in enumerate(f) if c}
 
 
-def lambda_functional(group: WeylGroup, f: HeckeElement) -> int:
+def lambda_functional(f: HeckeElement) -> int:
     """Coefficient of t_e."""
     return f.get(0, 0)
 
@@ -216,22 +188,27 @@ def lambda_functional(group: WeylGroup, f: HeckeElement) -> int:
 def m_direct(group: WeylGroup, x: WeylElement, w: WeylElement,
              pt: SpectralPoint) -> int:
     """m(x, w) from the definition: t_e coefficient of psi(x) mu_z(w)."""
-    return lambda_functional(group, hecke_mul(group, psi(group, x),
-                                              mu(group, w, pt), pt))
+    return lambda_functional(hecke_mul(group, psi(group, x),
+                                       mu(group, w, pt), pt))
 
 
 def m_matrix(group: WeylGroup, pt: SpectralPoint) -> list[list[int]]:
     """All m(x, w) at one point, indexed by the element table, from the
     trace form: out[x][w] = sum over y >= x of q^l(y) mu_z(w)[y^-1].  Every
-    entry is computed, x not below w included."""
-    steps, right = _steps(group)
-    ups = _upper_intervals(group)
+    entry is computed, x not below w included.  Each mu_z(w) comes from
+    mu_z(s_b w), b the first letter of w's canonical word."""
+    group.ensure_bruhat()
     p, u = pt.p, pt.u
     size = group.order()
+    ups = [[y for y, m in enumerate(group._bruhat) if (m >> x) & 1]
+           for x in range(size)]
     cs = {beta: _root_coeff(pt, beta) for beta in group.rs.positive_roots}
     mus = [[1] + [0] * (size - 1)]
-    for b, g, beta in steps[1:]:
-        mus.append(_mu_step(mus[g], right[b], cs[beta], u, p))
+    for wi in range(1, size):
+        b = group.canon_of_idx(wi)[0]
+        g = group.lmul_idx(b, wi)
+        mus.append(_mu_step(group, mus[g], b, cs[_mu_beta(group, b, g)],
+                            u, p))
     qlen = [pow(pt.q, group.len_of_idx(y), p) for y in range(size)]
     out = [[0] * size for _ in range(size)]
     for wi, muw in enumerate(mus):

@@ -23,13 +23,14 @@ w = s_1...s_n and x <= w:
 
 Labels are held bit-sliced, one bitset over x per word position:
 _label_sets_idx computes the three labels of every x below one word at
-once, and _failing_flags reads off the x failing each flag.  The sweeps
-that visit every word of w (verify, the independent statistics, the
-main-theorem sweep) take both chain labels of all its words from
-_word_labels_idx; first_witnesses is the lexicographic witness search
-over the reduced words of w; and deodhar_slack_idx counts #S(x,w).  Per-x
-tuples are read from the bitsets (_label_of) only where a caller needs
-them: violation records, closed forms, and the single-x public functions.
+once, and _failing_flags reads off the x failing each flag.  The two
+sweeps that visit every word of w (verify, also run by the independent
+statistics, and the main-theorem sweep) take the three labels of all
+its words from _word_labels_idx; first_witnesses is the lexicographic
+witness search over the reduced words of w; and deodhar_slack_idx counts
+#S(x,w).  Per-x tuples are read from the bitsets (_label_of) only where
+a caller needs them: violation records, closed forms, and the single-x
+public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -248,9 +249,8 @@ def _greedy_chain_idx(group: WeylGroup, word, xset: int,
 
 
 def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
-    """(word, increasing label, decreasing label) for every reduced word of
-    w, in lexicographic order, each label bit-sliced over the x of xset
-    like _greedy_chain_idx: the scans ride the word walk of
+    """_label_sets_idx of every reduced word of w, with the word, in
+    lexicographic order: the label scans ride the word walk of
     WeylGroup._iter_words_idx, down its prefix and its suffix trie."""
     group.ensure_tables()
     lens = group._len
@@ -265,7 +265,7 @@ def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
 
     start = ({xi: 1 << xi for xi in _bit_indices(xset)}, ())
     for word, (_, inc), (_, dec) in group._iter_words_idx(wi, scan, start):
-        yield word, inc[::-1], dec
+        yield word, _lambda_sets_idx(group, word, xset), inc[::-1], dec
 
 
 def _bit_indices(mask: int):

@@ -31,9 +31,9 @@ from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
                     sample_spectral_point)
 from .roots import build_root_system
 from .shellability import (_bit_indices, _failing_flags, _flag_ii_idx,
-                           _good_word_idx, _label_of, _lambda_sets_idx,
-                           _word_labels_idx, condition_b_mask,
-                           deodhar_slack_idx, first_witnesses)
+                           _good_word_idx, _label_of, _word_labels_idx,
+                           condition_b_mask, deodhar_slack_idx,
+                           first_witnesses)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -60,6 +60,8 @@ MAX_ORDER = {
     # good word is tested on every reduced word of w
     "good-words": 192,
 }
+# Most matrix entries mtx holds, |W|^2 per point: 113 points on B4/C4
+MAX_MTX_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -242,15 +244,16 @@ def _triples_per_w(group: WeylGroup) -> list[int]:
 def _verify_w(group: WeylGroup, wi: int):
     """Every (reduced word, x <= w) triple of one w: the three flags of all
     x of a word are compared at once on bitsets over x, and per-x labels
-    are read only for the x whose flags disagree."""
+    are read only for the x whose flags disagree; `held` counts the x
+    with flag (i) on some word."""
     xs = group.lower_interval_idx(wi)
     xset = group.bruhat_mask(wi)
-    triples = 0
+    triples = held = 0
     violations = []
-    for word, inc, dec in _word_labels_idx(group, wi, xset):
+    for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
         triples += len(xs)
-        lam = _lambda_sets_idx(group, word, xset)
         fails = _failing_flags(lam, inc, dec)
+        held |= xset & ~fails[0]
         for xi in _bit_indices((fails[0] | fails[1] | fails[2])
                                & ~(fails[0] & fails[1] & fails[2])):
             violations.append({
@@ -265,13 +268,15 @@ def _verify_w(group: WeylGroup, wi: int):
     deodhar_failures = [
         {"w": list(group.canon_of_idx(wi)), "x": list(group.canon_of_idx(xi))}
         for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs)) if slack < 0]
-    return {"triples": triples, "violations": violations,
-            "deodhar_failures": deodhar_failures}
+    return {"triples": triples, "held": held.bit_count(),
+            "violations": violations, "deodhar_failures": deodhar_failures}
 
 
 def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
     """Exhaustively test the equivalence of the three per-word flags over
     every (w, reduced word, x <= w) triple, stopping at the triple budget."""
+    if config.budget < 1:
+        raise DomainError("verify-conjecture needs a budget of at least 1")
     group.ensure_bruhat()
     size = group.order()
     per_w = _triples_per_w(group)
@@ -285,7 +290,7 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
     partial = len(included) < size
     results = parallel_over(group, _verify_w, included, config.threads,
                             costs=per_w[:len(included)])
-    report = {
+    return {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,
         "elements_swept": len(included),
@@ -295,32 +300,16 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
         "deodhar_failures": [d for r in results for d in r["deodhar_failures"]],
         "partial": partial,
     }
-    return report
 
 
 # -- statistics ------------------------------------------------------------------
-
-def _stats_row_independent(group: WeylGroup, wi: int):
-    """(n_leq, n_cond) of one w from its reduced words: per word all three
-    flags are computed independently and must agree."""
-    xset = group.bruhat_mask(wi)
-    held = 0
-    for word, inc, dec in _word_labels_idx(group, wi, xset):
-        fails_i, fails_ii, fails_iii = _failing_flags(
-            _lambda_sets_idx(group, word, xset), inc, dec)
-        if not fails_i == fails_ii == fails_iii:
-            raise InvariantError(
-                "per-word flags disagree: equivalence violated")
-        held |= xset & ~fails_i
-    return xset.bit_count(), held.bit_count()
-
 
 def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     """One row per element: how many x below it satisfy the chain condition
     for some reduced word.  The fast mode reads the pairs from one
     condition_b_mask per x, relying on the verified equivalence of the
-    three flags; the independent mode enumerates words per element and
-    computes all three flags independently."""
+    three flags; the independent mode runs the verify sweep and raises
+    InvariantError on any flag disagreement or Deodhar failure."""
     require_size(group, f"stats --mode {config.mode}", config.large)
     group.ensure_bruhat()
     size = group.order()
@@ -333,8 +322,17 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
         counts = [(group.bruhat_mask(wi).bit_count(), cond[wi])
                   for wi in range(size)]
     else:
-        counts = parallel_over(group, _stats_row_independent, range(size),
-                               config.threads, costs=_triples_per_w(group))
+        results = parallel_over(group, _verify_w, range(size),
+                                config.threads, costs=_triples_per_w(group))
+        for r in results:
+            if r["violations"]:
+                raise InvariantError(
+                    f"per-word flags disagree: {r['violations'][0]}")
+            if r["deodhar_failures"]:
+                raise InvariantError(
+                    f"Deodhar's inequality fails: {r['deodhar_failures'][0]}")
+        counts = [(group.bruhat_mask(wi).bit_count(), r["held"])
+                  for wi, r in enumerate(results)]
 
     rows = []
     for wi in sorted(range(size), key=group.canon_of_idx):
@@ -438,16 +436,19 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     if config.points < 1:
         raise DomainError("mtx needs at least one spectral point")
     require_size(group, "mtx")
+    size = group.order()
+    if config.points * size * size > MAX_MTX_ENTRIES:
+        raise BudgetError(f"{config.points} points of order {size} pass "
+                          f"the {MAX_MTX_ENTRIES} matrix entries mtx holds")
     group.ensure_bruhat()
     rng = random.Random(config.seed)
     points = [sample_spectral_point(group.rs, rng)
               for _ in range(config.points)]
-    size = group.order()
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
     # x, then one lexicographic search per w over just those x < w; each
-    # pair's chain roots read the labels the search filled
+    # pair's chain roots come from two label scans of its witness word
     cond = [condition_b_mask(group, xi) for xi in range(size)]
     roots = []
     for wi in range(size):
@@ -543,7 +544,7 @@ def good_words_report(group: WeylGroup) -> dict:
     }
 
 
-# -- main-theorem sweep (shared by tests and reports) ------------------------------
+# -- main-theorem sweep (run by the tests) ----------------------------------------
 
 def main_theorem_sweep(group: WeylGroup) -> dict:
     """Across every (w, reduced word, x <= w): where the per-word condition
@@ -556,8 +557,7 @@ def main_theorem_sweep(group: WeylGroup) -> dict:
     for wi in range(group.order()):
         table = _atom_coeffs_idx(group, wi)
         xset = group.bruhat_mask(wi)
-        for word, inc, dec in _word_labels_idx(group, wi, xset):
-            lam = _lambda_sets_idx(group, word, xset)
+        for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
             fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
             for xi, entry in table.items():
                 if not (fails_i & fails_ii) >> xi & 1:

@@ -140,6 +140,7 @@ def test_left_mul_gen_matches_matrix_oracle(group_for, rng, type_letter,
     product with a random combination of all basis vectors, by
     linearity."""
     G = group_for(type_letter, rank)
+    G.ensure_tables()  # elem_of reads them; the group may be fresh
     pt = sample_spectral_point(G.rs, rng)
     p, q = pt.p, pt.q
     coeffs = {wi: rng.randrange(1, p) for wi in range(G.order())}
@@ -336,7 +337,7 @@ def test_trace_identity(group_for, rng, type_letter, rank):
         want = pow(pt.q, G.length(y), pt.p)
         y_inv = G.inverse(y)
         for v in elements:
-            got = lambda_functional(G, hecke_mul(
+            got = lambda_functional(hecke_mul(
                 G, {G.idx_of(y): 1}, {G.idx_of(v): 1}, pt))
             assert got == (want if v == y_inv else 0)
 

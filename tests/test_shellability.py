@@ -400,17 +400,17 @@ def tables(group):
 
 
 def word_scans(group, wi, xset):
-    """(word, increasing label, decreasing label) of every reduced word of
-    w from the single-word scans, in lexicographic order."""
-    return [(word, _greedy_chain_idx(group, word, xset, False),
-             _greedy_chain_idx(group, word, xset, True))
+    """(word, lambda_set, increasing label, decreasing label) of every
+    reduced word of w from the single-word computations, in lexicographic
+    order."""
+    return [(word, *_label_sets_idx(group, word, xset))
             for word in group._iter_words_idx(wi)]
 
 
 def element_labels(group, wi, xset):
     """_word_labels_idx as lists, comparable with word_scans."""
-    return [(word, list(inc), list(dec))
-            for word, inc, dec in _word_labels_idx(group, wi, xset)]
+    return [(word, list(lam), list(inc), list(dec))
+            for word, lam, inc, dec in _word_labels_idx(group, wi, xset)]
 
 
 @pytest.mark.parametrize("type_letter,rank",
@@ -424,7 +424,7 @@ def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
     built = tables(G)
     for wi in range(G.order()):
         xset = G.bruhat_mask(wi)
-        assert [word for word, _, _ in element_labels(G, wi, xset)] == \
+        assert [word for word, *_ in element_labels(G, wi, xset)] == \
             list(G._iter_words_idx(wi))
         word_scans(G, wi, xset)
     assert tables(G) == built
@@ -568,8 +568,8 @@ def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
 
 def test_word_labels_match_per_word_scans_a4(group_for):
     """Every reduced word of every w of A4: the per-element walk over the
-    whole lower interval gives the single-word scans' labels, word for
-    word, in lexicographic order."""
+    whole lower interval gives the single-word lambda sets and scans'
+    labels, word for word, in lexicographic order."""
     G = group_for("A", 4)
     G.ensure_bruhat()
     for wi in range(G.order()):
@@ -657,28 +657,32 @@ def test_shared_covers_match_oracle_sampled(group_for, type_letter, rank):
 
 
 def verify_w_oracle(group, wi):
-    """_verify_w's triple count and violation records, from labels_oracle."""
+    """_verify_w's triple count, count of x with flag (i) on some word,
+    and violation records, from labels_oracle."""
     xs = group.lower_interval_idx(wi)
-    triples, violations = 0, []
+    triples, held, violations = 0, set(), []
     for word in group._iter_words_idx(wi):
         for xi, (lam, inc, dec, flags) in zip(
                 xs, labels_oracle(group, word, xs)):
             triples += 1
+            if flags[0]:
+                held.add(xi)
             if len(set(flags)) > 1:
                 violations.append({
                     "w": list(group.canon_of_idx(wi)), "word": list(word),
                     "x": list(group.canon_of_idx(xi)), "lambda": list(lam),
                     "chain_min": list(inc), "chain_max": list(dec),
                     "flags": list(flags)})
-    return triples, violations
+    return triples, len(held), violations
 
 
 @pytest.mark.parametrize("type_letter,rank",
                          [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_flags_match_tuple_oracle_exhaustive(group_for, type_letter, rank):
     """Every (w, reduced word, x <= w): the bit-sliced labels, flags and
-    disagreeing x equal the tuple oracle's, and so do the triple count and
-    violation records of the verify sweep."""
+    disagreeing x equal the tuple oracle's, and so do the triple count,
+    the count of x with flag (i) on some word and the violation records
+    of the verify sweep."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     for wi in range(G.order()):
@@ -686,7 +690,8 @@ def test_flags_match_tuple_oracle_exhaustive(group_for, type_letter, rank):
         for word in G._iter_words_idx(wi):
             assert_flags_match_tuple_oracle(G, word, xs)
         got = _verify_w(G, wi)
-        assert (got["triples"], got["violations"]) == verify_w_oracle(G, wi)
+        assert (got["triples"], got["held"], got["violations"]) == \
+            verify_w_oracle(G, wi)
 
 
 @pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])

@@ -12,8 +12,8 @@ import pytest
 
 from wwl import WeylGroup, build_root_system, roots, workbench
 from wwl.cli import main
-from wwl.errors import InvariantError
-from wwl.shellability import _failing_flags, condition_B
+from wwl.errors import BudgetError, InvariantError
+from wwl.shellability import _failing_flags, condition_B, deodhar_slack_idx
 from wwl.workbench import (SweepConfig, load_group_cache, mtx_report,
                            parse_int_seq, pct_string, save_group_cache,
                            stats_sweep, verify_conjecture)
@@ -24,6 +24,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_tables(self):
+    raise AssertionError("a table was built")
 
 
 def run_proc(*argv, env=None):
@@ -181,6 +185,28 @@ def test_mtx_needs_a_point(capsys, points):
     assert "point" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_needs_a_positive_budget(capsys, monkeypatch, budget):
+    """A budget below one triple is bad input, refused before any table is
+    built."""
+    monkeypatch.setattr(WeylGroup, "ensure_tables", refuse_tables)
+    code, out, err = run_cli(capsys, "verify-conjecture", "--type", "A",
+                             "--rank", "2", "--budget", budget)
+    assert (code, out) == (4, "")
+    assert "budget" in err
+
+
+def test_mtx_entry_limit_before_any_table(monkeypatch):
+    """points * |W|^2 above MAX_MTX_ENTRIES is refused before any table is
+    built: on B4 (384 elements) 113 points pass the gate and 114 do not."""
+    monkeypatch.setattr(WeylGroup, "ensure_tables", refuse_tables)
+    group = WeylGroup(build_root_system("B", 4))
+    with pytest.raises(AssertionError, match="table"):
+        mtx_report(group, SweepConfig("B", 4, points=113))
+    with pytest.raises(BudgetError, match="entries"):
+        mtx_report(group, SweepConfig("B", 4, points=114))
+
+
 def _too_large_runs():
     for rank in (7, 8):
         zero = ",".join(["0"] * rank)
@@ -202,6 +228,8 @@ def _too_large_runs():
     # above the mtx order limit
     for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
+    # above the mtx entry limit: 114 points of 384^2 entries
+    yield ["mtx", "--type", "B", "--rank", "4", "--points", "114"]
     # above the good-words order limit
     for type_letter, rank in (("B", 4), ("F", 4), ("A", 5)):
         yield ["good-words", "--type", type_letter, "--rank", str(rank)]
@@ -345,14 +373,40 @@ def test_stats_independent_mode_cli(capsys):
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
+    """Flag (ii) of x = e flipped on every word: the independent
+    statistics raise after the sweep, naming the first disagreeing triple,
+    that of the empty word of e."""
     def disagreeing(lam, inc, dec):
         fails_i, fails_ii, fails_iii = _failing_flags(lam, inc, dec)
         return fails_i, fails_ii ^ 1, fails_iii  # flag (ii) of e flipped
 
     monkeypatch.setattr(workbench, "_failing_flags", disagreeing)
     group = WeylGroup(build_root_system("A", 2))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError,
+                       match=r"disagree: \{'w': \[\], 'word': \[\], "
+                             r"'x': \[\],"):
         stats_sweep(group, SweepConfig("A", 2, mode="independent"))
+
+
+def test_stats_independent_deodhar_failure_raises(monkeypatch, capsys):
+    """One negative #S(x,w) slack forced, at x = e below the longest
+    element of A2: the independent statistics raise, naming the pair, and
+    the command exits 2 with nothing on stdout."""
+    def one_negative(group, wi, xs):
+        slack = deodhar_slack_idx(group, wi, xs)
+        if wi == group.order() - 1:
+            slack[xs.index(0)] = -1
+        return slack
+
+    monkeypatch.setattr(workbench, "deodhar_slack_idx", one_negative)
+    group = WeylGroup(build_root_system("A", 2))
+    with pytest.raises(InvariantError,
+                       match=r"Deodhar.*\{'w': \[1, 2, 1\], 'x': \[\]\}$"):
+        stats_sweep(group, SweepConfig("A", 2, mode="independent"))
+    code, out, err = run_cli(capsys, "stats", "--type", "A", "--rank", "2",
+                             "--mode", "independent", "--threads", "1")
+    assert (code, out) == (2, "")
+    assert "Deodhar" in err
 
 
 def test_verify_flag_disagreement_is_one_violation(monkeypatch, capsys):
