@@ -59,7 +59,10 @@ from .weyl import WeylElement, WeylGroup
 
 def _check_dominant(group: WeylGroup, lam: Weight) -> Weight:
     lam = _checked_weight(lam)
-    if len(lam) != group.rs.rank or not group.rs.is_dominant(lam):
+    if len(lam) != group.rs.rank:
+        raise DomainError(f"weight {lam} has length {len(lam)}; rank "
+                          f"{group.rs.rank} needs length {group.rs.rank}")
+    if not group.rs.is_dominant(lam):
         raise DomainError(f"weight {lam} is not dominant")
     return lam
 

@@ -26,11 +26,11 @@ _label_sets_idx computes the three labels of every x below one word at
 once, and _failing_flags reads off the x failing each flag.  The two
 sweeps that visit every word of w (verify, also run by the independent
 statistics, and the main-theorem sweep) take the three labels of all
-its words from _word_labels_idx; first_witnesses is the lexicographic
-witness search over the reduced words of w; and deodhar_slack_idx counts
-#S(x,w).  Per-x tuples are read from the bitsets (_label_of) only where
-a caller needs them: violation records, closed forms, and the single-x
-public functions.
+its words from _word_labels_idx, per edge of w's weak interval (below);
+first_witnesses is the lexicographic witness search over the reduced
+words of w; and deodhar_slack_idx counts #S(x,w).  Per-x tuples are read
+from the bitsets (_label_of) only where a caller needs them: violation
+records, closed forms, and the single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -58,9 +58,12 @@ The increasing label follows by reversing the word and inverting x.  A
 scan whose residual does not end at e means x is not below the word, and
 raises InvariantError.  One step of a scan (_scan_step) moves a map
 {residual y: bitset of the x having it}, so every x is scanned at once.
-_greedy_chain_idx scans one word; _word_labels_idx carries the scans
-down the prefix and the suffix trie of the group's walk over the reduced
-words of w, so each trie edge applies its letter once.
+_greedy_chain_idx scans one word.  A scan step is a 0-Hecke action, so
+the map after a prefix or suffix depends only on its product, and
+_word_labels_idx scans each edge v -> s_a v of w's left weak interval
+once, position i of a word a_1...a_n being the edge at v = a_i...a_n:
+left going down from w, right going up from e, and lambda is the mask of
+(w v^-1)(s_a v).  Two edges that give one node different maps raise.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -248,24 +251,43 @@ def _greedy_chain_idx(group: WeylGroup, word, xset: int,
     return out if pick_max else out[::-1]
 
 
+def _scan_edge(maps: dict, node: int, residuals: dict, row, lens) -> int:
+    """_scan_step into maps[node], which must match a map already there."""
+    out, kept = _scan_step(residuals, row, lens)
+    if maps.setdefault(node, out) != out:
+        raise InvariantError(
+            "two reduced words of one product leave different residuals")
+    return kept
+
+
 def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
     """_label_sets_idx of every reduced word of w, with the word, in
-    lexicographic order: the label scans ride the word walk of
-    WeylGroup._iter_words_idx, down its prefix and its suffix trie."""
-    group.ensure_tables()
-    lens = group._len
-
-    def scan(state, row, vi):
-        residuals, labels = state
-        residuals, kept = _scan_step(residuals, row, lens)
-        if vi == 0:  # a leaf keeps only its labels
-            _check_scanned(residuals)
-            residuals = None
-        return residuals, labels + (xset & ~kept,)
-
-    start = ({xi: 1 << xi for xi in _bit_indices(xset)}, ())
-    for word, (_, inc), (_, dec) in group._iter_words_idx(wi, scan, start):
-        yield word, _lambda_sets_idx(group, word, xset), inc[::-1], dec
+    lexicographic order, read off the edges v -> s_a v of w's left weak
+    interval, each labelled once before the first word (module docstring)."""
+    group.ensure_bruhat()
+    lens, lmul, rmul = group._len, group._lmul, group._rmul
+    start = {xi: 1 << xi for xi in _bit_indices(xset)}
+    left, right = {wi: start}, {0: start}
+    labels = {}  # edge (v, a): [lambda, increasing, decreasing]
+    for v in range(wi, -1, -1):  # the table is by length: parents first
+        if v in left:
+            for a, row in enumerate(lmul, 1):
+                c = row[v]
+                if lens[c] < lens[v]:
+                    kept = _scan_edge(left, c, left[v], row, lens)
+                    d = group.idx_mul(group.idx_mul(wi, group._inv[v]), c)
+                    labels[v, a] = [xset & group._bruhat[d], 0, xset & ~kept]
+    _check_scanned(left[0])
+    for v, a in reversed(labels):  # up from e, each edge after those below
+        labels[v, a][1] = xset & ~_scan_edge(
+            right, v, right[lmul[a - 1][v]], rmul[a - 1], lens)
+    _check_scanned(right[wi])
+    for word in group._iter_words_idx(wi):
+        path, v = [], wi
+        for a in word:
+            path.append(labels[v, a])
+            v = lmul[a - 1][v]
+        yield word, *([edge[k] for edge in path] for k in range(3))
 
 
 def _bit_indices(mask: int):

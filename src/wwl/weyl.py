@@ -215,36 +215,19 @@ class WeylGroup:
     def all_reduced_words(self, w: WeylElement) -> list[tuple[int, ...]]:
         return list(self.iter_reduced_words(w))
 
-    def _iter_words_idx(self, wi: int, step=None, state=None):
-        """The reduced words of w in lexicographic order: the walk peels
-        left descents, so it follows the prefix trie of the words.  With
-        step, a state also rides down every edge of the prefix trie and of
-        the suffix trie (right descents peeled, last letter first) as
-        step(state, multiplication row of the edge's letter, child), and
-        each item is (word, suffix-trie state, prefix-trie state)."""
-        if step is None:
-            yield from (word for word, _ in
-                        self._walk_words(wi, self._lmul, None, None))
-            return
-        right = {peeled[::-1]: end for peeled, end in
-                 self._walk_words(wi, self._rmul, step, state)}
-        for word, end in self._walk_words(wi, self._lmul, step, state):
-            yield word, right.pop(word), end
+    def _iter_words_idx(self, wi: int):
+        """The reduced words of w in lexicographic order, depth first: peeling
+        left descents in increasing order follows the prefix trie of the
+        words, through the v with l(w v^-1) + l(v) = l(w)."""
+        def walk(vi, prefix):
+            lens = self._len
+            if lens[vi] == 0:
+                yield prefix
+            for a, row in enumerate(self._lmul, 1):
+                if lens[row[vi]] < lens[vi]:
+                    yield from walk(row[vi], prefix + (a,))
 
-    def _walk_words(self, wi: int, rows, step, state, peeled=()):
-        """(peeled letters, leaf state) for every reduced word of w, depth
-        first, peeling letters in increasing order off the side that rows
-        multiply on (_lmul: left, _rmul: right)."""
-        lw = self._len[wi]
-        if lw == 0:
-            yield peeled, state
-            return
-        for a, row in enumerate(rows, 1):
-            vi = row[wi]
-            if self._len[vi] < lw:
-                yield from self._walk_words(vi, rows, step, step and
-                                            step(state, row, vi),
-                                            peeled + (a,))
+        yield from walk(wi, ())
 
     def enumerate_group(self) -> list[WeylElement]:
         self.ensure_tables()

@@ -45,12 +45,9 @@ MAX_ORDER = {
     # masks in 0.25 s, but the sweep over its pairs then runs for about
     # 330 s and peaks at 188 MB at one thread
     "stats --mode fast": 5040,
-    # B4/C4, about 8 s and 41 MB at one thread (D4 about 0.8 s): every
-    # reduced word of every w is scanned, and w's increasing labels, l
-    # bitsets over x per word, are held until its words come up; A5 (720
-    # elements) has 1,095,265 reduced words, 292,864 of them for w0, whose
-    # walk alone takes 12 s and peaks at 270 MB
-    "stats --mode independent": 384,
+    # A5 (1,095,265 reduced words), about 22 s and 33 MB at one thread, 12 s
+    # at two; F4, the next group up, takes about 2.5 minutes at two threads
+    "stats --mode independent": 720,
     # B4/C4, about a minute at 8 points; the upper-interval sums grow as
     # the cube of the order, so A5 (720 elements) would take several
     # minutes

@@ -450,11 +450,11 @@ def test_verify_takes_its_words_from_the_group_walk(monkeypatch):
     walk = G._iter_words_idx
     calls, words = [], []
 
-    def counted(wi, *args):
+    def counted(wi):
         calls.append(wi)
-        for item in walk(wi, *args):
-            words.append(item[0])
-            yield item
+        for word in walk(wi):
+            words.append(word)
+            yield word
 
     monkeypatch.setattr(G, "_iter_words_idx", counted)
     verify_conjecture(G, SweepConfig(type_letter="B", rank=3))
@@ -598,13 +598,17 @@ def test_word_labels_match_per_word_scans_sampled(group_for, type_letter,
     check()
 
 
-def test_word_labels_apply_each_trie_edge_once(monkeypatch):
-    """The per-element walk of w0 of B3 takes one scan step per prefix of
-    its reduced words (the left scans) and one per suffix (the right
-    scans), fewer than the two scans of every word would take."""
+def test_word_labels_scan_each_edge_twice_before_the_first_word(
+        monkeypatch):
+    """The per-element walk of w0 of B3 takes two scan steps per edge of
+    w's left weak interval, one left and one right, where position i of a
+    word a_1...a_n is the edge from a_i...a_n down to a_(i+1)...a_n.  All
+    of them run before the first word comes out, and none after."""
     G = fresh_group("B", 3)
     wi = G.order() - 1
-    words = list(G._iter_words_idx(wi))
+    edges = {(G.word_to_idx(word[i:]), word[i])
+             for word in G._iter_words_idx(wi) for i in range(len(word))}
+    assert len(edges) == 72  # 48 elements with 3 neighbours each
     steps = []
     step = shellability._scan_step
 
@@ -613,11 +617,25 @@ def test_word_labels_apply_each_trie_edge_once(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(shellability, "_scan_step", counted)
-    list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
-    prefixes = {word[:k] for word in words for k in range(1, len(word) + 1)}
-    suffixes = {word[k:] for word in words for k in range(len(word))}
-    assert len(steps) == len(prefixes) + len(suffixes)
-    assert len(steps) < 2 * len(words) * len(words[0])
+    walk = _word_labels_idx(G, wi, G.bruhat_mask(wi))
+    next(walk)
+    assert len(steps) == 2 * len(edges)
+    assert sum(1 for _ in walk) == G.reduced_word_counts()[wi] - 1
+    assert len(steps) == 2 * len(edges)
+
+
+def test_two_residuals_at_one_node_raise():
+    """In A2, w0 has the reduced words 121 and 212.  With s1s2 * s2 made
+    s2 instead of s1, the right scan of x = w0 along 121 ends at s2 and
+    along 212 at e, so the two edges into w0 bring different residual
+    maps and the per-element walk raises, while the single-word scan of
+    212 never reads the broken entry."""
+    G = fresh_group("A", 2)
+    wi = G.order() - 1
+    G._rmul[1][G.word_to_idx((1, 2))] = G.word_to_idx((2,))
+    assert _greedy_chain_idx(G, (2, 1, 2), 1 << wi, False) == [0, 0, 0]
+    with pytest.raises(InvariantError, match="one product leave different"):
+        list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
 
 
 @st.composite

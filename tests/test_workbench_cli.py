@@ -222,9 +222,8 @@ def _too_large_runs():
     # above the stats order limit even with --large
     yield ["stats", "--type", "D", "--rank", "6", "--large"]
     # above the order limit of the independent stats mode
-    for type_letter, rank in (("A", 5), ("F", 4)):
-        yield ["stats", "--type", type_letter, "--rank", str(rank), "--large",
-               "--mode", "independent"]
+    yield ["stats", "--type", "F", "--rank", "4", "--large", "--mode",
+           "independent"]
     # above the mtx order limit
     for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
@@ -710,9 +709,22 @@ def test_cs_check_cli(capsys):
 
 
 def test_cs_check_rejects_non_dominant(capsys):
-    code, _, _ = run_cli(capsys, "cs-check", "--type", "A", "--rank", "2",
-                         "--lambda", "-1,0")
+    code, _, err = run_cli(capsys, "cs-check", "--type", "A", "--rank", "2",
+                           "--lambda=-1,0")
     assert code == 4
+    assert "(-1, 0) is not dominant" in err
+
+
+@pytest.mark.parametrize("lam,count", [("1", 1), ("1,1,1", 3)])
+def test_cs_check_names_a_wrong_coordinate_count(capsys, lam, count):
+    """A weight of the wrong length is named by its coordinate count and
+    the rank, not called non-dominant."""
+    code, out, err = run_cli(capsys, "cs-check", "--type", "A", "--rank", "2",
+                             "--lambda", lam)
+    assert code == 4
+    assert out == ""
+    assert f"has length {count}; rank 2 needs length 2" in err
+    assert "dominant" not in err
 
 
 def test_good_words_reports(capsys):
@@ -739,7 +751,7 @@ def test_stats_a4_matches_golden(group_for):
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 2), ("A", 3), ("B", 3),
                                               ("C", 3), ("G", 2), ("A", 4),
-                                              ("D", 4)])
+                                              ("D", 4), ("B", 4)])
 def test_stats_fast_path_consistent(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     fast = stats_sweep(G, SweepConfig(type_letter=type_letter, rank=rank,
