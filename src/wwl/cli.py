@@ -16,19 +16,16 @@ overrides --threads; either must be an integer of at least 1.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import (BudgetError, ConfigurationError, DomainError,
                      InvariantError, UnluckyPointError)
-from .roots import build_root_system
-from .weyl import WeylGroup
-from .workbench import (MAX_ORDER, SweepConfig, build_group, coeff_report,
-                        cs_report, good_words_report, mtx_report,
-                        parse_int_seq, require_size, stats_sweep,
-                        stats_to_csv, verify_conjecture)
+from .workbench import (SweepConfig, build_group, check_request,
+                        coeff_report, cs_report, good_words_report,
+                        mtx_report, parse_int_seq, stats_sweep, stats_to_csv,
+                        verify_conjecture)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -124,26 +121,80 @@ def _config_from(args) -> SweepConfig:
     return config
 
 
+def _json_text(obj, indent: str) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) gives obj when it
+    sits at the nesting of indent.  Only what reports hold is accepted:
+    dicts with str keys, lists, tuples, ints, strs, bools and None."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if {*map(type, obj)} == {int}:  # no bool, which prints as a word
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join([_json_text(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [f"{_json_key(k)}: {_json_text(obj[k], inner)}"
+             for k in sorted(obj)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_chunks(obj, indent: str = "", depth: int = 2):
+    """_json_text(obj, indent) in pieces: a non-empty dict or list within
+    depth levels of the top streams its entries one at a time, so only
+    one entry of a top-level list is held as text."""
+    if depth and isinstance(obj, (dict, list, tuple)) and obj:
+        inner = indent + "  "
+        is_dict = isinstance(obj, dict)
+        sep = "{\n" if is_dict else "[\n"
+        for k in sorted(obj) if is_dict else range(len(obj)):
+            yield sep + inner
+            if is_dict:
+                yield _json_key(k) + ": "
+            yield from _json_chunks(obj[k], inner, depth - 1)
+            sep = ",\n"
+        yield "\n" + indent + ("}" if is_dict else "]")
+    else:
+        yield _json_text(obj, indent)
+
+
 def _emit(obj) -> None:
-    """Sorted-key, indented JSON and a newline, written in batches of
-    encoder chunks so that the whole text is never held at once."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
-    while batch := "".join(islice(chunks, 1 << 16)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    """Write obj as json.dumps(obj, sort_keys=True, indent=2) would, and a
+    newline, streaming the entries of each top-level list."""
+    write = sys.stdout.write
+    for chunk in _json_chunks(obj):
+        write(chunk)
+    write("\n")
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
-        gate = args.command
-        if gate == "stats":
-            gate += f" --mode {config.mode}"
-        if gate in MAX_ORDER:  # build_group may build the masks
-            require_size(WeylGroup(build_root_system(config.type_letter,
-                                                     config.rank)),
-                         gate, config.large)
+        check_request(args.command, config)  # before build_group writes
         group = build_group(config)
 
         if args.command == "verify-conjecture":

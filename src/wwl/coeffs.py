@@ -43,6 +43,21 @@ The lifted term (1 - v e^(-alpha)) s(d[y]) of each y with sy > y is computed
 once and shared with sy.  The alternating interval sums of the atom table
 give the same table with one addition per pair of the interval; the tests
 keep them as the oracle.
+
+The summed side of the Casselman-Shalika check, the sum of t_x e^lam over
+all of W, factors over parabolic cosets.  Let W_k be generated by the
+letters 1..k.  Every x in W_k is u v with v in W_(k-1), u the minimal
+left coset representative of x W_(k-1), and l(x) = l(u) + l(v); t_op
+satisfies the quadratic and braid relations, so t_x = t_u t_v and
+
+    sum over W_k of t_x  =  (sum over u of t_u) (sum over W_(k-1) of t_v)
+
+(Humphreys, Reflection Groups and Coxeter Groups, 1.10).  Applying the
+factors to e^lam for k = 1..rank costs sum_k ([W_k : W_(k-1)] - 1) t_op:
+10 for A4, 13 for D4 and 15 for A5, where the sum over the elements
+costs |W| - 1 (119, 191 and 719).  spherical_whittaker keeps the sum
+over a lower interval, and at w0 it is the oracle the tests hold the
+factorisation to.
 """
 
 from __future__ import annotations
@@ -258,13 +273,53 @@ def tilde_coeffs(group: WeylGroup, w: WeylElement) -> dict[int, GAElement]:
     return {xi: ga_sum(t[xi] for t in tables if xi in t) for xi in ys}
 
 
+def _whole_group_sum(group: WeylGroup, lam: Weight) -> GAElement:
+    """Sum of t_x e^lam over all of W, by the parabolic factorisation of
+    the module docstring: for k = 1..rank, g <- sum of t_u g over the
+    minimal left coset representatives u of W_(k-1) in W_k."""
+    group.ensure_tables()
+    g = GAElement.monomial(lam)
+    for k in range(1, group.rs.rank + 1):
+        g = ga_sum(_coset_terms(group, k, g))
+    return g
+
+
+def _coset_terms(group: WeylGroup, k: int, g: GAElement):
+    """t_u g for each minimal left coset representative u of W_(k-1) in
+    W_k, W_k being generated by the letters 1..k.  The u are found by
+    walking up from e by left multiplication with the letters <= k,
+    keeping each product with no right descent among the letters < k.
+    The kept u are closed under taking s_a u < u, so each new u = s_a u'
+    costs one t_op on t_(u') g.  Only one length level is held."""
+    rs = group.rs
+    lens, lmul, rmul = group._len, group._lmul, group._rmul
+    level = {0: g}
+    yield g
+    while level:
+        nxt: dict[int, GAElement] = {}
+        for ui, f in level.items():
+            for a in range(k):
+                vi = lmul[a][ui]
+                if vi in nxt or lens[vi] < lens[ui] or any(
+                        lens[rmul[b][vi]] < lens[vi] for b in range(k - 1)):
+                    continue
+                f_v = nxt[vi] = t_op(rs, rs.simple_root(a + 1), f)
+                yield f_v
+        level = nxt
+
+
 def casselman_shalika_check(group: WeylGroup, lam: Weight) -> bool:
     """Compare the summed Whittaker function at the longest element with
     the product side (the full positive-root binomial product times the
-    character); both sides computed independently, compared exactly."""
+    character); both sides computed independently, compared exactly.
+
+    The summed side is _whole_group_sum, which applies
+    sum_k ([W_k : W_(k-1)] - 1) t_op in place of the |W| - 1 of a sum
+    over the elements: 10 for A4, 13 for D4 and 15 for A5, against 119,
+    191 and 719."""
     lam = _check_dominant(group, lam)
     w0 = group.longest_element()
-    lhs = spherical_whittaker(group, w0, lam)
+    lhs = _whole_group_sum(group, lam)
     rhs = demazure_character(group, w0, lam)
     for alpha in group.rs.positive_roots:
         rhs = mul_one_minus_v_exp(group.rs, alpha, rhs)

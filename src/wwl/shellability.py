@@ -54,8 +54,20 @@ decreasing chain deletes exactly the complement of L:
      greatest position a chain step can delete is j.
   4. Induction on the word with j deleted, whose leftmost subword of x is
      still L, gives the rest.
-The increasing label follows by reversing the word and inverting x.  A
-scan whose residual does not end at e means x is not below the word, and
+The increasing label follows by reversing the word and inverting x.
+
+Flag (ii) holds exactly when x has exactly one reduced subword in the
+word, that is, when the subword complex of (word, x) has a single facet.
+After a prefix of p letters, a reduced subword S of x has kept c_S(p) of
+the first p positions and left a residual y_S with l(x) = c_S(p) +
+l(y_S).  By step 1, y_L is Bruhat-below y_S, so c_L(p) >= c_S(p) for
+every p.  Mirrored, the rightmost subword R keeps at least as many of the
+last positions as S, so c_R(p) <= c_S(p).  Flag (ii) says that the two
+labels, the complements of L and R, agree: L = R.  Then every S has the
+prefix counts of L, and prefix counts determine the positions, so S = L.
+Conversely a single reduced subword is both L and R.
+
+A scan whose residual does not end at e means x is not below the word, and
 raises InvariantError.  One step of a scan (_scan_step) moves a map
 {residual y: bitset of the x having it}, so every x is scanned at once.
 _greedy_chain_idx scans one word.  A scan step is a 0-Hecke action, so
@@ -374,7 +386,8 @@ def _flag_i_idx(group: WeylGroup, word, xset: int) -> int:
 
 def _flag_ii_idx(group: WeylGroup, word, xset: int) -> int:
     """The x of the bitset xset for which flag (ii) holds on word: the
-    increasing label equals the reversed decreasing one."""
+    increasing label equals the reversed decreasing one, that is, x has
+    exactly one reduced subword in word (module docstring)."""
     return xset & ~_differing(_greedy_chain_idx(group, word, xset, False),
                               _greedy_chain_idx(group, word, xset, True))
 

@@ -237,15 +237,6 @@ class WeylGroup:
         self.ensure_tables()
         return self._elements[-1]
 
-    def interval(self, x: WeylElement, w: WeylElement) -> list[WeylElement]:
-        """All y with x <= y <= w, in table order (by length, then matrix)."""
-        self.ensure_bruhat()
-        xi, wi = self.idx_of(x), self.idx_of(w)
-        if not self.leq_idx(xi, wi):
-            raise DomainError("interval endpoints not comparable: x must be <= w")
-        return [self._elements[yi] for yi in self.lower_interval_idx(wi)
-                if (self._bruhat[yi] >> xi) & 1]
-
     # -- indexed layer --------------------------------------------------------
 
     def ensure_tables(self) -> None:

@@ -176,17 +176,32 @@ def build_group(config: SweepConfig) -> WeylGroup:
     return group
 
 
-def require_size(group: WeylGroup, command: str, large: bool = False) -> None:
-    """Refuse a sweep too large to run, before any table is built: above
-    MAX_ORDER[command] at all, and above LARGE_ORDER_THRESHOLD without
-    --large."""
-    order = group.order()
-    limit = MAX_ORDER[command]
+def check_request(command: str, config: SweepConfig) -> None:
+    """Refuse bad or oversized input from the root data alone, before any
+    table is built and so before build_group writes a cache file: a
+    verify budget below one triple; a group above MAX_ORDER[command] (stats
+    keyed by mode too) at all, or above LARGE_ORDER_THRESHOLD without
+    --large; an mtx run without a point or past MAX_MTX_ENTRIES."""
+    if command == "verify-conjecture" and config.budget < 1:
+        raise DomainError("verify-conjecture needs a budget of at least 1")
+    if command == "stats":
+        command += f" --mode {config.mode}"
+    if command not in MAX_ORDER:
+        return
+    rs = build_root_system(config.type_letter, config.rank)
+    order, limit = rs.group_order, MAX_ORDER[command]
     if order > limit:
         raise BudgetError(f"{command} stops at order {limit}; "
-                          f"{group.rs.type_letter}{group.rs.rank} has {order}")
-    if order > LARGE_ORDER_THRESHOLD and not large:
+                          f"{rs.type_letter}{rs.rank} has {order}")
+    if order > LARGE_ORDER_THRESHOLD and not config.large:
         raise BudgetError(f"group of order {order} needs --large")
+    if command == "mtx":
+        if config.points < 1:
+            raise DomainError("mtx needs at least one spectral point")
+        if config.points * order * order > MAX_MTX_ENTRIES:
+            raise BudgetError(f"{config.points} points of order {order} pass "
+                              f"the {MAX_MTX_ENTRIES} matrix entries mtx "
+                              f"holds")
 
 
 # -- parallel helper ----------------------------------------------------------
@@ -271,9 +286,8 @@ def _verify_w(group: WeylGroup, wi: int):
 
 def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
     """Exhaustively test the equivalence of the three per-word flags over
-    every (w, reduced word, x <= w) triple, stopping at the triple budget."""
-    if config.budget < 1:
-        raise DomainError("verify-conjecture needs a budget of at least 1")
+    every (w, reduced word, x <= w) triple, stopping at the triple budget,
+    which check_request holds to at least one."""
     group.ensure_bruhat()
     size = group.order()
     per_w = _triples_per_w(group)
@@ -307,7 +321,6 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     condition_b_mask per x, relying on the verified equivalence of the
     three flags; the independent mode runs the verify sweep and raises
     InvariantError on any flag disagreement or Deodhar failure."""
-    require_size(group, f"stats --mode {config.mode}", config.large)
     group.ensure_bruhat()
     size = group.order()
     if config.mode == "fast":
@@ -429,14 +442,9 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
 
 def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     """m(x, w) at seeded points for all pairs; condition-(B) pairs also get
-    the closed product and an agreement flag."""
-    if config.points < 1:
-        raise DomainError("mtx needs at least one spectral point")
-    require_size(group, "mtx")
+    the closed product and an agreement flag; check_request holds the
+    point count to the sizes mtx accepts."""
     size = group.order()
-    if config.points * size * size > MAX_MTX_ENTRIES:
-        raise BudgetError(f"{config.points} points of order {size} pass "
-                          f"the {MAX_MTX_ENTRIES} matrix entries mtx holds")
     group.ensure_bruhat()
     rng = random.Random(config.seed)
     points = [sample_spectral_point(group.rs, rng)
@@ -502,6 +510,8 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
 
 def cs_report(group: WeylGroup, lam) -> dict:
     lam = _check_dominant(group, lam)
+    # the sums read no Bruhat mask, but the masks' byte budget is the
+    # command's size gate: E6 and up are refused before any table is built
     group.ensure_bruhat()
     return {
         "type": group.rs.type_letter,
@@ -514,7 +524,6 @@ def cs_report(group: WeylGroup, lam) -> dict:
 def good_words_report(group: WeylGroup) -> dict:
     """Census over pairs with #S(x,w) equal to the length difference: does
     any reduced word of w delete down to x cleanly?"""
-    require_size(group, "good-words")
     group.ensure_bruhat()
     pairs = []
     missing = 0

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wwl import ConditionError, DomainError
-from wwl.coeffs import (atom_coeffs, casselman_shalika_check, char_coeffs,
+from wwl import ConditionError, DomainError, coeffs
+from wwl.coeffs import (_whole_group_sum, atom_coeffs,
+                        casselman_shalika_check, char_coeffs,
                         closed_form_coeff, demazure_atom, demazure_character,
                         spherical_whittaker, tilde_coeffs, whittaker_function)
 from wwl.groupalg import (GAElement, atom_op, demazure, ga_sum,
                           mul_one_minus_v_exp, one_minus_v_exp, specialize_v,
                           t_op)
+
+from test_weyl import interval
 
 
 def char_from_atom_coeffs(group, w, table):
@@ -30,7 +33,7 @@ def char_from_atom_coeffs(group, w, table):
         lx = group.length(x)
         entries[xi] = ga_sum(
             -table[group.idx_of(y)] if (group.length(y) - lx) % 2
-            else table[group.idx_of(y)] for y in group.interval(x, w))
+            else table[group.idx_of(y)] for y in interval(group, x, w))
     return entries
 
 
@@ -38,7 +41,7 @@ def atom_from_char_coeffs(group, w, table):
     """Inverse transform: plain interval sums of the character
     coefficients."""
     return {xi: ga_sum(table[group.idx_of(y)]
-                       for y in group.interval(group.elem_of(xi), w))
+                       for y in interval(group, group.elem_of(xi), w))
             for xi in table}
 
 
@@ -128,7 +131,7 @@ def test_atom_sum_lemma(group_for, type_letter, rank):
     weights = [G.rs.rho()] + [rand_dominant(G.rs, rng) for _ in range(2)]
     for w in G.enumerate_group():
         for lam in weights:
-            cells = G.interval(G.identity, w)
+            cells = interval(G, G.identity, w)
             total = GAElement.zero()
             for x in cells:
                 total = total + demazure_atom(G, x, lam)
@@ -306,7 +309,7 @@ def test_tilde_coeffs_expand_spherical(group_for):
         w = G.element_from_word(word)
         table = tilde_coeffs(G, w)
         assert set(table) == {G.idx_of(x)
-                              for x in G.interval(G.identity, w)}
+                              for x in interval(G, G.identity, w)}
         total = GAElement.zero()
         for xi, c in table.items():
             total = total + c * demazure_character(G, G.elem_of(xi), lam)
@@ -330,11 +333,51 @@ def test_cs_small_groups(group_for, type_letter, rank, lam):
     assert casselman_shalika_check(group_for(type_letter, rank), lam)
 
 
+@pytest.mark.parametrize("type_letter,rank,lam", [
+    ("A", 1, (1,)), ("A", 1, (3,)),
+    ("A", 2, (1, 1)), ("A", 2, (2, 0)),
+    ("B", 2, (1, 1)), ("B", 2, (0, 2)),
+    ("G", 2, (1, 0)), ("G", 2, (1, 1)),
+    ("A", 3, (1, 0, 1)), ("A", 3, (0, 2, 0)),
+    ("B", 3, (1, 1, 1)), ("B", 3, (0, 0, 2)),
+    ("C", 3, (0, 1, 1)), ("C", 3, (1, 0, 0)),
+    ("A", 4, (2, 1, 1, 2)),
+])
+def test_whole_group_sum_matches_spherical_at_w0(group_for, type_letter,
+                                                 rank, lam):
+    """The parabolic factorisation gives the sum over the lower interval
+    of w0, element by element."""
+    G = group_for(type_letter, rank)
+    assert _whole_group_sum(G, lam) == \
+        spherical_whittaker(G, G.longest_element(), lam)
+
+
+@pytest.mark.parametrize("type_letter,rank,lam,calls", [
+    ("A", 4, (1, 0, 0, 1), 10), ("B", 3, (1, 0, 1), 10),
+    ("D", 4, (1, 0, 0, 0), 13),
+])
+def test_whole_group_sum_t_op_count(monkeypatch, group_for, type_letter,
+                                    rank, lam, calls):
+    """One t_op per non-identity coset representative of each step,
+    sum_k ([W_k : W_(k-1)] - 1), where the sum over the elements takes
+    |W| - 1: A4 119, B3 47 and D4 191."""
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return t_op(*args)
+
+    monkeypatch.setattr(coeffs, "t_op", counted)
+    _whole_group_sum(group_for(type_letter, rank), lam)
+    assert count == calls
+
+
 def test_zero_entries_recorded_not_asserted(group_for):
     G = group_for("A", 3)
     for w in G.enumerate_group():
         table = atom_coeffs(G, w)
-        assert set(table) == {G.idx_of(x) for x in G.interval(G.identity, w)}
+        assert set(table) == {G.idx_of(x) for x in interval(G, G.identity, w)}
         for xi, c in table.items():
             if not c:
                 assert xi not in (G.idx_of(G.identity), G.idx_of(w))
@@ -371,7 +414,7 @@ def test_spherical_sum_matches_per_element_sum(group_for, type_letter, rank):
         for w in [G.longest_element(),
                   G.elem_of(rng.randrange(G.order()))]:
             total = GAElement.zero()
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 total = total + whittaker_function(G, x, lam)
             assert spherical_whittaker(G, w, lam) == total
 

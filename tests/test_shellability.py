@@ -26,7 +26,7 @@ from wwl.shellability import (_failing_flags, _flag_i_idx, _flag_ii_idx,
 from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
                            stats_sweep, verify_conjecture)
 
-from test_weyl import perm_of_word, rank_matrix_leq
+from test_weyl import interval, perm_of_word, rank_matrix_leq
 
 
 def all_chain_labels(group, xi, tagged_word):
@@ -217,7 +217,7 @@ def test_lambda_size_matches_s_set(group_for):
         G = group_for(t, r)
         for w in G.enumerate_group():
             for word in G.all_reduced_words(w):
-                for x in G.interval(G.identity, w):
+                for x in interval(G, G.identity, w):
                     assert len(lambda_set(G, x, word)) == \
                         len(s_set(G, x, w))
 
@@ -238,7 +238,7 @@ def test_b2_has_pair_without_good_word(group_for):
     G = group_for("B", 2)
     found = []
     for w in G.enumerate_group():
-        for x in G.interval(G.identity, w):
+        for x in interval(G, G.identity, w):
             if len(s_set(G, x, w)) != G.length(w) - G.length(x):
                 continue
             if not any(is_good_word(G, x, word)
@@ -249,7 +249,7 @@ def test_b2_has_pair_without_good_word(group_for):
 
     G2 = group_for("A", 2)
     for w in G2.enumerate_group():
-        for x in G2.interval(G2.identity, w):
+        for x in interval(G2, G2.identity, w):
             if len(s_set(G2, x, w)) != G2.length(w) - G2.length(x):
                 continue
             assert any(is_good_word(G2, x, word)
@@ -264,7 +264,7 @@ def test_good_words_report_matches_element_oracle(group_for, type_letter,
     G = group_for(type_letter, rank)
     expected = []
     for w in G.enumerate_group():
-        for x in G.interval(G.identity, w):
+        for x in interval(G, G.identity, w):
             if len(s_set(G, x, w)) != G.length(w) - G.length(x):
                 continue
             expected.append({
@@ -302,7 +302,7 @@ def test_s_set_matches_matrix_definition(group_for, type_letter, rank):
                  for alpha in G.rs.positive_roots]
         lower = [(alpha, ws) for alpha, ws in lower
                  if G.length(ws) < G.length(w)]
-        for x in G.interval(G.identity, w):
+        for x in interval(G, G.identity, w):
             expected = tuple(alpha for alpha, ws in lower
                              if G.bruhat_leq(x, ws))
             assert s_set(G, x, w) == expected
@@ -321,7 +321,7 @@ def test_gamma_bijection(group_for):
                 for pos, gamma in zip(full, gammas):
                     assert G.rs.is_positive_root(gamma)
                     assert G.idx_of(w * G.reflection(gamma)) == dels[pos - 1]
-                for x in G.interval(G.identity, w):
+                for x in interval(G, G.identity, w):
                     lam = lambda_set(G, x, word)
                     lam_gammas = {gammas[i - 1] for i in lam}
                     assert lam_gammas == set(s_set(G, x, w))
@@ -351,7 +351,7 @@ def test_chains_against_full_enumeration(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
         for word in G.all_reduced_words(w):
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 xi = G.idx_of(x)
                 labels = all_chain_labels(G, xi, tagged(word))
                 assert len(set(labels)) == len(labels)
@@ -788,7 +788,7 @@ def test_flags_always_agree(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
         for word in G.all_reduced_words(w):
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 a, b, c = condition_per_word(G, x, word)
                 assert a == b == c
 
@@ -801,7 +801,7 @@ def test_pair_conditions(group_for):
     assert condition_A(G, x, w) == (True, (1, 2, 1, 3, 2, 1))
     assert condition_B(G, x, w) == (True, (1, 2, 1, 3, 2, 1))
     for wy in G.enumerate_group():
-        for xy in G.interval(G.identity, wy):
+        for xy in interval(G, G.identity, wy):
             has_a, _ = condition_A(G, xy, wy)
             has_b, _ = condition_B(G, xy, wy)
             assert has_a == has_b
@@ -813,7 +813,7 @@ def test_pair_condition_witness_is_first_flagged_word(group_for):
     G = group_for("B", 3)
     for w in G.enumerate_group():
         words = G.all_reduced_words(w)
-        for x in G.interval(G.identity, w):
+        for x in interval(G, G.identity, w):
             flags = [condition_per_word(G, x, word) for word in words]
             for k, condition in enumerate((condition_A, condition_B)):
                 first = next((word for word, f in zip(words, flags) if f[k]),
@@ -856,6 +856,37 @@ def test_walk_matches_flag_ii(group_for):
                 held = _flag_ii_idx(G, word, bitset(xs))
                 for xi in range(G.order()):
                     assert walk_flag_ii(G, xi, word) == bool(held >> xi & 1)
+
+
+def reduced_subword_counts(G, word):
+    """{x: number of reduced subwords of word with product x}, by trying
+    every subset of positions: a subset of l(x) positions with product x
+    is a reduced subword of x."""
+    counts = {}
+    n = len(word)
+    for subset in range(1 << n):
+        xi = G.word_to_idx([a for i, a in enumerate(word) if subset >> i & 1])
+        if G.len_of_idx(xi) == subset.bit_count():
+            counts[xi] = counts.get(xi, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_flag_ii_is_a_unique_reduced_subword(group_for, type_letter, rank):
+    """Flag (ii) holds for x on a reduced word exactly when x has one
+    reduced subword in the word (the shellability docstring's prefix-count
+    argument), on every (w, reduced word, x <= w); every x <= w has at
+    least one (the subword property) and no other x has any."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        for word in G._iter_words_idx(wi):
+            counts = reduced_subword_counts(G, word)
+            assert bitset(counts) == xset
+            unique = bitset(xi for xi, c in counts.items() if c == 1)
+            assert _flag_ii_idx(G, word, xset) == unique
 
 
 @pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
@@ -929,7 +960,7 @@ def test_deodhar_trivial_and_sweeps(group_for):
     for t, r in [("A", 2), ("B", 2)]:
         Gt = group_for(t, r)
         for wy in Gt.enumerate_group():
-            for xy in Gt.interval(Gt.identity, wy):
+            for xy in interval(Gt, Gt.identity, wy):
                 assert deodhar_check(Gt, xy, wy)
 
 
@@ -942,7 +973,7 @@ def test_first_position_lemma(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     for w in G.enumerate_group():
         for word in G.all_reduced_words(w):
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 lam = lambda_set(G, x, word)
                 inc = lex_min_chain(G, x, word)
                 if not inc:
@@ -964,7 +995,7 @@ def test_strip_first_letter_lemma(group_for, type_letter, rank):
         for word in G.all_reduced_words(w):
             tail = word[1:]
             s1 = G.simple_reflection(word[0])
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 if x == w:
                     continue
                 lam = set(lambda_set(G, x, word))
@@ -994,7 +1025,7 @@ def test_s_set_deletion_lemma(group_for, type_letter, rank):
                 continue
             alpha = G.rs.simple_root(i)
             removed = tuple(-c for c in G.inverse(w).apply_root(alpha))
-            for x in G.interval(G.identity, w):
+            for x in interval(G, G.identity, w):
                 if x == w or not G.length(s * x) > G.length(x):
                     continue
                 before = s_set(G, x, w)

@@ -53,10 +53,11 @@ def test_oracle_only_helpers_not_in_library():
     """Helpers with no caller in the library live in the tests: the
     covers of an element, read from its canonical word's cover list, and
     the interval-sum transforms between the atom and character tables,
-    the oracles of char_coeffs, and the Bruhat masks by the lifting
-    property, the oracle of the single-deletion build."""
+    the oracles of char_coeffs, the Bruhat masks by the lifting
+    property, the oracle of the single-deletion build, and the interval
+    [x, w] as a list of WeylElements."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
-              "bruhat_masks_oracle"}
+              "bruhat_masks_oracle", "interval"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, output determinism, cache coherence,
 and the report contents for the smallest groups."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,13 +13,19 @@ import time
 import pytest
 
 from wwl import WeylGroup, build_root_system, roots, workbench
-from wwl.cli import main
+from wwl.cli import _emit, main
 from wwl.errors import BudgetError, InvariantError
 from wwl.shellability import _failing_flags, condition_B, deodhar_slack_idx
-from wwl.workbench import (SweepConfig, load_group_cache, mtx_report,
-                           parse_int_seq, pct_string, save_group_cache,
-                           stats_sweep, verify_conjecture)
+from wwl.workbench import (SweepConfig, check_request, coeff_report,
+                           cs_report, good_words_report, load_group_cache,
+                           mtx_report, parse_int_seq, pct_string,
+                           save_group_cache, stats_sweep, verify_conjecture)
 from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from test_weyl import interval
 
 
 def run_cli(capsys, *argv):
@@ -200,11 +208,24 @@ def test_mtx_entry_limit_before_any_table(monkeypatch):
     """points * |W|^2 above MAX_MTX_ENTRIES is refused before any table is
     built: on B4 (384 elements) 113 points pass the gate and 114 do not."""
     monkeypatch.setattr(WeylGroup, "ensure_tables", refuse_tables)
-    group = WeylGroup(build_root_system("B", 4))
-    with pytest.raises(AssertionError, match="table"):
-        mtx_report(group, SweepConfig("B", 4, points=113))
+    check_request("mtx", SweepConfig("B", 4, points=113))
     with pytest.raises(BudgetError, match="entries"):
-        mtx_report(group, SweepConfig("B", 4, points=114))
+        check_request("mtx", SweepConfig("B", 4, points=114))
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["mtx", "--type", "B", "--rank", "3", "--points", "0"], 4),
+    (["verify-conjecture", "--type", "B", "--rank", "3", "--budget", "0"], 4),
+    (["mtx", "--type", "B", "--rank", "4", "--points", "114"], 3),
+], ids=["mtx-points", "verify-budget", "mtx-entries"])
+def test_refused_input_leaves_no_cache_file(capsys, tmp_path, argv, code):
+    """Input refused as bad or too large exits before build_group, so the
+    --cache directory is left as it was: empty."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    got, out, _ = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (got, out) == (code, "")
+    assert list(cache.iterdir()) == []
 
 
 def _too_large_runs():
@@ -671,7 +692,7 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
         assert entry["condition_b"] == has_b
         assert words.get((tuple(entry["x"]), tuple(entry["w"]))) == word
         checked += 1
-    assert checked == sum(len(G.interval(G.identity, w)) - 1
+    assert checked == sum(len(interval(G, G.identity, w)) - 1
                           for w in G.enumerate_group())
 
 
@@ -760,3 +781,77 @@ def test_stats_fast_path_consistent(group_for, type_letter, rank):
                                              rank=rank, mode="independent"))
     assert fast["rows"] == independent["rows"]
     assert fast["histogram"] == independent["histogram"]
+
+
+# -- report writer ----------------------------------------------------------------
+
+def emitted(obj) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(obj)
+    return buf.getvalue()
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def every_report(G):
+    """The report of every command on one group, mtx at two point counts."""
+    t, r = G.rs.type_letter, G.rs.rank
+    w0 = G.canonical_word(G.longest_element())
+    yield verify_conjecture(G, SweepConfig(t, r))
+    yield verify_conjecture(G, SweepConfig(t, r, budget=20))
+    for mode in ("fast", "independent"):
+        yield stats_sweep(G, SweepConfig(t, r, mode=mode))
+    yield coeff_report(G, w0, include_char=True)
+    yield coeff_report(G, w0, x_word=w0[1:])
+    for points in (1, 3):
+        yield mtx_report(G, SweepConfig(t, r, points=points, seed=5))
+    yield cs_report(G, (1,) * r)
+    yield good_words_report(G)
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_writer_matches_json_on_every_report(group_for, type_letter, rank):
+    """The streaming writer prints what json.dumps with sorted keys and an
+    indent of two prints, byte for byte, for every command's report."""
+    for report in every_report(group_for(type_letter, rank)):
+        assert emitted(report) == json_text(report)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(min_value=-(1 << 80), max_value=1 << 80)
+    | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30)
+
+
+@given(json_values)
+def test_writer_matches_json_on_nested_values(obj):
+    assert emitted(obj) == json_text(obj)
+    assert emitted({"a": [obj, [obj]], "b": obj}) == \
+        json_text({"a": [obj, [obj]], "b": obj})
+
+
+@pytest.mark.parametrize("obj", [
+    "", "caf\u00e9 \u2028 \U0001f600", "quote \" back \\ nul \x00 tab \t",
+    [], {}, (), [[]], {"": {}}, [True, False, None], [1, True, 0, False],
+    [-1, 0, 1 << 64, -(1 << 70)], (1, (2, "3")), {"k": (), "j": [{}]},
+    {"\u00e9": 1, "e": 2, "E": [3]},
+])
+def test_writer_matches_json_on_edge_values(obj):
+    assert emitted(obj) == json_text(obj)
+    assert emitted({"x": [obj]}) == json_text({"x": [obj]})
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1: 2}, {"a": [1, 2.0]}, [{"b": Fraction(3)}],
+    {"c": {None: 1}},
+])
+def test_writer_refuses_what_reports_never_hold(obj):
+    with pytest.raises(TypeError):
+        _emit(obj)
