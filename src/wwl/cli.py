@@ -194,7 +194,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _config_from(args)
-        check_request(args.command, config)  # before build_group writes
+        lam = parse_int_seq(args.lam) if args.command == "cs-check" else None
+        check_request(args.command, config, lam)  # before build_group writes
         group = build_group(config)
 
         if args.command == "verify-conjecture":
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
             return EXIT_OK if report["ok"] else EXIT_VIOLATION
 
         if args.command == "cs-check":
-            report = cs_report(group, parse_int_seq(args.lam))
+            report = cs_report(group, lam)
             _emit(report)
             return EXIT_OK if report["equal"] else EXIT_VIOLATION
 

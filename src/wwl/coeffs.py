@@ -65,19 +65,19 @@ from __future__ import annotations
 from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
                        ga_sum, mul_one_minus_v_exp, reflect, t_op)
-from .roots import Weight
+from .roots import RootSystem, Weight
 from .shellability import (_checked_word_idx, _failing_flags,
                            _greedy_chain_idx, _label_of, _label_sets_idx,
                            _reduced_word_idx, beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
-def _check_dominant(group: WeylGroup, lam: Weight) -> Weight:
+def _check_dominant(rs: RootSystem, lam: Weight) -> Weight:
     lam = _checked_weight(lam)
-    if len(lam) != group.rs.rank:
+    if len(lam) != rs.rank:
         raise DomainError(f"weight {lam} has length {len(lam)}; rank "
-                          f"{group.rs.rank} needs length {group.rs.rank}")
-    if not group.rs.is_dominant(lam):
+                          f"{rs.rank} needs length {rs.rank}")
+    if not rs.is_dominant(lam):
         raise DomainError(f"weight {lam} is not dominant")
     return lam
 
@@ -92,19 +92,19 @@ def _apply_word(group: WeylGroup, op, word, f: GAElement) -> GAElement:
 
 def whittaker_function(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
     """t_w e^lam: the Iwahori-level Whittaker sum for one group element."""
-    lam = _check_dominant(group, lam)
+    lam = _check_dominant(group.rs, lam)
     return _apply_word(group, t_op, group.canonical_word(w),
                        GAElement.monomial(lam))
 
 
 def demazure_character(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
-    lam = _check_dominant(group, lam)
+    lam = _check_dominant(group.rs, lam)
     return _apply_word(group, demazure, group.canonical_word(w),
                        GAElement.monomial(lam))
 
 
 def demazure_atom(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
-    lam = _check_dominant(group, lam)
+    lam = _check_dominant(group.rs, lam)
     return _apply_word(group, atom_op, group.canonical_word(w),
                        GAElement.monomial(lam))
 
@@ -116,7 +116,7 @@ def spherical_whittaker(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElem
     with canonical word (a, ...) the element s_a x < x is on the previous
     length level and t_x e^lam is one t_op on t_(s_a x) e^lam.  The values
     are summed as they come, and only the previous level is kept."""
-    lam = _check_dominant(group, lam)
+    lam = _check_dominant(group.rs, lam)
     rs = group.rs
 
     def values():
@@ -317,7 +317,7 @@ def casselman_shalika_check(group: WeylGroup, lam: Weight) -> bool:
     sum_k ([W_k : W_(k-1)] - 1) t_op in place of the |W| - 1 of a sum
     over the elements: 10 for A4, 13 for D4 and 15 for A5, against 119,
     191 and 719."""
-    lam = _check_dominant(group, lam)
+    lam = _check_dominant(group.rs, lam)
     w0 = group.longest_element()
     lhs = _whole_group_sum(group, lam)
     rhs = demazure_character(group, w0, lam)

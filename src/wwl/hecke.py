@@ -226,12 +226,6 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
     the roots gamma of the increasing-chain label."""
     word = tuple(word)
     xi, _ = _checked_word_idx(group, x, word, w)
-    return _m_product_roots_idx(group, xi, word)
-
-
-def _m_product_roots_idx(group: WeylGroup, xi: int,
-                         word) -> tuple[Coords, ...]:
-    """m_product_roots for x of index xi below a word's product."""
     inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)
     dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)
     if inc != dec:  # position sets, read in opposite orders

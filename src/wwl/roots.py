@@ -252,6 +252,16 @@ class RootSystem:
     def is_dominant(self, lam: Weight) -> bool:
         return all(x >= 0 for x in lam)
 
+    def weyl_dimension(self, lam: Weight) -> int:
+        """prod <lam + rho, a_vee> / <rho, a_vee> over a > 0: Weyl's
+        dimension of the irreducible module of dominant highest weight lam."""
+        num = den = 1
+        for alpha in self.positive_roots:
+            height = sum(self.coroot_coords(alpha))  # <rho, alpha_vee>
+            num *= self.pairing(lam, alpha) + height
+            den *= height
+        return num // den
+
     def to_json_obj(self):
         return {
             "type": self.type_letter,

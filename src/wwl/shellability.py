@@ -21,16 +21,18 @@ w = s_1...s_n and x <= w:
   satisfying (i), respectively (ii); searches run in lexicographic word
   order and stop at the first witness.
 
-Labels are held bit-sliced, one bitset over x per word position:
-_label_sets_idx computes the three labels of every x below one word at
-once, and _failing_flags reads off the x failing each flag.  The two
-sweeps that visit every word of w (verify, also run by the independent
-statistics, and the main-theorem sweep) take the three labels of all
-its words from _word_labels_idx, per edge of w's weak interval (below);
-first_witnesses is the lexicographic witness search over the reduced
-words of w; and deodhar_slack_idx counts #S(x,w).  Per-x tuples are read
-from the bitsets (_label_of) only where a caller needs them: violation
-records, closed forms, and the single-x public functions.
+Labels are held bit-sliced, one bitset over x per word position, and
+_failing_flags reads off the x failing each flag.  Every loop over the
+words of w takes the three labels of all of them from _word_labels_idx,
+per edge of w's weak interval (below): the two sweeps that visit every
+word (verify, also run by the independent statistics, and the
+main-theorem sweep), and first_witnesses, the lexicographic witness
+search, which hands each x its witness word with that word's labels.
+_label_sets_idx computes the three labels of one word from scratch, for
+the single-word public functions; deodhar_slack_idx counts #S(x,w).
+Per-x tuples are read from the bitsets (_label_of) only where a caller
+needs them: violation records, closed forms, chain roots, and the
+single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -131,24 +133,21 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, _ = _checked_word_idx(group, x, word)
-    return bool(_good_word_idx(group, word, 1 << xi))
+    return bool(_good_word_idx(group, word, 1 << xi,
+                               _lambda_sets_idx(group, word, 1 << xi)))
 
 
-def _good_word_idx(group: WeylGroup, word, xset: int) -> int:
-    """The x of the bitset xset for which word is good (is_good_word), from
-    the word's shared single deletions; no chain is walked."""
-    lam_sets = _lambda_sets_idx(group, word, xset)
-    lw = group.len_of_idx(group.word_to_idx(word))
+def _good_word_idx(group: WeylGroup, word, xset: int, lam, *_chains) -> int:
+    """The x of the bitset xset for which word is good (is_good_word),
+    from the word's bit-sliced lambda_set lam; no chain is walked.  As a
+    first_witnesses test it is also passed the two chain labels, unread."""
     out = 0
     for xi in _bit_indices(xset):
-        residual = [a for a, s in zip(word, lam_sets) if not (s >> xi) & 1]
+        residual = [a for a, s in zip(word, lam) if not (s >> xi) & 1]
         if group.word_to_idx(residual) != xi:
             continue
-        if len(residual) != group.len_of_idx(xi) or \
-                len(word) - len(residual) != lw - group.len_of_idx(xi):
-            raise InvariantError(
-                "good word whose residual or deletion set has the wrong "
-                "length")
+        if len(residual) != group.len_of_idx(xi):
+            raise InvariantError("good word whose residual is not reduced")
         out |= 1 << xi
     return out
 
@@ -377,58 +376,48 @@ def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
     return _differing(lam, dec), _differing(inc, dec), _differing(lam, inc)
 
 
-def _flag_i_idx(group: WeylGroup, word, xset: int) -> int:
-    """The x of the bitset xset for which flag (i) holds on word: lambda_set
-    equals the reversed decreasing label."""
-    return xset & ~_differing(_lambda_sets_idx(group, word, xset),
-                              _greedy_chain_idx(group, word, xset, True))
-
-
-def _flag_ii_idx(group: WeylGroup, word, xset: int) -> int:
-    """The x of the bitset xset for which flag (ii) holds on word: the
-    increasing label equals the reversed decreasing one, that is, x has
-    exactly one reduced subword in word (module docstring)."""
-    return xset & ~_differing(_greedy_chain_idx(group, word, xset, False),
-                              _greedy_chain_idx(group, word, xset, True))
-
-
 def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
-    """{xi: first reduced word of w, in lexicographic order, on which a
-    flag holds for xi} for the xi in xs that have one.
-    holds(group, word, left) returns the bitset of the x of the bitset
-    `left` whose flag holds on word, computing their labels in bulk
-    (_flag_i_idx, _flag_ii_idx, _good_word_idx); each x drops out at its
-    first witness and the walk stops when none is left."""
-    found: dict[int, tuple[int, ...]] = {}
+    """{xi: (word, lam, inc, dec)} for the xi in xs that have a witness: the
+    first reduced word of w, in lexicographic order, on which a flag holds
+    for xi, with its labels from _word_labels_idx, one tuple per word.
+    holds(group, word, left, lam, inc, dec) returns the x of the bitset
+    `left` whose flag holds on word (_flag_holds, _good_word_idx); each x
+    drops out at its first witness and the walk stops when none is left."""
+    found: dict[int, tuple] = {}
     left = 0
     for xi in xs:
         left |= 1 << xi
-    for word in group._iter_words_idx(wi) if left else ():
-        held = holds(group, word, left)
+    for walked in _word_labels_idx(group, wi, left) if left else ():
+        held = holds(group, walked[0], left, *walked[1:])
         left &= ~held
         for xi in _bit_indices(held):
-            found[xi] = word
+            found[xi] = walked
         if not left:
             break
     return found
 
 
+def _flag_holds(k: int):
+    """The first_witnesses test of flag (i) (k = 0) or (ii) (k = 1)."""
+    return lambda _, word, left, *labels: left & ~_failing_flags(*labels)[k]
+
+
 def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
-                       holds):
+                       k: int):
     xi, wi = _checked_pair_idx(group, x, w)
-    word = first_witnesses(group, wi, [xi], holds).get(xi)
-    return word is not None, word
+    walked = first_witnesses(group, wi, [xi], _flag_holds(k)).get(xi)
+    return (False, None) if walked is None else (True, walked[0])
 
 
 def condition_A(group: WeylGroup, x: WeylElement, w: WeylElement):
     """Does some reduced word of w satisfy flag (i)?  Returns the first
     witness in lexicographic order."""
-    return _condition_witness(group, x, w, _flag_i_idx)
+    return _condition_witness(group, x, w, 0)
 
 
 def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
     """Does some reduced word of w satisfy flag (ii)?"""
-    return _condition_witness(group, x, w, _flag_ii_idx)
+    return _condition_witness(group, x, w, 1)
 
 
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:

@@ -27,13 +27,12 @@ from .coeffs import (_atom_coeffs_idx, _check_dominant, _closed_form_idx,
                      _closed_form_product, atom_coeffs,
                      casselman_shalika_check, char_coeffs)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
-from .hecke import (_m_product_roots_idx, m_matrix, m_product_value,
-                    sample_spectral_point)
+from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_bit_indices, _failing_flags, _flag_ii_idx,
+from .shellability import (_bit_indices, _failing_flags, _flag_holds,
                            _good_word_idx, _label_of, _word_labels_idx,
                            condition_b_mask, deodhar_slack_idx,
-                           first_witnesses)
+                           first_witnesses, gamma_sequence)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -48,17 +47,20 @@ MAX_ORDER = {
     # A5 (1,095,265 reduced words), about 22 s and 33 MB at one thread, 12 s
     # at two; F4, the next group up, takes about 2.5 minutes at two threads
     "stats --mode independent": 720,
-    # B4/C4, about a minute at 8 points; the upper-interval sums grow as
-    # the cube of the order, so A5 (720 elements) would take several
-    # minutes
+    # B4/C4, about 12 s and 140 MB at 8 points; the upper-interval sums
+    # grow as the cube of the order, so A5 (720 elements) would take
+    # several minutes
     "mtx": 384,
-    # D4, about 1.2 s; the next group up, B4/C4 (384 elements), takes
-    # about 30 s, and F4 and A5 run past 30 s: a qualifying pair without a
+    # D4, about 0.7 s; the next group up, B4/C4 (384 elements), takes
+    # about 23 s, and F4 and A5 run longer: a qualifying pair without a
     # good word is tested on every reduced word of w
     "good-words": 192,
 }
 # Most matrix entries mtx holds, |W|^2 per point: 113 points on B4/C4
 MAX_MTX_ENTRIES = 1 << 24
+# Largest Weyl dimension of lambda cs-check accepts: B4 at rho (65,536)
+# takes about 10 s and 150 MB; A5 at 2,1,1,1,2 (238,140) is refused
+MAX_CS_DIMENSION = 1 << 16
 
 
 @dataclass
@@ -176,14 +178,21 @@ def build_group(config: SweepConfig) -> WeylGroup:
     return group
 
 
-def check_request(command: str, config: SweepConfig) -> None:
+def check_request(command: str, config: SweepConfig, lam=()) -> None:
     """Refuse bad or oversized input from the root data alone, before any
     table is built and so before build_group writes a cache file: a
-    verify budget below one triple; a group above MAX_ORDER[command] (stats
-    keyed by mode too) at all, or above LARGE_ORDER_THRESHOLD without
-    --large; an mtx run without a point or past MAX_MTX_ENTRIES."""
+    verify budget below one triple; a cs-check weight lam that is not
+    dominant or past MAX_CS_DIMENSION; a group above MAX_ORDER[command]
+    (stats keyed by mode too) at all, or above LARGE_ORDER_THRESHOLD
+    without --large; an mtx run without a point or past MAX_MTX_ENTRIES."""
     if command == "verify-conjecture" and config.budget < 1:
         raise DomainError("verify-conjecture needs a budget of at least 1")
+    if command == "cs-check":
+        rs = build_root_system(config.type_letter, config.rank)
+        dim = rs.weyl_dimension(_check_dominant(rs, lam))
+        if dim > MAX_CS_DIMENSION:
+            raise BudgetError(f"cs-check stops at Weyl dimension "
+                              f"{MAX_CS_DIMENSION}; weight {lam} has {dim}")
     if command == "stats":
         command += f" --mode {config.mode}"
     if command not in MAX_ORDER:
@@ -453,18 +462,19 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
     # x, then one lexicographic search per w over just those x < w; each
-    # pair's chain roots come from two label scans of its witness word
+    # pair's chain roots are read off its witness word's increasing label,
+    # which flag (ii) makes equal to the decreasing one
     cond = [condition_b_mask(group, xi) for xi in range(size)]
     roots = []
     for wi in range(size):
         xs = [xi for xi in range(wi) if (cond[xi] >> wi) & 1]
-        found = first_witnesses(group, wi, xs, _flag_ii_idx)
+        found = first_witnesses(group, wi, xs, _flag_holds(1))
         if len(found) != len(xs):
             raise InvariantError(
                 "a condition-(B) pair of the reachability search has no "
                 "witness word")
-        roots.append({xi: _m_product_roots_idx(group, xi, word)
-                      for xi, word in found.items()})
+        roots.append({xi: gamma_sequence(group, word, _label_of(inc, xi))
+                      for xi, (word, _, inc, _) in found.items()})
     pairs = []
     ok = True
     for xi in range(size):
@@ -509,7 +519,6 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
 # -- remaining commands -----------------------------------------------------------
 
 def cs_report(group: WeylGroup, lam) -> dict:
-    lam = _check_dominant(group, lam)
     # the sums read no Bruhat mask, but the masks' byte budget is the
     # command's size gate: E6 and up are refused before any table is built
     group.ensure_bruhat()
@@ -526,26 +535,22 @@ def good_words_report(group: WeylGroup) -> dict:
     any reduced word of w delete down to x cleanly?"""
     group.ensure_bruhat()
     pairs = []
-    missing = 0
     for wi in range(group.order()):
         xs = group.lower_interval_idx(wi)
         qualifying = [xi for xi, slack in
                       zip(xs, deodhar_slack_idx(group, wi, xs)) if slack == 0]
         found = first_witnesses(group, wi, qualifying, _good_word_idx)
         for xi in qualifying:
-            has_good = xi in found
-            if not has_good:
-                missing += 1
             pairs.append({
                 "x": list(group.canon_of_idx(xi)),
                 "w": list(group.canon_of_idx(wi)),
-                "has_good_word": has_good,
+                "has_good_word": xi in found,
             })
     return {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,
         "qualifying_pairs": len(pairs),
-        "pairs_without_good_word": missing,
+        "pairs_without_good_word": sum(not p["has_good_word"] for p in pairs),
         "pairs": pairs,
     }
 

@@ -16,7 +16,7 @@ from wwl import (DomainError, WeylGroup, build_root_system, shellability,
 from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
-from wwl.shellability import (_failing_flags, _flag_i_idx, _flag_ii_idx,
+from wwl.shellability import (_failing_flags, _flag_holds,
                               _greedy_chain_idx, _label_of, _label_sets_idx,
                               _word_labels_idx, beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
@@ -150,8 +150,9 @@ def assert_flags_match_tuple_oracle(group, word, xs):
     mixed = (fails[0] | fails[1] | fails[2]) & \
         ~(fails[0] & fails[1] & fails[2])
     assert mixed == bitset(disagree)
-    assert _flag_i_idx(group, word, bitset(xs)) == bitset(xs) & ~fails[0]
-    assert _flag_ii_idx(group, word, bitset(xs)) == bitset(xs) & ~fails[1]
+    for k in (0, 1):
+        assert _flag_holds(k)(group, word, bitset(xs), lam, inc, dec) \
+            == bitset(xs) & ~fails[k]
 
 
 # -- lambda sets ---------------------------------------------------------------
@@ -843,6 +844,12 @@ def walk_flag_ii(group, xi, word):
     return y == 0
 
 
+def flag_ii_holds(group, word, xset):
+    """The x of xset whose flag (ii) holds on word, from the word's own
+    label scans."""
+    return xset & ~_failing_flags(*_label_sets_idx(group, word, xset))[1]
+
+
 def test_walk_matches_flag_ii(group_for):
     """The walk agrees with the greedy chain labels on every
     (w, reduced word, x <= w) of A3, B3, C3 and G2, and never holds for an
@@ -853,7 +860,7 @@ def test_walk_matches_flag_ii(group_for):
         for wi in range(G.order()):
             xs = G.lower_interval_idx(wi)
             for word in G._iter_words_idx(wi):
-                held = _flag_ii_idx(G, word, bitset(xs))
+                held = flag_ii_holds(G, word, bitset(xs))
                 for xi in range(G.order()):
                     assert walk_flag_ii(G, xi, word) == bool(held >> xi & 1)
 
@@ -886,7 +893,7 @@ def test_flag_ii_is_a_unique_reduced_subword(group_for, type_letter, rank):
             counts = reduced_subword_counts(G, word)
             assert bitset(counts) == xset
             unique = bitset(xi for xi, c in counts.items() if c == 1)
-            assert _flag_ii_idx(G, word, xset) == unique
+            assert flag_ii_holds(G, word, xset) == unique
 
 
 @pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
@@ -900,7 +907,7 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
     @given(word_and_xs(G))
     def check(drawn):
         word, xs = drawn
-        held = _flag_ii_idx(G, word, bitset(xs))
+        held = flag_ii_holds(G, word, bitset(xs))
         for xi in xs:
             assert walk_flag_ii(G, xi, word) == bool(held >> xi & 1)
 
@@ -918,7 +925,8 @@ def test_condition_b_mask_matches_witness_search(group_for, type_letter,
     G.ensure_bruhat()
     masks = [condition_b_mask(G, xi) for xi in range(G.order())]
     for wi in range(G.order()):
-        found = first_witnesses(G, wi, G.lower_interval_idx(wi), _flag_ii_idx)
+        found = first_witnesses(G, wi, G.lower_interval_idx(wi),
+                                _flag_holds(1))
         assert sorted(found) == [xi for xi in range(G.order())
                                  if (masks[xi] >> wi) & 1]
 

@@ -12,10 +12,12 @@ import time
 
 import pytest
 
-from wwl import WeylGroup, build_root_system, roots, workbench
+from wwl import (WeylGroup, build_root_system, coeffs, hecke, roots,
+                 shellability, workbench)
 from wwl.cli import _emit, main
 from wwl.errors import BudgetError, InvariantError
-from wwl.shellability import _failing_flags, condition_B, deodhar_slack_idx
+from wwl.shellability import (_failing_flags, condition_A, condition_B,
+                              condition_per_word, deodhar_slack_idx)
 from wwl.workbench import (SweepConfig, check_request, coeff_report,
                            cs_report, good_words_report, load_group_cache,
                            mtx_report, parse_int_seq, pct_string,
@@ -217,7 +219,11 @@ def test_mtx_entry_limit_before_any_table(monkeypatch):
     (["mtx", "--type", "B", "--rank", "3", "--points", "0"], 4),
     (["verify-conjecture", "--type", "B", "--rank", "3", "--budget", "0"], 4),
     (["mtx", "--type", "B", "--rank", "4", "--points", "114"], 3),
-], ids=["mtx-points", "verify-budget", "mtx-entries"])
+    (["cs-check", "--type", "A", "--rank", "2", "--lambda=-1,0"], 4),
+    (["cs-check", "--type", "A", "--rank", "2", "--lambda", "1,0,0"], 4),
+    (["cs-check", "--type", "A", "--rank", "5", "--lambda", "2,1,1,1,2"], 3),
+], ids=["mtx-points", "verify-budget", "mtx-entries", "cs-not-dominant",
+        "cs-length", "cs-dimension"])
 def test_refused_input_leaves_no_cache_file(capsys, tmp_path, argv, code):
     """Input refused as bad or too large exits before build_group, so the
     --cache directory is left as it was: empty."""
@@ -253,6 +259,16 @@ def _too_large_runs():
     # above the good-words order limit
     for type_letter, rank in (("B", 4), ("F", 4), ("A", 5)):
         yield ["good-words", "--type", type_letter, "--rank", str(rank)]
+    yield from _too_large_weights()
+
+
+def _too_large_weights():
+    """cs-check weights past MAX_CS_DIMENSION: 238,140, 1,048,576 and
+    16,777,216."""
+    for type_letter, lam in (("A", "2,1,1,1,2"), ("D", "1,1,1,1,1"),
+                             ("F", "1,1,1,1")):
+        yield ["cs-check", "--type", type_letter,
+               "--rank", str(lam.count(",") + 1), "--lambda", lam]
 
 
 @pytest.mark.parametrize("argv", list(_too_large_runs()),
@@ -264,6 +280,21 @@ def test_too_large_groups_exit_3_fast(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("budget:")
+
+
+def test_cs_dimension_gate_before_any_table(monkeypatch):
+    """The cs-check size gate reads the root data alone: it admits A4 at
+    2,1,1,2 (Weyl dimension 6,125), A5 at rho (32,768) and B4 at rho
+    (65,536, the limit itself), and refuses the weights past it, with no
+    table built."""
+    monkeypatch.setattr(WeylGroup, "ensure_tables", refuse_tables)
+    for type_letter, lam in (("A", (2, 1, 1, 2)), ("A", (1,) * 5),
+                             ("B", (1,) * 4)):
+        check_request("cs-check", SweepConfig(type_letter, len(lam)), lam)
+    for argv in _too_large_weights():
+        config = SweepConfig(argv[2], int(argv[4]))
+        with pytest.raises(BudgetError, match="Weyl dimension"):
+            check_request("cs-check", config, parse_int_seq(argv[6]))
 
 
 @pytest.mark.parametrize("lam", ["4294967296,1,1,2", "1,1,1,-1048577"])
@@ -670,16 +701,18 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
     real_first_witnesses = workbench.first_witnesses
     monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
 
-    def recording_m_product_roots(group, xi, word):
+    def recording_gamma_sequence(group, word, lam):
+        # the chain label determines x: the product of the kept positions
+        xi = group.word_to_idx([a for p, a in enumerate(word, 1)
+                                if p not in lam])
         key = (group.canon_of_idx(xi),
                group.canon_of_idx(group.word_to_idx(word)))
         assert key not in words  # once per pair, not once per point
         words[key] = word
-        return real_m_product_roots(group, xi, word)
+        return real_gamma_sequence(group, word, lam)
 
-    real_m_product_roots = workbench._m_product_roots_idx
-    monkeypatch.setattr(workbench, "_m_product_roots_idx",
-                        recording_m_product_roots)
+    real_gamma_sequence = workbench.gamma_sequence
+    monkeypatch.setattr(workbench, "gamma_sequence", recording_gamma_sequence)
     G = WeylGroup(build_root_system("B", 3))
     report = mtx_report(G, SweepConfig("B", 3, points=2))
     checked = 0
@@ -756,6 +789,59 @@ def test_good_words_reports(capsys):
     code, out, _ = run_cli(capsys, "good-words", "--type", "A", "--rank", "2")
     assert code == 0
     assert json.loads(out)["pairs_without_good_word"] == 0
+
+
+# sha256 of the stdout of `good-words --threads 1`, as printed when each
+# word's labels were computed from scratch
+GOOD_WORDS_DIGESTS = {
+    ("B", 3): "379b8bb14c8ab7106fccd37d85e0823d788d758950acca8f41b24c554ba603e4",
+    ("D", 4): "bfe60b179b4df5d651dd56f984f9466929897a65c57fdb3be12d8070c4c1c70e",
+}
+
+
+@pytest.mark.parametrize("type_letter,rank", list(GOOD_WORDS_DIGESTS))
+def test_good_words_digests(capsys, type_letter, rank):
+    code, out, _ = run_cli(capsys, "good-words", "--type", type_letter,
+                           "--rank", str(rank), "--threads", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOOD_WORDS_DIGESTS[(type_letter, rank)]
+
+
+def test_witness_searches_read_only_the_word_walk(capsys, monkeypatch):
+    """With the single-word label routines raising, mtx and good-words on
+    B3 print their pinned bytes, and condition_A and condition_B give every
+    A3 pair the first word, in lexicographic order, whose own label scans
+    show the flag: the witness searches read only the labels of
+    _word_labels_idx."""
+    G = WeylGroup(build_root_system("A", 3))
+    G.ensure_bruhat()
+    expected = {}
+    for wi in range(G.order()):
+        for xi in G.lower_interval_idx(wi):
+            x, w = G.elem_of(xi), G.elem_of(wi)
+            for k in (0, 1):
+                expected[k, xi, wi] = next(
+                    ((True, word) for word in G._iter_words_idx(wi)
+                     if condition_per_word(G, x, word)[k]), (False, None))
+
+    def refuse(*args):
+        raise AssertionError("a single-word label routine was called")
+
+    for module in (shellability, hecke, coeffs):
+        monkeypatch.setattr(module, "_greedy_chain_idx", refuse)
+    monkeypatch.setattr(shellability, "_lambda_sets_idx", refuse)
+    monkeypatch.setattr(WeylGroup, "deleted_word_elements_idx", refuse)
+    for (k, xi, wi), answer in expected.items():
+        condition = (condition_A, condition_B)[k]
+        assert condition(G, G.elem_of(xi), G.elem_of(wi)) == answer
+    for command, extra, digests in (
+            ("mtx", ["--points", "8", "--seed", "0"], MTX_DIGESTS),
+            ("good-words", [], GOOD_WORDS_DIGESTS)):
+        code, out, _ = run_cli(capsys, command, "--type", "B", "--rank", "3",
+                               "--threads", "1", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests["B", 3]
 
 
 # -- golden statistics --------------------------------------------------------------------
