@@ -66,9 +66,8 @@ from .errors import ConditionError, DomainError, InvariantError
 from .groupalg import (GAElement, _checked_weight, atom_op, demazure,
                        ga_sum, mul_one_minus_v_exp, reflect, t_op)
 from .roots import RootSystem, Weight
-from .shellability import (_checked_word_idx, _failing_flags,
-                           _greedy_chain_idx, _label_of, _label_sets_idx,
-                           _reduced_word_idx, beta_sequence)
+from .shellability import (_checked_word_idx, _failing_flags, _label_of,
+                           _one_word_labels, _reduced_word_idx, beta_sequence)
 from .weyl import WeylElement, WeylGroup
 
 
@@ -199,17 +198,17 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     the formula is evaluated anyway, using the increasing-chain label; that
     is the variant whose failure off-condition is itself a tested fact."""
     word = tuple(word)
-    xi, _ = _checked_word_idx(group, x, word)
-    return _closed_form_idx(group, word, xi, check)
+    xi, wi = _checked_word_idx(group, x, word)
+    return _closed_form_idx(group, wi, word, xi, check)
 
 
-def _closed_form_idx(group: WeylGroup, word, xi: int,
+def _closed_form_idx(group: WeylGroup, wi: int, word, xi: int,
                      check: bool = True) -> GAElement:
-    """closed_form_coeff for the x of index xi below a reduced word."""
+    """closed_form_coeff for the x of index xi below a reduced word of the
+    element of index wi."""
+    lam, inc, dec = _one_word_labels(group, wi, word, 1 << xi)
     if not check:
-        return _closed_form_product(group, word, _label_of(
-            _greedy_chain_idx(group, word, 1 << xi, pick_max=False), xi))
-    lam, inc, dec = _label_sets_idx(group, word, 1 << xi)
+        return _closed_form_product(group, word, _label_of(inc, xi))
     fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
     if fails_i and fails_ii:
         raise ConditionError(

@@ -43,7 +43,7 @@ import random
 
 from .errors import ConditionError, DomainError, UnluckyPointError
 from .roots import Coords, RootSystem
-from .shellability import (_checked_word_idx, _greedy_chain_idx, _label_of,
+from .shellability import (_checked_word_idx, _label_of, _one_word_labels,
                            gamma_sequence)
 from .weyl import WeylElement, WeylGroup
 
@@ -225,9 +225,8 @@ def m_product_roots(group: WeylGroup, x: WeylElement, w: WeylElement,
     above x and that the chain condition holds for (x, word), and returns
     the roots gamma of the increasing-chain label."""
     word = tuple(word)
-    xi, _ = _checked_word_idx(group, x, word, w)
-    inc = _greedy_chain_idx(group, word, 1 << xi, pick_max=False)
-    dec = _greedy_chain_idx(group, word, 1 << xi, pick_max=True)
+    xi, wi = _checked_word_idx(group, x, word, w)
+    _, inc, dec = _one_word_labels(group, wi, word, 1 << xi)
     if inc != dec:  # position sets, read in opposite orders
         raise ConditionError("chain condition fails for this pair and word",
                              chain_min=_label_of(inc, xi),

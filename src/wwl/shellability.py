@@ -22,17 +22,20 @@ w = s_1...s_n and x <= w:
   order and stop at the first witness.
 
 Labels are held bit-sliced, one bitset over x per word position, and
-_failing_flags reads off the x failing each flag.  Every loop over the
-words of w takes the three labels of all of them from _word_labels_idx,
-per edge of w's weak interval (below): the two sweeps that visit every
-word (verify, also run by the independent statistics, and the
-main-theorem sweep), and first_witnesses, the lexicographic witness
-search, which hands each x its witness word with that word's labels.
-_label_sets_idx computes the three labels of one word from scratch, for
-the single-word public functions; deodhar_slack_idx counts #S(x,w).
-Per-x tuples are read from the bitsets (_label_of) only where a caller
-needs them: violation records, closed forms, chain roots, and the
-single-x public functions.
+_failing_flags reads off the x failing each flag.  All three labels come
+from one labeller, _edge_labels, which labels the edges of w's left weak
+interval (below); a word's labels are read along its chain of edges
+(_chain_labels).  Every loop over the words of w labels the whole
+interval once (_word_labels_idx): the two sweeps that visit every word
+(verify, also run by the independent statistics, and the main-theorem
+sweep), and first_witnesses, the lexicographic witness search, which
+hands each x its witness word with that word's labels.  The single-word
+functions (lambda_set, the two chains, condition_per_word, is_good_word,
+the closed forms and m_product_roots) label only their own word's chain
+(_one_word_labels); deodhar_slack_idx counts #S(x,w).  Per-x tuples are
+read from the bitsets (_label_of) only where a caller needs them:
+violation records, closed forms, chain roots, and the single-x public
+functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -72,12 +75,14 @@ Conversely a single reduced subword is both L and R.
 A scan whose residual does not end at e means x is not below the word, and
 raises InvariantError.  One step of a scan (_scan_step) moves a map
 {residual y: bitset of the x having it}, so every x is scanned at once.
-_greedy_chain_idx scans one word.  A scan step is a 0-Hecke action, so
-the map after a prefix or suffix depends only on its product, and
-_word_labels_idx scans each edge v -> s_a v of w's left weak interval
-once, position i of a word a_1...a_n being the edge at v = a_i...a_n:
-left going down from w, right going up from e, and lambda is the mask of
-(w v^-1)(s_a v).  Two edges that give one node different maps raise.
+A scan step is a 0-Hecke action, so the map after a prefix or suffix
+depends only on its product, and _edge_labels scans each edge
+v -> s_a v of w's left weak interval once, position i of a word
+a_1...a_n being the edge at v = a_i...a_n: left going down from w,
+right going up from e, and lambda is the mask of (w v^-1)(s_a v), the
+word with position i deleted.  Two edges that give one node different
+maps raise.  Given one word, it scans only that word's chain
+v_1 = w, ..., v_(n+1) = e, the same steps on n of the edges.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -117,8 +122,8 @@ def _checked_word_idx(group: WeylGroup, x: WeylElement, word,
 
 def lambda_set(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Positions whose single deletion leaves an element >= x, ascending."""
-    xi, _ = _checked_word_idx(group, x, word)
-    return _label_of(_lambda_sets_idx(group, word, 1 << xi), xi)
+    xi, wi = _checked_word_idx(group, x, word)
+    return _label_of(_one_word_labels(group, wi, word, 1 << xi)[0], xi)
 
 
 def _checked_pair_idx(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[int, int]:
@@ -132,15 +137,15 @@ def _checked_pair_idx(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple
 def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
-    xi, _ = _checked_word_idx(group, x, word)
+    xi, wi = _checked_word_idx(group, x, word)
     return bool(_good_word_idx(group, word, 1 << xi,
-                               _lambda_sets_idx(group, word, 1 << xi)))
+                               *_one_word_labels(group, wi, word, 1 << xi)))
 
 
 def _good_word_idx(group: WeylGroup, word, xset: int, lam, *_chains) -> int:
     """The x of the bitset xset for which word is good (is_good_word),
-    from the word's bit-sliced lambda_set lam; no chain is walked.  As a
-    first_witnesses test it is also passed the two chain labels, unread."""
+    from the word's bit-sliced lambda_set lam; the two chain labels that
+    come with it (_chain_labels) are not read."""
     out = 0
     for xi in _bit_indices(xset):
         residual = [a for a, s in zip(word, lam) if not (s >> xi) & 1]
@@ -189,7 +194,7 @@ def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
-    group.word_to_idx(word)  # checks the letters, builds the tables
+    _reduced_word_idx(group, word)
     gammas: dict[int, Coords] = {}
     tail = 0  # the identity
     for i in range(n, 0, -1):
@@ -207,7 +212,7 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
-    group.word_to_idx(word)  # checks the letters, builds the tables
+    _reduced_word_idx(group, word)
     betas = []
     prefix = 0  # the identity
     for i in range(1, n + 1):
@@ -242,26 +247,6 @@ def _check_scanned(residuals: dict) -> None:
             "an x's residual does not end at e: x is not below the word")
 
 
-def _greedy_chain_idx(group: WeylGroup, word, xset: int,
-                      pick_max: bool) -> list[int]:
-    """The labels of the lexicographically extreme maximal chains down to
-    every x in the bitset xset (each x below the word's product), bit-sliced
-    by position: entry p - 1 is the bitset of the x whose label deletes
-    position p.  The decreasing label (pick_max) is the complement of the
-    leftmost reduced subword of x, one left-to-right scan; the increasing
-    label the complement of the rightmost one, one right-to-left scan."""
-    group.ensure_tables()
-    rows = group._lmul if pick_max else group._rmul
-    lens = group._len
-    residuals = {xi: 1 << xi for xi in _bit_indices(xset)}
-    out = []
-    for a in (word if pick_max else reversed(word)):
-        residuals, kept = _scan_step(residuals, rows[a - 1], lens)
-        out.append(xset & ~kept)
-    _check_scanned(residuals)
-    return out if pick_max else out[::-1]
-
-
 def _scan_edge(maps: dict, node: int, residuals: dict, row, lens) -> int:
     """_scan_step into maps[node], which must match a map already there."""
     out, kept = _scan_step(residuals, row, lens)
@@ -271,34 +256,71 @@ def _scan_edge(maps: dict, node: int, residuals: dict, row, lens) -> int:
     return kept
 
 
-def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
-    """_label_sets_idx of every reduced word of w, with the word, in
-    lexicographic order, read off the edges v -> s_a v of w's left weak
-    interval, each labelled once before the first word (module docstring)."""
+def _edge_labels(group: WeylGroup, wi: int, xset: int, word=None) -> dict:
+    """{(v, a): [lambda, increasing, decreasing]} for each edge
+    v -> s_a v of w's left weak interval, or, given a reduced word
+    a_1...a_n of w, only for the edges of its chain v_i = a_i...a_n, each
+    label bit-sliced over the x of xset (each below w) and scanned once
+    (module docstring)."""
     group.ensure_bruhat()
     lens, lmul, rmul = group._len, group._lmul, group._rmul
     start = {xi: 1 << xi for xi in _bit_indices(xset)}
     left, right = {wi: start}, {0: start}
-    labels = {}  # edge (v, a): [lambda, increasing, decreasing]
-    for v in range(wi, -1, -1):  # the table is by length: parents first
-        if v in left:
-            for a, row in enumerate(lmul, 1):
-                c = row[v]
-                if lens[c] < lens[v]:
-                    kept = _scan_edge(left, c, left[v], row, lens)
-                    d = group.idx_mul(group.idx_mul(wi, group._inv[v]), c)
-                    labels[v, a] = [xset & group._bruhat[d], 0, xset & ~kept]
+    labels = {}
+    for v, a in _down_edges(group, wi, left) if word is None else \
+            _chain_edges(lmul, wi, word):
+        row = lmul[a - 1]
+        c = row[v]
+        kept = _scan_edge(left, c, left[v], row, lens)
+        d = group.idx_mul(group.idx_mul(wi, group._inv[v]), c)
+        labels[v, a] = [xset & group._bruhat[d], 0, xset & ~kept]
     _check_scanned(left[0])
     for v, a in reversed(labels):  # up from e, each edge after those below
         labels[v, a][1] = xset & ~_scan_edge(
             right, v, right[lmul[a - 1][v]], rmul[a - 1], lens)
     _check_scanned(right[wi])
+    return labels
+
+
+def _down_edges(group: WeylGroup, wi: int, reached):
+    """The edges v -> s_a v of w's left weak interval, parents first (the
+    table is by length), from the nodes in `reached` as it grows."""
+    lens = group._len
+    for v in range(wi, -1, -1):
+        if v in reached:
+            for a, row in enumerate(group._lmul, 1):
+                if lens[row[v]] < lens[v]:
+                    yield v, a
+
+
+def _chain_edges(lmul, wi: int, word):
+    """The edges (v_i, a_i) of a word's chain, v_1 = w and
+    v_(i+1) = s_(a_i) v_i."""
+    v = wi
+    for a in word:
+        yield v, a
+        v = lmul[a - 1][v]
+
+
+def _chain_labels(group: WeylGroup, labels: dict, wi: int, word):
+    """(lambda, increasing, decreasing) of a reduced word of w, each
+    bit-sliced by position, read off its chain's edges in labels."""
+    path = [labels[edge] for edge in _chain_edges(group._lmul, wi, word)]
+    return tuple([edge[k] for edge in path] for k in range(3))
+
+
+def _one_word_labels(group: WeylGroup, wi: int, word, xset: int):
+    """_chain_labels of one reduced word of w, labelling only its chain."""
+    return _chain_labels(group, _edge_labels(group, wi, xset, word), wi, word)
+
+
+def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
+    """_chain_labels of every reduced word of w, with the word, in
+    lexicographic order, from the edges of w's left weak interval, each
+    labelled once before the first word."""
+    labels = _edge_labels(group, wi, xset)
     for word in group._iter_words_idx(wi):
-        path, v = [], wi
-        for a in word:
-            path.append(labels[v, a])
-            v = lmul[a - 1][v]
-        yield word, *([edge[k] for edge in path] for k in range(3))
+        yield word, *_chain_labels(group, labels, wi, word)
 
 
 def _bit_indices(mask: int):
@@ -316,25 +338,16 @@ def _label_of(sets, xi: int, descending: bool = False) -> tuple[int, ...]:
     return label[::-1] if descending else label
 
 
-def _lambda_sets_idx(group: WeylGroup, word, xset: int) -> list[int]:
-    """lambda_set bit-sliced by position, like _greedy_chain_idx: entry
-    p - 1 is the bitset of the x in xset whose lambda_set holds p, read
-    from the Bruhat mask of the word's single deletion at p."""
-    group.ensure_bruhat()
-    masks = group._bruhat
-    return [xset & masks[d] for d in group.deleted_word_elements_idx(word)]
-
-
 def lex_min_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with increasing label."""
-    xi, _ = _checked_word_idx(group, x, word)
-    return _label_of(_greedy_chain_idx(group, word, 1 << xi, False), xi)
+    xi, wi = _checked_word_idx(group, x, word)
+    return _label_of(_one_word_labels(group, wi, word, 1 << xi)[1], xi)
 
 
 def lex_max_chain(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Label of the unique maximal chain with decreasing label."""
-    xi, _ = _checked_word_idx(group, x, word)
-    return _label_of(_greedy_chain_idx(group, word, 1 << xi, True), xi,
+    xi, wi = _checked_word_idx(group, x, word)
+    return _label_of(_one_word_labels(group, wi, word, 1 << xi)[2], xi,
                      descending=True)
 
 
@@ -342,20 +355,9 @@ def condition_per_word(group: WeylGroup, x: WeylElement, word) -> tuple[bool, bo
     """The flags (i), (ii), (iii) for one reduced word, each evaluated from
     scratch; this function exists to test their equivalence, so no flag is
     derived from another."""
-    xi, _ = _checked_word_idx(group, x, word)
-    failing = _failing_flags(*_label_sets_idx(group, word, 1 << xi))
+    xi, wi = _checked_word_idx(group, x, word)
+    failing = _failing_flags(*_one_word_labels(group, wi, word, 1 << xi))
     return tuple(not f for f in failing)
-
-
-def _label_sets_idx(group: WeylGroup, word, xset: int):
-    """(lambda_set, increasing label, decreasing label) of every x in xset
-    (each below the word's product), each bit-sliced by position: entry
-    p - 1 of a list is the bitset of the x whose set holds p.  lambda_set
-    comes from the word's single deletions and each label from its own
-    scan; the three are computed independently."""
-    return (_lambda_sets_idx(group, word, xset),
-            _greedy_chain_idx(group, word, xset, False),
-            _greedy_chain_idx(group, word, xset, True))
 
 
 def _differing(a, b) -> int:
@@ -369,7 +371,7 @@ def _differing(a, b) -> int:
 
 def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
     """Bitsets of the x failing flag (i), (ii) and (iii), from the
-    bit-sliced sets of _label_sets_idx.  lambda_set and the increasing
+    bit-sliced sets of _chain_labels.  lambda_set and the increasing
     label read ascending and the decreasing label descending, so two of
     them are equal as sequences (one reversed) exactly when their position
     sets are."""
@@ -379,7 +381,8 @@ def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
 def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
     """{xi: (word, lam, inc, dec)} for the xi in xs that have a witness: the
     first reduced word of w, in lexicographic order, on which a flag holds
-    for xi, with its labels from _word_labels_idx, one tuple per word.
+    for xi, with its labels from _word_labels_idx, which labels the edges
+    of w's left weak interval once before the first word.
     holds(group, word, left, lam, inc, dec) returns the x of the bitset
     `left` whose flag holds on word (_flag_holds, _good_word_idx); each x
     drops out at its first witness and the walk stops when none is left."""

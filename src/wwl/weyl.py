@@ -388,19 +388,6 @@ class WeylGroup:
         mask = self.bruhat_mask(wi)
         return [xi for xi in range(len(self._elements)) if (mask >> xi) & 1]
 
-    def deleted_word_elements_idx(self, letters) -> list[int]:
-        """Index of the product of `letters` with position i removed, for
-        every i.  The input need not be reduced."""
-        m = len(letters)
-        pre = [0] * (m + 1)
-        rmul, lmul = self._rmul, self._lmul
-        for k, letter in enumerate(letters):
-            pre[k + 1] = rmul[letter - 1][pre[k]]
-        suf = [0] * (m + 1)
-        for k in range(m - 1, -1, -1):
-            suf[k] = lmul[letters[k] - 1][suf[k + 1]]
-        return [self.idx_mul(pre[i], suf[i + 1]) for i in range(m)]
-
     def reduced_word_counts(self) -> list[int]:
         """Number of reduced words for every element, indexed like the
         element table."""

@@ -405,6 +405,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     group.ensure_bruhat()
     w_word = tuple(w_word)
     w = group.element_from_word(w_word)
+    wi = group.idx_of(w)
     table = atom_coeffs(group, w, w_word)  # checks that w_word is reduced
     chars = char_coeffs(group, w, w_word) if include_char else None
 
@@ -414,7 +415,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
             "value": table[xi].to_json_obj(),
         }
         try:
-            closed = _closed_form_idx(group, w_word, xi)
+            closed = _closed_form_idx(group, wi, w_word, xi)
             obj["condition"] = "holds"
             obj["closed_form"] = closed.to_json_obj()
             obj["closed_form_matches"] = closed == table[xi]

@@ -16,9 +16,9 @@ from wwl import (DomainError, WeylGroup, build_root_system, shellability,
 from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
-from wwl.shellability import (_failing_flags, _flag_holds,
-                              _greedy_chain_idx, _label_of, _label_sets_idx,
-                              _word_labels_idx, beta_sequence, condition_A,
+from wwl.shellability import (_edge_labels, _failing_flags, _flag_holds,
+                              _label_of, _one_word_labels, _word_labels_idx,
+                              beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, first_witnesses, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
@@ -26,7 +26,8 @@ from wwl.shellability import (_failing_flags, _flag_holds,
 from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
                            stats_sweep, verify_conjecture)
 
-from test_weyl import interval, perm_of_word, rank_matrix_leq
+from test_weyl import (deleted_word_elements, interval, perm_of_word,
+                       rank_matrix_leq)
 
 
 def all_chain_labels(group, xi, tagged_word):
@@ -87,7 +88,7 @@ def labels_oracle(group, word, xs):
     for every x in xs, in the order of xs, as tuples and one x at a time:
     lambda_set from a Bruhat test per single deletion, each label from
     greedy_chain_oracle, each flag by comparing two tuples."""
-    dels = group.deleted_word_elements_idx(word)
+    dels = deleted_word_elements(group, word)
     out = []
     for xi in xs:
         lam = tuple(i for i, d in enumerate(dels, 1) if group.leq_idx(xi, d))
@@ -96,6 +97,36 @@ def labels_oracle(group, word, xs):
         rev = dec[::-1]
         out.append((lam, inc, dec, (lam == rev, inc == rev, lam == inc)))
     return out
+
+
+def scan_labels(group, word, xset, pick_max):
+    """One extreme chain label of every x in xset, bit-sliced by position,
+    from one scan of the word: left to right for the decreasing label
+    (pick_max), keeping position i when s_i y < y, else right to left,
+    keeping i when y s_i < y; x sharing a residual move together.  The
+    label deletes the positions not kept."""
+    residuals = {xi: 1 << xi for xi in range(xset.bit_length())
+                 if xset >> xi & 1}
+    positions = range(len(word))
+    out = [0] * len(word)
+    for p in (positions if pick_max else reversed(positions)):
+        moved, kept = {}, 0
+        for y, xs in residuals.items():
+            t = (group.lmul_idx if pick_max else group.rmul_idx)(word[p], y)
+            if group.len_of_idx(t) < group.len_of_idx(y):
+                kept |= xs
+                y = t
+            moved[y] = moved.get(y, 0) | xs
+        residuals = moved
+        out[p] = xset & ~kept
+    assert set(residuals) <= {0}, "an x is not below the word"
+    return out
+
+
+def library_labels(group, word, xset):
+    """The library's (lambda_set, increasing, decreasing) of one reduced
+    word, bit-sliced by position."""
+    return _one_word_labels(group, group.word_to_idx(word), word, xset)
 
 
 def bitset(xs):
@@ -119,16 +150,16 @@ def assert_greedy_matches_oracle(group, word, xs, subsets=0, rng=None):
     """Both extreme labels from one bulk scan over all of xs, and from
     scans over `subsets` random subsets of xs, against the from-scratch
     oracle per x."""
-    for pick_max in (False, True):
+    for k, pick_max in ((1, False), (2, True)):
         expected = {xi: greedy_chain_oracle(group, xi, word, pick_max)
                     for xi in xs}
-        through = _greedy_chain_idx(group, word, bitset(xs), pick_max)
+        through = library_labels(group, word, bitset(xs))[k]
         assert through == sliced(expected, len(word))
         for xi in xs:
             assert _label_of(through, xi, pick_max) == expected[xi]
         for _ in range(subsets):
             some = rng.sample(xs, rng.randint(1, len(xs)))
-            assert _greedy_chain_idx(group, word, bitset(some), pick_max) \
+            assert library_labels(group, word, bitset(some))[k] \
                 == sliced({xi: expected[xi] for xi in some}, len(word))
 
 
@@ -136,7 +167,7 @@ def assert_flags_match_tuple_oracle(group, word, xs):
     """The bit-sliced label sets and flag bitsets of one word, against
     labels_oracle: every x's three labels and three flags, the x whose
     flags disagree, and the single-flag predicates."""
-    lam, inc, dec = _label_sets_idx(group, word, bitset(xs))
+    lam, inc, dec = library_labels(group, word, bitset(xs))
     fails = _failing_flags(lam, inc, dec)
     disagree = set()
     for xi, (o_lam, o_inc, o_dec, o_flags) in zip(
@@ -202,8 +233,11 @@ def test_lambda_set_requires_x_below(group_for):
     lambda G, x, word: is_good_word(G, x, word),
     lambda G, x, word: closed_form_coeff(G, x, word),
     lambda G, x, word: m_product_roots(G, x, G.element_from_word(word), word),
+    lambda G, x, word: gamma_sequence(G, word, ()),
+    lambda G, x, word: beta_sequence(G, word, ()),
 ], ids=["lambda_set", "lex_min_chain", "lex_max_chain", "condition_per_word",
-        "is_good_word", "closed_form_coeff", "m_product_roots"])
+        "is_good_word", "closed_form_coeff", "m_product_roots",
+        "gamma_sequence", "beta_sequence"])
 def test_non_reduced_word_rejected(query, word):
     """Every per-word query refuses a word whose length is not the length
     of its product with DomainError."""
@@ -318,7 +352,7 @@ def test_gamma_bijection(group_for):
             for word in G.all_reduced_words(w):
                 full = list(range(1, len(word) + 1))
                 gammas = gamma_sequence(G, word, full)
-                dels = G.deleted_word_elements_idx(word)
+                dels = deleted_word_elements(G, word)
                 for pos, gamma in zip(full, gammas):
                     assert G.rs.is_positive_root(gamma)
                     assert G.idx_of(w * G.reflection(gamma)) == dels[pos - 1]
@@ -400,11 +434,20 @@ def tables(group):
                           if k not in ("rs", "_refl_cache")})
 
 
+def word_scan_labels(group, word, xset):
+    """(lambda_set, increasing label, decreasing label) of one word,
+    bit-sliced by position: lambda_set from the Bruhat masks of the word's
+    single deletions, each label from its own scan_labels."""
+    return ([xset & group.bruhat_mask(d)
+             for d in deleted_word_elements(group, word)],
+            scan_labels(group, word, xset, False),
+            scan_labels(group, word, xset, True))
+
+
 def word_scans(group, wi, xset):
     """(word, lambda_set, increasing label, decreasing label) of every
-    reduced word of w from the single-word computations, in lexicographic
-    order."""
-    return [(word, *_label_sets_idx(group, word, xset))
+    reduced word of w from word_scan_labels, in lexicographic order."""
+    return [(word, *word_scan_labels(group, word, xset))
             for word in group._iter_words_idx(wi)]
 
 
@@ -419,15 +462,16 @@ def element_labels(group, wi, xset):
 def test_cover_memo_holds_only_reduced_words_below_w(type_letter, rank):
     """The scans hold no memo: the per-element walk yields exactly the
     reduced words of w, once each and in lexicographic order, and after
-    it and both single-word scans over every x for every w the group's
-    tables are as they were built."""
+    it and the single-word labels of every word over every x for every w
+    the group's tables are as they were built."""
     G = fresh_group(type_letter, rank)
     built = tables(G)
     for wi in range(G.order()):
         xset = G.bruhat_mask(wi)
         assert [word for word, *_ in element_labels(G, wi, xset)] == \
             list(G._iter_words_idx(wi))
-        word_scans(G, wi, xset)
+        for word in G._iter_words_idx(wi):
+            _one_word_labels(G, wi, word, xset)
     assert tables(G) == built
 
 
@@ -467,49 +511,45 @@ def refuse(*args):
     raise AssertionError("a word or a chain label was asked for")
 
 
-class CountedRow(list):
-    """A multiplication-table row that counts its reads."""
-    reads = 0
-
-    def __getitem__(self, k):
-        CountedRow.reads += 1
-        return list.__getitem__(self, k)
-
-
-def test_single_x_chain_fills_one_greedy_path(monkeypatch):
-    """A single-x chain query is one scan of the word: on the canonical
-    word of w0 of F4, lex_min_chain and lex_max_chain of one x enumerate
-    no reduced word and read the multiplication tables at most twice per
-    letter (once to check the word, once to scan it)."""
+def test_single_x_chain_scans_only_its_word(monkeypatch):
+    """A single-x chain query labels only its own word's chain: on the
+    canonical word of w0 of F4 (24 letters, where w0's left weak interval
+    has 1,152 nodes), lex_min_chain and lex_max_chain of one x enumerate
+    no reduced word and take one left and one right scan step per
+    letter."""
     G = fresh_group("F", 4)
     w0 = G.longest_element()
     word = G.canonical_word(w0)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
-    monkeypatch.setattr(G, "_lmul", [CountedRow(r) for r in G._lmul])
-    monkeypatch.setattr(G, "_rmul", [CountedRow(r) for r in G._rmul])
+    steps = []
+    step = shellability._scan_step
+
+    def counted(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(shellability, "_scan_step", counted)
     for x in (G.identity, G.element_from_word((1, 2, 3)),
               G.element_from_word((4, 3, 2, 1, 4))):
         xi = G.idx_of(x)
         for chain, pick_max in ((lex_min_chain, False),
                                 (lex_max_chain, True)):
-            CountedRow.reads = 0
+            steps.clear()
             label = chain(G, x, word)
-            assert CountedRow.reads <= 2 * len(word)
+            assert len(steps) == 2 * len(word)
             assert label == greedy_chain_oracle(G, xi, word, pick_max)
 
 
 def test_greedy_raises_when_an_x_is_not_below_the_word(group_for):
     """An x not below the word's product keeps a residual other than e:
-    the single-word scan raises rather than return a partial answer, in
-    both directions and also for the empty word, and so does the
-    per-element walk."""
+    the single-word labeller raises rather than return a partial answer,
+    also for the empty word, and so does the per-element walk."""
     G = group_for("A", 2)
     G.ensure_bruhat()
     s2 = G.word_to_idx((2,))
     for word in ((1,), ()):
-        for pick_max in (False, True):
-            with pytest.raises(InvariantError, match="does not end at e"):
-                _greedy_chain_idx(G, word, 1 << s2, pick_max)
+        with pytest.raises(InvariantError, match="does not end at e"):
+            _edge_labels(G, G.word_to_idx(word), 1 << s2, word)
     s1 = G.word_to_idx((1,))
     with pytest.raises(InvariantError, match="does not end at e"):
         list(_word_labels_idx(G, s1, G.bruhat_mask(s1) | 1 << s2))
@@ -522,7 +562,7 @@ def test_corrupted_multiplication_row_raises(table):
     x = s1 never takes a letter; with s2 made a fixed point of the right
     multiplication by s2, neither does the right scan of x = s2.  Both
     entries lie off the walk from w down to e, so the word is still
-    found, and the single-word scan, the sweeps' label sets, the public
+    found, and the single-word labeller, its three labels, the public
     chain and the per-element walk all raise."""
     G = fresh_group("A", 2)
     word = (1, 2)
@@ -532,9 +572,9 @@ def test_corrupted_multiplication_row_raises(table):
     getattr(G, table)[letter - 1][xi] = xi
     pick_max = table == "_lmul"
     with pytest.raises(InvariantError, match="does not end at e"):
-        _greedy_chain_idx(G, word, 1 << xi, pick_max)
+        _edge_labels(G, wi, 1 << xi, word)
     with pytest.raises(InvariantError, match="does not end at e"):
-        _label_sets_idx(G, word, 1 << xi)
+        _one_word_labels(G, wi, word, 1 << xi)
     chain = lex_max_chain if pick_max else lex_min_chain
     with pytest.raises(InvariantError, match="does not end at e"):
         chain(G, G.elem_of(xi), word)
@@ -545,7 +585,7 @@ def test_corrupted_multiplication_row_raises(table):
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
 def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
     """For a word of every w and every subword a chain can reach, the
-    single deletions of deleted_word_elements_idx that drop the length by
+    single deletions of deleted_word_elements that drop the length by
     one are exactly the deletions that leave a reduced word, with their
     elements, in position order."""
     G = group_for(type_letter, rank)
@@ -562,7 +602,7 @@ def test_cover_lists_hold_exactly_the_covers(group_for, type_letter, rank):
                         seen.add(rest)
                         todo.append(rest)
             got = [(j, d) for j, d in
-                   enumerate(G.deleted_word_elements_idx(letters))
+                   enumerate(deleted_word_elements(G, letters))
                    if G.len_of_idx(d) == len(letters) - 1]
             assert got == expected
 
@@ -629,12 +669,12 @@ def test_two_residuals_at_one_node_raise():
     """In A2, w0 has the reduced words 121 and 212.  With s1s2 * s2 made
     s2 instead of s1, the right scan of x = w0 along 121 ends at s2 and
     along 212 at e, so the two edges into w0 bring different residual
-    maps and the per-element walk raises, while the single-word scan of
-    212 never reads the broken entry."""
+    maps and the per-element walk raises, while the right scan of 212
+    alone never reads the broken entry."""
     G = fresh_group("A", 2)
     wi = G.order() - 1
     G._rmul[1][G.word_to_idx((1, 2))] = G.word_to_idx((2,))
-    assert _greedy_chain_idx(G, (2, 1, 2), 1 << wi, False) == [0, 0, 0]
+    assert _one_word_labels(G, wi, (2, 1, 2), 1 << wi)[1] == [0, 0, 0]
     with pytest.raises(InvariantError, match="one product leave different"):
         list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
 
@@ -745,13 +785,13 @@ def test_failing_flags_on_disagreeing_labels():
 
 
 def test_stats_fast_path_computes_no_label(monkeypatch):
-    """The statistics fast path enumerates no reduced word and calls
-    neither label routine."""
+    """The statistics fast path enumerates no reduced word and labels no
+    edge, neither along the walk nor along one word."""
     G = fresh_group("B", 3)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
     for module in (shellability, workbench):
         monkeypatch.setattr(module, "_word_labels_idx", refuse)
-    monkeypatch.setattr(shellability, "_greedy_chain_idx", refuse)
+    monkeypatch.setattr(shellability, "_edge_labels", refuse)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     with pytest.raises(AssertionError):
         lex_min_chain(G, G.identity, G.canonical_word(G.longest_element()))
@@ -846,8 +886,8 @@ def walk_flag_ii(group, xi, word):
 
 def flag_ii_holds(group, word, xset):
     """The x of xset whose flag (ii) holds on word, from the word's own
-    label scans."""
-    return xset & ~_failing_flags(*_label_sets_idx(group, word, xset))[1]
+    label scans (word_scan_labels)."""
+    return xset & ~_failing_flags(*word_scan_labels(group, word, xset))[1]
 
 
 def test_walk_matches_flag_ii(group_for):

@@ -463,12 +463,26 @@ def test_interval_requires_comparable(group_for):
         interval(G, G.element_from_word((1,)), G.element_from_word((2,)))
 
 
+def deleted_word_elements(G, letters):
+    """Index of the product of `letters` with position i removed, for
+    every i, from its prefix and suffix products.  The input need not be
+    reduced."""
+    m = len(letters)
+    pre = [0] * (m + 1)
+    for k, letter in enumerate(letters):
+        pre[k + 1] = G.rmul_idx(letter, pre[k])
+    suf = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        suf[k] = G.lmul_idx(letters[k], suf[k + 1])
+    return [G.idx_mul(pre[i], suf[i + 1]) for i in range(m)]
+
+
 def covers_down(G, w):
     """All y covered by w: the single deletions of w's canonical word that
     drop the length by one."""
     target = G.length(w) - 1
     return {G.elem_of(di)
-            for di in G.deleted_word_elements_idx(G.canonical_word(w))
+            for di in deleted_word_elements(G, G.canonical_word(w))
             if G.len_of_idx(di) == target}
 
 

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from wwl import (WeylGroup, build_root_system, coeffs, hecke, roots,
-                 shellability, workbench)
+from wwl import (WeylGroup, build_root_system, roots, shellability,
+                 workbench)
 from wwl.cli import _emit, main
 from wwl.errors import BudgetError, InvariantError
 from wwl.shellability import (_failing_flags, condition_A, condition_B,
@@ -673,6 +673,33 @@ def test_coeff_all_lists_interval(capsys):
     assert len(report["coeffs"]) == 4  # e, s1, s2, s1s2
 
 
+# sha256 of the stdout of `coeff --w <word> --char`, as printed when each
+# single-word label came from its own scan of the word, and the number of
+# entries whose chain condition fails (each printing its three labels)
+COEFF_DIGESTS = {
+    ("B", 3, "1,2,1,3,2,1,3,2,3"): (
+        "cd31d28a21ad6b777db050fe2f79d05230a1c1ef1f5a810455d1c1b77d3a46c5",
+        34),
+    ("G", 2, "1,2,1,2,1,2"): (
+        "a8a0857023c0d21af4f1d431642a12b2c81672cd4d7cfc6cd838fe05d122ba8b",
+        7),
+    ("A", 3, "1,2,1,3,2,1"): (
+        "e9e3945549664f728218d657a83785e995727bdfdfd1f6adf9ad33c111a13bb9",
+        10),
+}
+
+
+@pytest.mark.parametrize("type_letter,rank,word", list(COEFF_DIGESTS))
+def test_coeff_digests(capsys, type_letter, rank, word):
+    code, out, _ = run_cli(capsys, "coeff", "--type", type_letter, "--rank",
+                           str(rank), "--w", word, "--char")
+    assert code == 0
+    digest, failing = COEFF_DIGESTS[(type_letter, rank, word)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert sum(entry["condition"] == "fails"
+               for entry in json.loads(out)["coeffs"]) == failing
+
+
 # -- mtx, cs-check, good-words --------------------------------------------------------------
 
 def test_mtx_a2(capsys):
@@ -809,11 +836,11 @@ def test_good_words_digests(capsys, type_letter, rank):
 
 
 def test_witness_searches_read_only_the_word_walk(capsys, monkeypatch):
-    """With the single-word label routines raising, mtx and good-words on
-    B3 print their pinned bytes, and condition_A and condition_B give every
-    A3 pair the first word, in lexicographic order, whose own label scans
-    show the flag: the witness searches read only the labels of
-    _word_labels_idx."""
+    """With the single-word labeller raising, mtx and good-words on B3
+    print their pinned bytes, and condition_A and condition_B give every
+    A3 pair the first word, in lexicographic order, whose own labels show
+    the flag: the witness searches read only the labels of
+    _word_labels_idx, which labels w's whole left weak interval."""
     G = WeylGroup(build_root_system("A", 3))
     G.ensure_bruhat()
     expected = {}
@@ -825,13 +852,14 @@ def test_witness_searches_read_only_the_word_walk(capsys, monkeypatch):
                     ((True, word) for word in G._iter_words_idx(wi)
                      if condition_per_word(G, x, word)[k]), (False, None))
 
-    def refuse(*args):
-        raise AssertionError("a single-word label routine was called")
+    edge_labels = shellability._edge_labels
 
-    for module in (shellability, hecke, coeffs):
-        monkeypatch.setattr(module, "_greedy_chain_idx", refuse)
-    monkeypatch.setattr(shellability, "_lambda_sets_idx", refuse)
-    monkeypatch.setattr(WeylGroup, "deleted_word_elements_idx", refuse)
+    def walk_only(group, wi, xset, word=None):
+        if word is not None:
+            raise AssertionError("a single-word label routine was called")
+        return edge_labels(group, wi, xset)
+
+    monkeypatch.setattr(shellability, "_edge_labels", walk_only)
     for (k, xi, wi), answer in expected.items():
         condition = (condition_A, condition_B)[k]
         assert condition(G, G.elem_of(xi), G.elem_of(wi)) == answer
