@@ -199,24 +199,25 @@ def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
     is the variant whose failure off-condition is itself a tested fact."""
     word = tuple(word)
     xi, wi = _checked_word_idx(group, x, word)
-    return _closed_form_idx(group, wi, word, xi, check)
+    return _closed_form_idx(group, word, xi,
+                            _one_word_labels(group, wi, word, 1 << xi), check)
 
 
-def _closed_form_idx(group: WeylGroup, wi: int, word, xi: int,
+def _closed_form_idx(group: WeylGroup, word, xi: int, labels,
                      check: bool = True) -> GAElement:
-    """closed_form_coeff for the x of index xi below a reduced word of the
-    element of index wi."""
-    lam, inc, dec = _one_word_labels(group, wi, word, 1 << xi)
+    """closed_form_coeff for the x of index xi below a reduced word, from
+    the word's labels (_one_word_labels over a bitset that holds xi)."""
+    lam, inc, dec = labels
     if not check:
         return _closed_form_product(group, word, _label_of(inc, xi))
     fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
-    if fails_i and fails_ii:
+    if (fails_i & fails_ii) >> xi & 1:
         raise ConditionError(
             "chain condition fails for this pair and word",
             lambda_set=_label_of(lam, xi), chain_min=_label_of(inc, xi),
             chain_max=_label_of(dec, xi, descending=True))
-    return _closed_form_product(group, word,
-                                _label_of(inc if fails_i else lam, xi))
+    return _closed_form_product(
+        group, word, _label_of(inc if fails_i >> xi & 1 else lam, xi))
 
 
 def _closed_form_product(group: WeylGroup, word, indices) -> GAElement:

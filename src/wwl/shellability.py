@@ -25,17 +25,19 @@ Labels are held bit-sliced, one bitset over x per word position, and
 _failing_flags reads off the x failing each flag.  All three labels come
 from one labeller, _edge_labels, which labels the edges of w's left weak
 interval (below); a word's labels are read along its chain of edges
-(_chain_labels).  Every loop over the words of w labels the whole
-interval once (_word_labels_idx): the two sweeps that visit every word
-(verify, also run by the independent statistics, and the main-theorem
-sweep), and first_witnesses, the lexicographic witness search, which
-hands each x its witness word with that word's labels.  The single-word
-functions (lambda_set, the two chains, condition_per_word, is_good_word,
-the closed forms and m_product_roots) label only their own word's chain
-(_one_word_labels); deodhar_slack_idx counts #S(x,w).  Per-x tuples are
-read from the bitsets (_label_of) only where a caller needs them:
-violation records, closed forms, chain roots, and the single-x public
-functions.
+(_chain_labels).  The verify sweep, also run by the independent
+statistics, visits no word: _flag_dp decides the flags of every word at
+once on the edges (below), and only a w with a violation walks its words
+to list them.  Every walk over the words of w labels the whole interval
+once (_word_labels_idx): that listing, the main-theorem sweep, and
+first_witnesses, the lexicographic witness search, which hands each x its
+witness word with that word's labels.  The single-word functions
+(lambda_set, the two chains, condition_per_word, is_good_word, the closed
+forms and m_product_roots) label only their own word's chain
+(_one_word_labels).  _deodhar_masks compares #S(x,w) with l(w) - l(x)
+for all x at once, on a bit-sliced counter.  Per-x tuples are read from
+the bitsets (_label_of) only where a caller needs them: violation
+records, closed forms, chain roots, and the single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -81,8 +83,19 @@ v -> s_a v of w's left weak interval once, position i of a word
 a_1...a_n being the edge at v = a_i...a_n: left going down from w,
 right going up from e, and lambda is the mask of (w v^-1)(s_a v), the
 word with position i deleted.  Two edges that give one node different
-maps raise.  Given one word, it scans only that word's chain
-v_1 = w, ..., v_(n+1) = e, the same steps on n of the edges.
+maps raise.  A node's map is dropped once every edge from it has been
+scanned, so only about two length levels of maps are held at a time.
+Given one word, it scans only that word's chain v_1 = w, ..., v_(n+1) = e,
+the same steps on n of the edges.
+
+Flags on the edges.  Each label bit of x at a position depends on the
+position's edge alone (above: a scan sees a prefix or suffix only through
+its product, and lambda only through the deleted product), so the x
+failing a flag on a word are the OR over its edges of the XOR of two
+labels.  Every edge lies on some reduced word of w, as the interval is
+graded, so a DP down the interval (_flag_dp) decides which x have a word
+whose flags disagree, and which have a word with flag (i), with a few
+bitwise operations per edge and no word visited.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -91,6 +104,8 @@ pre-pass read it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import DomainError, InvariantError
 from .roots import Coords
@@ -176,13 +191,41 @@ def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...
                  if group.leq_idx(xi, ri))
 
 
-def deodhar_slack_idx(group: WeylGroup, wi: int, xs) -> list[int]:
-    """#S(x,w) - (l(w) - l(x)) for every x index in xs (each x <= w), in the
-    order of xs.  Deodhar's inequality says it is never negative."""
-    lower = [ri for _, ri in lower_reflections_idx(group, wi)]
-    lw = group.len_of_idx(wi)
-    return [sum(1 for ri in lower if group.leq_idx(xi, ri))
-            - lw + group.len_of_idx(xi) for xi in xs]
+def _deodhar_masks(group: WeylGroup, wi: int, xset: int) -> tuple[int, int]:
+    """(below, tight): the x of the bitset xset (each x <= w) with #S(x,w)
+    less than, and equal to, l(w) - l(x).  Deodhar's inequality says that
+    below is empty.  #S(x,w) counts the lower reflections w*s_alpha above
+    x, so their Bruhat masks are added into a bit-sliced counter, one
+    bitset per binary digit; the table is ordered by length, so each
+    length level of x is a run of indices, compared with its l(w) - l(x)
+    digit by digit, from the top."""
+    group.ensure_bruhat()
+    bruhat, lens = group._bruhat, group._len
+    planes: list[int] = []  # planes[k]: the x whose count has bit k set
+    for _, ri in lower_reflections_idx(group, wi):
+        carry = bruhat[ri] & xset
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    lw = lens[wi]
+    below = tight = 0
+    for length in range(lw + 1):
+        level = xset & ((1 << bisect_left(lens, length + 1))
+                        - (1 << bisect_left(lens, length)))
+        gap = lw - length
+        if gap >> len(planes):  # past every count the planes can hold
+            below |= level
+            continue
+        for k in range(len(planes) - 1, -1, -1):
+            if (gap >> k) & 1:
+                below |= level & ~planes[k]
+                level &= planes[k]
+            else:
+                level &= ~planes[k]
+        tight |= level
+    return below, tight
 
 
 def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
@@ -267,15 +310,22 @@ def _edge_labels(group: WeylGroup, wi: int, xset: int, word=None) -> dict:
     start = {xi: 1 << xi for xi in _bit_indices(xset)}
     left, right = {wi: start}, {0: start}
     labels = {}
+    last = None
     for v, a in _down_edges(group, wi, left) if word is None else \
             _chain_edges(lmul, wi, word):
+        if v != last:  # every edge into v is scanned
+            last, residuals = v, left.pop(v)
         row = lmul[a - 1]
         c = row[v]
-        kept = _scan_edge(left, c, left[v], row, lens)
+        kept = _scan_edge(left, c, residuals, row, lens)
         d = group.idx_mul(group.idx_mul(wi, group._inv[v]), c)
         labels[v, a] = [xset & group._bruhat[d], 0, xset & ~kept]
     _check_scanned(left[0])
+    level = 0
     for v, a in reversed(labels):  # up from e, each edge after those below
+        if lens[v] > level:  # the maps two levels down have been read
+            level = lens[v]
+            right = {u: m for u, m in right.items() if lens[u] >= level - 1}
         labels[v, a][1] = xset & ~_scan_edge(
             right, v, right[lmul[a - 1][v]], rmul[a - 1], lens)
     _check_scanned(right[wi])
@@ -314,13 +364,50 @@ def _one_word_labels(group: WeylGroup, wi: int, word, xset: int):
     return _chain_labels(group, _edge_labels(group, wi, xset, word), wi, word)
 
 
-def _word_labels_idx(group: WeylGroup, wi: int, xset: int):
+def _word_labels_idx(group: WeylGroup, wi: int, xset: int, labels=None):
     """_chain_labels of every reduced word of w, with the word, in
     lexicographic order, from the edges of w's left weak interval, each
-    labelled once before the first word."""
-    labels = _edge_labels(group, wi, xset)
+    labelled once before the first word (or given: the _edge_labels of
+    w over xset)."""
+    if labels is None:
+        labels = _edge_labels(group, wi, xset)
     for word in group._iter_words_idx(wi):
         yield word, *_chain_labels(group, labels, wi, word)
+
+
+def _flag_dp(group: WeylGroup, wi: int, xset: int, labels: dict):
+    """(violating, held) over the words of w, from the _edge_labels of w
+    over xset, with no word visited: the x whose three flags disagree on
+    some reduced word, and the x with flag (i) on some reduced word.
+
+    On an edge the x failing flag (i), (ii) and (iii) are f0 = lam^dec,
+    f1 = inc^dec and f2 = lam^inc, and f0^f1^f2 = 0, so an x fails no
+    flag or exactly two.  A word's failing x are the OR of its edges', so
+    its flags disagree for x exactly when x fails on some edge and every
+    failing edge fails the same pair.  Going down from w, each node
+    carries, OR-merged over the paths that reach it, the x with no
+    failing edge yet (z), those whose failing edges all fail the pair
+    (i)(ii), (i)(iii) or (ii)(iii) (s01, s02, s12), and those with no
+    flag-(i) failure yet (h); the answer is read at e."""
+    lmul = group._lmul
+    states = {wi: (xset, 0, 0, 0, xset)}
+    last = None
+    for (v, a), (lam, inc, dec) in labels.items():  # parents first
+        if v != last:  # every edge into v is merged
+            last, (z, s01, s02, s12, h) = v, states.pop(v)
+        f0, f1 = lam ^ dec, inc ^ dec
+        ok = ~(f0 | f1)
+        out = (z & ok,
+               (z | s01) & f0 & f1 | s01 & ok,
+               (z | s02) & f0 & ~f1 | s02 & ok,
+               (z | s12) & f1 & ~f0 | s12 & ok,
+               h & ~f0)
+        c = lmul[a - 1][v]
+        seen = states.get(c)
+        states[c] = out if seen is None else \
+            tuple(p | q for p, q in zip(seen, out))
+    _, s01, s02, s12, h = states[0]
+    return s01 | s02 | s12, h
 
 
 def _bit_indices(mask: int):
@@ -426,7 +513,7 @@ def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
     xi, wi = _checked_pair_idx(group, x, w)
-    return deodhar_slack_idx(group, wi, [xi])[0] >= 0
+    return not _deodhar_masks(group, wi, 1 << xi)[0]
 
 
 # -- word-free condition search --------------------------------------------------

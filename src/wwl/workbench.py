@@ -2,6 +2,13 @@
 verification, condition statistics, coefficient dumps, transition-matrix
 reports, and the on-disk cache.
 
+The verify sweep, which the independent statistics also run, decides each
+w on the edges of its left weak interval (shellability._flag_dp) and on a
+bit-sliced count of #S(x,w) (shellability._deodhar_masks), so its work per
+w depends on neither the number of reduced words nor, but for bitset
+width, the number of x; only a w with a violation walks its words, to
+list them.
+
 Reports are plain JSON-able dictionaries with deterministic content: rows
 are sorted by canonical word, percentages are exact rationals rendered to
 two decimals, and every random choice is driven by the configured seed, so
@@ -29,9 +36,10 @@ from .coeffs import (_atom_coeffs_idx, _check_dominant, _closed_form_idx,
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_bit_indices, _failing_flags, _flag_holds,
-                           _good_word_idx, _label_of, _word_labels_idx,
-                           condition_b_mask, deodhar_slack_idx,
+from .shellability import (_bit_indices, _deodhar_masks, _edge_labels,
+                           _failing_flags, _flag_dp, _flag_holds,
+                           _good_word_idx, _label_of, _one_word_labels,
+                           _word_labels_idx, condition_b_mask,
                            first_witnesses, gamma_sequence)
 from .weyl import WeylGroup
 
@@ -44,9 +52,13 @@ MAX_ORDER = {
     # masks in 0.25 s, but the sweep over its pairs then runs for about
     # 330 s and peaks at 188 MB at one thread
     "stats --mode fast": 5040,
-    # A5 (1,095,265 reduced words), about 22 s and 33 MB at one thread, 12 s
-    # at two; F4, the next group up, takes about 2.5 minutes at two threads
-    "stats --mode independent": 720,
+    # A6, as verify-conjecture (the sweep it runs) below
+    "stats --mode independent": 5040,
+    # A6 (16,913,275,917,601 triples), about 2 minutes at two threads and
+    # 160 MB; from D5 (13 s) to A6 the time grows as about the 2.3rd power
+    # of the order, which puts D6 (23,040 elements) near an hour.
+    # --budget, not --large, bounds verify's work below the gate
+    "verify-conjecture": 5040,
     # B4/C4, about 12 s and 140 MB at 8 points; the upper-interval sums
     # grow as the cube of the order, so A5 (720 elements) would take
     # several minutes
@@ -183,8 +195,9 @@ def check_request(command: str, config: SweepConfig, lam=()) -> None:
     table is built and so before build_group writes a cache file: a
     verify budget below one triple; a cs-check weight lam that is not
     dominant or past MAX_CS_DIMENSION; a group above MAX_ORDER[command]
-    (stats keyed by mode too) at all, or above LARGE_ORDER_THRESHOLD
-    without --large; an mtx run without a point or past MAX_MTX_ENTRIES."""
+    (stats keyed by mode too) at all, or, but for verify, above
+    LARGE_ORDER_THRESHOLD without --large; an mtx run without a point or
+    past MAX_MTX_ENTRIES."""
     if command == "verify-conjecture" and config.budget < 1:
         raise DomainError("verify-conjecture needs a budget of at least 1")
     if command == "cs-check":
@@ -202,7 +215,8 @@ def check_request(command: str, config: SweepConfig, lam=()) -> None:
     if order > limit:
         raise BudgetError(f"{command} stops at order {limit}; "
                           f"{rs.type_letter}{rs.rank} has {order}")
-    if order > LARGE_ORDER_THRESHOLD and not config.large:
+    if order > LARGE_ORDER_THRESHOLD and not config.large and \
+            command != "verify-conjecture":
         raise BudgetError(f"group of order {order} needs --large")
     if command == "mtx":
         if config.points < 1:
@@ -263,20 +277,24 @@ def _triples_per_w(group: WeylGroup) -> list[int]:
 
 
 def _verify_w(group: WeylGroup, wi: int):
-    """Every (reduced word, x <= w) triple of one w: the three flags of all
-    x of a word are compared at once on bitsets over x, and per-x labels
-    are read only for the x whose flags disagree; `held` counts the x
-    with flag (i) on some word."""
-    xs = group.lower_interval_idx(wi)
+    """Every (reduced word, x <= w) triple of one w, decided on the edges
+    of w's left weak interval (_flag_dp) with no word visited: `held`
+    counts the x with flag (i) on some word.  Only a w with a violation
+    walks its words, reading the same edge labels, to list each
+    disagreeing triple with its labels; the x that walk finds must be
+    those the edges gave."""
     xset = group.bruhat_mask(wi)
-    triples = held = 0
+    labels = _edge_labels(group, wi, xset)
+    violating, held = _flag_dp(group, wi, xset, labels)
     violations = []
-    for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
-        triples += len(xs)
+    listed = 0
+    for word, lam, inc, dec in _word_labels_idx(group, wi, xset, labels) \
+            if violating else ():
         fails = _failing_flags(lam, inc, dec)
-        held |= xset & ~fails[0]
-        for xi in _bit_indices((fails[0] | fails[1] | fails[2])
-                               & ~(fails[0] & fails[1] & fails[2])):
+        disagree = (fails[0] | fails[1] | fails[2]) \
+            & ~(fails[0] & fails[1] & fails[2])
+        listed |= disagree
+        for xi in _bit_indices(disagree):
             violations.append({
                 "w": list(group.canon_of_idx(wi)),
                 "word": list(word),
@@ -286,11 +304,16 @@ def _verify_w(group: WeylGroup, wi: int):
                 "chain_max": list(_label_of(dec, xi, descending=True)),
                 "flags": [not (f >> xi) & 1 for f in fails],
             })
+    if listed != violating:
+        raise InvariantError("the word walk and the edge DP find different "
+                             "disagreeing x")
+    below, _ = _deodhar_masks(group, wi, xset)
     deodhar_failures = [
         {"w": list(group.canon_of_idx(wi)), "x": list(group.canon_of_idx(xi))}
-        for xi, slack in zip(xs, deodhar_slack_idx(group, wi, xs)) if slack < 0]
-    return {"triples": triples, "held": held.bit_count(),
-            "violations": violations, "deodhar_failures": deodhar_failures}
+        for xi in _bit_indices(below)]
+    return {"triples": group.reduced_word_counts()[wi] * xset.bit_count(),
+            "held": held.bit_count(), "violations": violations,
+            "deodhar_failures": deodhar_failures}
 
 
 def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
@@ -408,6 +431,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     wi = group.idx_of(w)
     table = atom_coeffs(group, w, w_word)  # checks that w_word is reduced
     chars = char_coeffs(group, w, w_word) if include_char else None
+    labels = _one_word_labels(group, wi, w_word, group.bruhat_mask(wi))
 
     def entry_for(xi):
         obj = {
@@ -415,7 +439,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
             "value": table[xi].to_json_obj(),
         }
         try:
-            closed = _closed_form_idx(group, wi, w_word, xi)
+            closed = _closed_form_idx(group, w_word, xi, labels)
             obj["condition"] = "holds"
             obj["closed_form"] = closed.to_json_obj()
             obj["closed_form_matches"] = closed == table[xi]
@@ -537,9 +561,8 @@ def good_words_report(group: WeylGroup) -> dict:
     group.ensure_bruhat()
     pairs = []
     for wi in range(group.order()):
-        xs = group.lower_interval_idx(wi)
-        qualifying = [xi for xi, slack in
-                      zip(xs, deodhar_slack_idx(group, wi, xs)) if slack == 0]
+        qualifying = list(_bit_indices(
+            _deodhar_masks(group, wi, group.bruhat_mask(wi))[1]))
         found = first_witnesses(group, wi, qualifying, _good_word_idx)
         for xi in qualifying:
             pairs.append({

@@ -4,6 +4,7 @@ chains must match the unique monotone labels; the deletion set is
 recomputed through the independent rank-matrix Bruhat oracle for type A."""
 
 import copy
+import hashlib
 import itertools
 import random
 
@@ -16,7 +17,9 @@ from wwl import (DomainError, WeylGroup, build_root_system, shellability,
 from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
-from wwl.shellability import (_edge_labels, _failing_flags, _flag_holds,
+from wwl.cli import _emit
+from wwl.shellability import (_bit_indices, _deodhar_masks, _edge_labels,
+                              _failing_flags, _flag_dp, _flag_holds,
                               _label_of, _one_word_labels, _word_labels_idx,
                               beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
@@ -28,6 +31,7 @@ from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
 
 from test_weyl import (deleted_word_elements, interval, perm_of_word,
                        rank_matrix_leq)
+from test_workbench_cli import VERIFY_DIGESTS
 
 
 def all_chain_labels(group, xi, tagged_word):
@@ -487,24 +491,16 @@ def test_second_verify_builds_no_cover_list():
     assert tables(G) == built
 
 
-def test_verify_takes_its_words_from_the_group_walk(monkeypatch):
-    """The verify sweep reads its words from WeylGroup._iter_words_idx,
-    one call per w, and that walk yields every reduced word of every w
-    once."""
+def test_verify_walks_no_word_without_a_violation(monkeypatch, capsys):
+    """B3 has no violation, so neither verify nor the independent
+    statistics ask WeylGroup._iter_words_idx for a word: every w is
+    decided on its edges.  Verify still prints the pinned report."""
     G = fresh_group("B", 3)
-    walk = G._iter_words_idx
-    calls, words = [], []
-
-    def counted(wi):
-        calls.append(wi)
-        for word in walk(wi):
-            words.append(word)
-            yield word
-
-    monkeypatch.setattr(G, "_iter_words_idx", counted)
-    verify_conjecture(G, SweepConfig(type_letter="B", rank=3))
-    assert sorted(calls) == list(range(G.order()))
-    assert len(words) == sum(G.reduced_word_counts())
+    monkeypatch.setattr(G, "_iter_words_idx", refuse)
+    _emit(verify_conjecture(G, SweepConfig(type_letter="B", rank=3)))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS["B", 3]
+    stats_sweep(G, SweepConfig("B", 3, mode="independent"))
 
 
 def refuse(*args):
@@ -767,6 +763,120 @@ def test_flags_match_tuple_oracle_sampled(group_for, type_letter, rank):
         assert_flags_match_tuple_oracle(G, word, sorted(set(xs)))
 
     check()
+
+
+def verify_w_walk(group, wi, labels=None):
+    """(triples, held, violating) of one w from the word walk: every
+    reduced word's flags read off its chain in the _edge_labels of w over
+    all x <= w, or in the given labels; held and violating are bitsets."""
+    xset = group.bruhat_mask(wi)
+    triples = held = violating = 0
+    for word, lam, inc, dec in _word_labels_idx(group, wi, xset, labels):
+        triples += xset.bit_count()
+        fails = _failing_flags(lam, inc, dec)
+        held |= xset & ~fails[0]
+        violating |= (fails[0] | fails[1] | fails[2]) \
+            & ~(fails[0] & fails[1] & fails[2])
+    return triples, held, violating
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4)])
+def test_flag_dp_matches_word_walk(group_for, type_letter, rank):
+    """On every w, the edge DP's violating x and held x equal the word
+    walk's over the same edge labels, and _verify_w's triple count, held
+    count and (empty) violation list equal the walk's."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        labels = _edge_labels(G, wi, xset)
+        triples, held, violating = verify_w_walk(G, wi, labels)
+        assert _flag_dp(G, wi, xset, labels) == (violating, held)
+        got = _verify_w(G, wi)
+        assert (got["triples"], got["held"], got["violations"]) == \
+            (triples, held.bit_count(), [])
+
+
+@pytest.mark.parametrize("type_letter,rank,trials",
+                         [("A", 3, 300), ("B", 3, 300), ("G", 2, 200),
+                          ("A", 4, 150)])
+def test_flag_dp_under_flipped_edge_bits(group_for, type_letter, rank,
+                                         trials):
+    """Seeded flips of one to three single bits of w's edge labels, which
+    no real word produces: the edge DP's violating x and held x equal a
+    brute force over the words that reads the same flipped labels.  Some
+    trials give violations and some, whose flips cancel or leave every
+    word's failing edges with two different pairs, give none."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    rng = random.Random(f"flip-{type_letter}{rank}")
+    seen = set()
+    for _ in range(trials):
+        wi = rng.randrange(1, G.order())
+        xset = G.bruhat_mask(wi)
+        labels = _edge_labels(G, wi, xset)
+        xs = list(_bit_indices(xset))
+        edges = list(labels)
+        for _ in range(rng.randint(1, 3)):
+            labels[rng.choice(edges)][rng.randrange(3)] ^= 1 << rng.choice(xs)
+        _, held, violating = verify_w_walk(G, wi, labels)
+        assert _flag_dp(G, wi, xset, labels) == (violating, held)
+        seen.add(violating != 0)
+    assert seen == {True, False}
+
+
+def deodhar_slack_oracle(group, wi, xs):
+    """#S(x,w) - (l(w) - l(x)) for every x index in xs (each x <= w), in the
+    order of xs, one Bruhat test per (x, lower reflection)."""
+    lower = [ri for _, ri in shellability.lower_reflections_idx(group, wi)]
+    lw = group.len_of_idx(wi)
+    return [sum(1 for ri in lower if group.leq_idx(xi, ri))
+            - lw + group.len_of_idx(xi) for xi in xs]
+
+
+def assert_deodhar_masks_match_oracle(group, wi, xs):
+    below, tight = _deodhar_masks(group, wi, bitset(xs))
+    slack = deodhar_slack_oracle(group, wi, xs)
+    assert below == bitset(xi for xi, d in zip(xs, slack) if d < 0)
+    assert tight == bitset(xi for xi, d in zip(xs, slack) if d == 0)
+    return below
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4),
+                          ("D", 4), ("B", 4)])
+def test_deodhar_masks_match_slack_oracle(group_for, type_letter, rank):
+    """On every w, the bit-sliced masks of x with negative and with zero
+    slack #S(x,w) - (l(w) - l(x)) equal the per-x count's, over all x <= w
+    and over every other x of them."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xs = G.lower_interval_idx(wi)
+        assert assert_deodhar_masks_match_oracle(G, wi, xs) == 0
+        assert_deodhar_masks_match_oracle(G, wi, xs[1::2])
+
+
+def test_deodhar_masks_see_negative_slack(group_for, monkeypatch):
+    """With the first lower reflection of each w dropped, slacks go
+    negative: the masks still equal the per-x count's, which reads the
+    same shortened list, on every w of B3, and deodhar_check reports the
+    failures."""
+    G = group_for("B", 3)
+    G.ensure_bruhat()
+    lower = shellability.lower_reflections_idx
+    monkeypatch.setattr(shellability, "lower_reflections_idx",
+                        lambda group, wi: lower(group, wi)[1:])
+    failing = 0
+    for wi in range(G.order()):
+        xs = G.lower_interval_idx(wi)
+        below = assert_deodhar_masks_match_oracle(G, wi, xs)
+        failing += below.bit_count()
+        for xi in xs:
+            assert deodhar_check(G, G.elem_of(xi), G.elem_of(wi)) == \
+                (not (below >> xi) & 1)
+    assert failing
 
 
 def test_failing_flags_on_disagreeing_labels():

@@ -56,11 +56,13 @@ def test_oracle_only_helpers_not_in_library():
     the oracles of char_coeffs, the Bruhat masks by the lifting
     property, the oracle of the single-deletion build, the interval
     [x, w] as a list of WeylElements, and the per-word label scans and
-    single deletions that the edge labeller replaced."""
+    single deletions that the edge labeller replaced, and the per-x
+    #S(x,w) count that the bit-sliced Deodhar masks replaced."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
               "bruhat_masks_oracle", "interval", "_greedy_chain_idx",
               "_lambda_sets_idx", "_label_sets_idx",
-              "deleted_word_elements_idx", "deleted_word_elements"}
+              "deleted_word_elements_idx", "deleted_word_elements",
+              "deodhar_slack_idx"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []

@@ -16,8 +16,7 @@ from wwl import (WeylGroup, build_root_system, roots, shellability,
                  workbench)
 from wwl.cli import _emit, main
 from wwl.errors import BudgetError, InvariantError
-from wwl.shellability import (_failing_flags, condition_A, condition_B,
-                              condition_per_word, deodhar_slack_idx)
+from wwl.shellability import condition_A, condition_B, condition_per_word
 from wwl.workbench import (SweepConfig, check_request, coeff_report,
                            cs_report, good_words_report, load_group_cache,
                            mtx_report, parse_int_seq, pct_string,
@@ -248,9 +247,8 @@ def _too_large_runs():
     yield ["stats", "--type", "A", "--rank", "6"]
     # above the stats order limit even with --large
     yield ["stats", "--type", "D", "--rank", "6", "--large"]
-    # above the order limit of the independent stats mode
-    yield ["stats", "--type", "F", "--rank", "4", "--large", "--mode",
-           "independent"]
+    # the independent stats mode above the --large threshold
+    yield ["stats", "--type", "F", "--rank", "4", "--mode", "independent"]
     # above the mtx order limit
     for type_letter, rank in (("A", 5), ("F", 4), ("D", 5)):
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
@@ -280,6 +278,34 @@ def test_too_large_groups_exit_3_fast(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("budget:")
+
+
+# Groups in ascending order of |W|, up to D6 (23,040 elements)
+ORDERED_GROUPS = [("G", 2), ("A", 3), ("B", 3), ("A", 4), ("D", 4), ("B", 4),
+                  ("A", 5), ("F", 4), ("D", 5), ("B", 5), ("A", 6), ("D", 6)]
+
+
+def _order_gate_runs():
+    """(command, (type, rank)) for each MAX_ORDER gate, with the smallest
+    group of ORDERED_GROUPS above it."""
+    for command, limit in sorted(workbench.MAX_ORDER.items()):
+        yield command, next(
+            (t, r) for t, r in ORDERED_GROUPS
+            if build_root_system(t, r).group_order > limit)
+
+
+@pytest.mark.parametrize("command,group", list(_order_gate_runs()),
+                         ids=lambda v: v.replace(" --mode ", "-")
+                         if isinstance(v, str) else f"{v[0]}{v[1]}")
+def test_order_gates_exit_3_before_any_table(capsys, monkeypatch, command,
+                                             group):
+    """Each command's MAX_ORDER gate refuses the smallest group above it,
+    with --large given, before any table is built."""
+    monkeypatch.setattr(WeylGroup, "ensure_tables", refuse_tables)
+    code, out, err = run_cli(capsys, *command.split(), "--type", group[0],
+                             "--rank", str(group[1]), "--large")
+    assert (code, out) == (3, "")
+    assert "stops at order" in err
 
 
 def test_cs_dimension_gate_before_any_table(monkeypatch):
@@ -423,19 +449,32 @@ def test_stats_independent_mode_cli(capsys):
     assert report["rows"] == fast["rows"]
 
 
-def test_stats_independent_flag_disagreement_raises(monkeypatch):
-    """Flag (ii) of x = e flipped on every word: the independent
-    statistics raise after the sweep, naming the first disagreeing triple,
-    that of the empty word of e."""
-    def disagreeing(lam, inc, dec):
-        fails_i, fails_ii, fails_iii = _failing_flags(lam, inc, dec)
-        return fails_i, fails_ii ^ 1, fails_iii  # flag (ii) of e flipped
+def force_edge_disagreement(monkeypatch):
+    """The increasing-label bit of x = e flipped on the edge (w0, letter 1)
+    of the longest element of A2, which lies on its word 1,2,1 alone: that
+    word's increasing label of e loses position 1, so e fails flags (ii)
+    and (iii) there and keeps flag (i)."""
+    labeller = workbench._edge_labels
 
-    monkeypatch.setattr(workbench, "_failing_flags", disagreeing)
+    def flipped(group, wi, xset, word=None):
+        labels = labeller(group, wi, xset, word)
+        edge = (group.order() - 1, 1)
+        if edge in labels:
+            labels[edge][1] ^= 1  # x = e has index 0
+        return labels
+
+    monkeypatch.setattr(workbench, "_edge_labels", flipped)
+
+
+def test_stats_independent_flag_disagreement_raises(monkeypatch):
+    """A flag disagreement forced on one edge: the independent statistics
+    raise after the sweep, naming the first disagreeing triple, that of
+    x = e on the word 1,2,1."""
+    force_edge_disagreement(monkeypatch)
     group = WeylGroup(build_root_system("A", 2))
     with pytest.raises(InvariantError,
-                       match=r"disagree: \{'w': \[\], 'word': \[\], "
-                             r"'x': \[\],"):
+                       match=r"disagree: \{'w': \[1, 2, 1\], "
+                             r"'word': \[1, 2, 1\], 'x': \[\],"):
         stats_sweep(group, SweepConfig("A", 2, mode="independent"))
 
 
@@ -443,13 +482,15 @@ def test_stats_independent_deodhar_failure_raises(monkeypatch, capsys):
     """One negative #S(x,w) slack forced, at x = e below the longest
     element of A2: the independent statistics raise, naming the pair, and
     the command exits 2 with nothing on stdout."""
-    def one_negative(group, wi, xs):
-        slack = deodhar_slack_idx(group, wi, xs)
-        if wi == group.order() - 1:
-            slack[xs.index(0)] = -1
-        return slack
+    masks = workbench._deodhar_masks
 
-    monkeypatch.setattr(workbench, "deodhar_slack_idx", one_negative)
+    def one_below(group, wi, xset):
+        below, tight = masks(group, wi, xset)
+        if wi == group.order() - 1:
+            below |= 1  # x = e has index 0
+        return below, tight
+
+    monkeypatch.setattr(workbench, "_deodhar_masks", one_below)
     group = WeylGroup(build_root_system("A", 2))
     with pytest.raises(InvariantError,
                        match=r"Deodhar.*\{'w': \[1, 2, 1\], 'x': \[\]\}$"):
@@ -461,19 +502,11 @@ def test_stats_independent_deodhar_failure_raises(monkeypatch, capsys):
 
 
 def test_verify_flag_disagreement_is_one_violation(monkeypatch, capsys):
-    """Flag (ii) of x = e forced to fail on the first reduced word of the
-    longest element of A2, and nowhere else: the sweep reports exactly
-    that triple, with its true labels, and the command exits 2."""
-    forced = []
-
-    def disagreeing(lam, inc, dec):
-        fails = _failing_flags(lam, inc, dec)
-        if len(lam) < 3 or forced:
-            return fails
-        forced.append(True)
-        return fails[0], fails[1] ^ 1, fails[2]
-
-    monkeypatch.setattr(workbench, "_failing_flags", disagreeing)
+    """A flag disagreement forced on the edge (w0, letter 1) of A2, which
+    only the word 1,2,1 of the longest element crosses: the sweep reports
+    exactly that triple, with the labels it read, and the command exits
+    2."""
+    force_edge_disagreement(monkeypatch)
     code, out, _ = run_cli(capsys, "verify-conjecture", "--type", "A",
                            "--rank", "2", "--threads", "1")
     assert code == 2
@@ -481,8 +514,8 @@ def test_verify_flag_disagreement_is_one_violation(monkeypatch, capsys):
     assert report["triples_tested"] == 25
     assert report["violations"] == [{
         "w": [1, 2, 1], "word": [1, 2, 1], "x": [],
-        "lambda": [1, 2, 3], "chain_min": [1, 2, 3], "chain_max": [3, 2, 1],
-        "flags": [True, False, True]}]
+        "lambda": [1, 2, 3], "chain_min": [2, 3], "chain_max": [3, 2, 1],
+        "flags": [True, False, False]}]
 
 
 # sha256 of the stdout of `verify-conjecture`, as printed while each
