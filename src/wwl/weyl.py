@@ -22,10 +22,18 @@ because rho is regular.  Right multiplication by s_i sends the key to
 u - u[i] alpha_i, and it is an ascent exactly when u[i] > 0 (w s_i > w iff
 <w^-1 rho, alpha_i_vee> > 0), so a breadth-first search over keys finds
 each length level from the previous one with O(r) work per edge.  Each
-element's matrix pair is computed once, from its parent, by a rank-one
-update (`_times_simple`).  The key of w^-1 is w rho, the row sums of the
-weight matrix, which gives the inverse table and with it left
-multiplication, s_i w = (w^-1 s_i)^-1.
+element's matrix pair is computed once, from its parent, by a step on
+matrices held as columns (`_column_step`): w s_i changes only column i
+and the Dynkin neighbours of i in the root matrix and only column i in
+the weight matrix, so the step is O(r) too, and the columns it leaves
+alone are shared with the parent.  The columns are held only for the
+level being expanded; each element's row-major WeylElement is built once,
+when its level is sorted.  The ascent edges k -> k s_i of the search give
+the right multiplication table: each fills rmul[i][k] and its reverse,
+once the level is sorted and the indices of its elements are known, and
+every descent is the reverse of an ascent.  The key of w^-1 is w rho, the
+row sums of the weight matrix, which gives the inverse table and with it
+left multiplication, s_i w = (w^-1 s_i)^-1.
 
 The Bruhat mask of w is bit(w) OR the masks of the single deletions of
 w's canonical word, so the masks are built in table order with one bigint
@@ -73,22 +81,36 @@ def _identity_matrix(n: int) -> Matrix:
                  for i in range(n))
 
 
-def _times_simple(w: "WeylElement", i: int, cartan: Matrix) -> "WeylElement":
-    """w * s_i (0-based i) by rank-one updates of both matrices, O(r^2).
+def _step_neighbours(cartan: Matrix):
+    """For each 0-based letter i, the pairs (j, c_ij) and the pairs
+    (j, c_ji) over the Dynkin neighbours j of i."""
+    rng = range(len(cartan))
+    return [([(j, cartan[i][j]) for j in rng if j != i and cartan[i][j]],
+             [(j, cartan[j][i]) for j in rng if j != i and cartan[j][i]])
+            for i in rng]
 
-    The root action of s_i is the identity with row i replaced, so the root
-    matrix moves by (column i of it) times (row i of the Cartan matrix).
-    The weight action of s_i is the identity with column i replaced, so
-    only column i of the weight matrix changes."""
-    ci = cartan[i]
-    root = tuple(tuple(x - row[i] * c for x, c in zip(row, ci))
-                 for row in w.root_action)
-    weight = tuple(
-        row[:i]
-        + (row[i] - sum(x * a[i] for x, a in zip(row, cartan)),)
-        + row[i + 1:]
-        for row in w.weight_action)
-    return WeylElement(root, weight)
+
+def _column_step(rcols, wcols, i: int, nbrs):
+    """The root and weight matrices of w s_i (0-based i), each a tuple of
+    columns, from those of w; nbrs is _step_neighbours(cartan)[i].
+
+    Column j of s_i's root action is alpha_j - c_ij alpha_i, so root column
+    j of w s_i is col_j - c_ij col_i: column i negates, the Dynkin
+    neighbours of i move and the rest are shared with w.  The weight action
+    of s_i is the identity with column i replaced, so only weight column i
+    moves, to col_i - sum_j c_ji col_j.  O(r) for a bounded degree."""
+    root_nbrs, weight_nbrs = nbrs
+    ci = rcols[i]
+    rc = list(rcols)
+    rc[i] = tuple([-x for x in ci])
+    for j, c in root_nbrs:
+        rc[j] = tuple([x - c * y for x, y in zip(rcols[j], ci)])
+    col = [-x for x in wcols[i]]
+    for j, c in weight_nbrs:
+        col = [x - c * y for x, y in zip(col, wcols[j])]
+    wc = list(wcols)
+    wc[i] = tuple(col)
+    return tuple(rc), tuple(wc)
 
 
 @dataclass(frozen=True)
@@ -250,41 +272,63 @@ class WeylGroup:
         n = rs.rank
         rng = range(n)
         cartan = rs.cartan
-        # alpha_i in fundamental-weight coordinates: column i of the Cartan
-        alphas = [tuple(row[i] for row in cartan) for i in rng]
-        keys = [rs.rho()]  # keys[k] = elements[k]^-1 rho
-        key_index = {keys[0]: 0}
+        nbrs = _step_neighbours(cartan)
+        ident = _identity_matrix(n)
+        rho = rs.rho()
+        key_index = {rho: 0}  # elements[k]^-1 rho -> k
         elements = [self.identity]
         lengths = [0]
+        rmul: list[list[int]] = [[0] for _ in rng]
+        # (key, root columns, weight columns) of each element of the level
+        # being expanded, in table order from index start
+        frontier = [(rho, ident, ident)]
         start = 0
-        while start < len(elements):
-            end = len(elements)
-            level: dict[Weight, WeylElement] = {}
-            for k in range(start, end):
-                u = keys[k]
+        while frontier:
+            slots: dict[Weight, int] = {}
+            found = []
+            edges = []  # (k, i, slot) for each ascent k -> k s_i
+            for k, (u, rcols, wcols) in enumerate(frontier, start):
                 for i in rng:
                     ui = u[i]
-                    if ui > 0:
-                        v = tuple(x - ui * a for x, a in zip(u, alphas[i]))
-                        if v not in level:
-                            level[v] = _times_simple(elements[k], i, cartan)
-            length = lengths[-1] + 1
-            for v, elem in sorted(level.items(),
-                                  key=lambda kv: kv[1].root_action):
-                key_index[v] = len(elements)
-                keys.append(v)
-                elements.append(elem)
-                lengths.append(length)
-            start = end
+                    if ui <= 0:
+                        continue
+                    # u - u[i] alpha_i; alpha_i is column i of the Cartan
+                    v = list(u)
+                    v[i] = -ui
+                    for j, c in nbrs[i][1]:
+                        v[j] -= c * ui
+                    v = tuple(v)
+                    slot = slots.get(v)
+                    if slot is None:
+                        slot = slots[v] = len(found)
+                        found.append(
+                            (v,) + _column_step(rcols, wcols, i, nbrs[i]))
+                    edges.append((k, i, slot))
+            start = len(elements)
+            rows = [tuple(zip(*rc)) for _, rc, _ in found]
+            where = [0] * len(found)
+            frontier = []
+            for k, slot in enumerate(sorted(range(len(found)),
+                                            key=rows.__getitem__), start):
+                where[slot] = k
+                entry = found[slot]
+                key_index[entry[0]] = k
+                elements.append(WeylElement(rows[slot], tuple(zip(*entry[2]))))
+                frontier.append(entry)
+            lengths += [lengths[-1] + 1] * len(found)
+            for row in rmul:
+                row += [0] * len(found)
+            for k, i, slot in edges:
+                row, j = rmul[i], where[slot]
+                row[k] = j
+                row[j] = k
         if len(elements) != rs.group_order:
             raise InvariantError(
                 f"found {len(elements)} elements of {rs.type_letter}"
                 f"{rs.rank}, expected {rs.group_order}")
         size = len(elements)
-        rmul = [[key_index[tuple(x - u[i] * a for x, a in zip(u, alphas[i]))]
-                 for u in keys] for i in rng]
         # the key of w^-1 is w rho: the row sums of w's weight matrix
-        inv = [key_index[tuple(sum(row) for row in e.weight_action)]
+        inv = [key_index[tuple(map(sum, e.weight_action))]
                for e in elements]
         lmul = [[inv[rm[inv[k]]] for k in range(size)] for rm in rmul]
         canon: list[tuple[int, ...]] = [()] * size

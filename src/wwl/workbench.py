@@ -22,9 +22,7 @@ the output.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass
@@ -48,7 +46,7 @@ LARGE_ORDER_THRESHOLD = 400
 # Largest group each sweep accepts, keyed by command (stats by mode too)
 MAX_ORDER = {
     # A6, about 16 s and 42 MB at one thread; the next group, D6 (23,040
-    # elements), builds its element tables in about 1.5 s and its Bruhat
+    # elements), builds its element tables in about 0.7 s and its Bruhat
     # masks in 0.25 s, but the sweep over its pairs then runs for about
     # 330 s and peaks at 188 MB at one thread
     "stats --mode fast": 5040,
@@ -125,6 +123,8 @@ def _cache_payload(group: WeylGroup) -> dict:
 
 
 def _payload_digest(payload: dict) -> str:
+    import hashlib  # only --cache reads or writes a digest
+
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -246,6 +246,8 @@ def parallel_over(group: WeylGroup, fn, items, threads: int, costs=None):
     uniform work.  With costs (one estimate per item), items are handed
     out one per task, heaviest first, so a worker that draws the few
     heavy items is not left with a long chunk behind them."""
+    import multiprocessing  # only a forking sweep needs it
+
     items = list(items)
     threads = min(threads, len(items), os.cpu_count() or 1)
     if threads <= 1 or \

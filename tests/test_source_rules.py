@@ -57,12 +57,13 @@ def test_oracle_only_helpers_not_in_library():
     property, the oracle of the single-deletion build, the interval
     [x, w] as a list of WeylElements, and the per-word label scans and
     single deletions that the edge labeller replaced, and the per-x
-    #S(x,w) count that the bit-sliced Deodhar masks replaced."""
+    #S(x,w) count that the bit-sliced Deodhar masks replaced, and the
+    O(r^2) row-major step w * s_i that the column step replaced."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
               "bruhat_masks_oracle", "interval", "_greedy_chain_idx",
               "_lambda_sets_idx", "_label_sets_idx",
               "deleted_word_elements_idx", "deleted_word_elements",
-              "deodhar_slack_idx"}
+              "deodhar_slack_idx", "_times_simple"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []

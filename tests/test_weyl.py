@@ -10,7 +10,7 @@ import pytest
 
 from wwl import DomainError, WeylGroup, build_root_system
 from wwl.errors import BudgetError
-from wwl.weyl import _times_simple
+from wwl.weyl import _column_step, _step_neighbours
 
 
 # -- oracles -------------------------------------------------------------------
@@ -145,7 +145,7 @@ def matrix_bfs_tables(G):
 @pytest.mark.parametrize("type_letter,rank", [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
-    ("D", 4), ("F", 4), ("G", 2)])
+    ("D", 4), ("D", 5), ("F", 4), ("G", 2)])
 def test_tables_match_matrix_bfs_oracle(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
     elements, index, lengths, rmul, lmul, canon, inv = matrix_bfs_tables(G)
@@ -170,13 +170,22 @@ def test_b5_sampled_products_and_inverses(group_for):
         assert w * G.inverse(w) == G.identity
 
 
-@pytest.mark.parametrize("type_letter,rank", [("B", 3), ("D", 4), ("G", 2)])
+@pytest.mark.parametrize("type_letter,rank",
+                         [("B", 3), ("D", 4), ("G", 2), ("F", 4)])
 def test_rank_one_step_matches_product(group_for, type_letter, rank):
+    """The table build's step, a rank-one update of matrices held as
+    columns (only column i and its Dynkin neighbours move), gives the
+    matrix product w * s_i for every element and generator."""
     G = group_for(type_letter, rank)
+    nbrs = _step_neighbours(G.rs.cartan)
     for w in G.enumerate_group():
+        rcols = tuple(zip(*w.root_action))
+        wcols = tuple(zip(*w.weight_action))
         for i in range(rank):
-            assert _times_simple(w, i, G.rs.cartan) == \
-                w * G.simple_reflection(i + 1)
+            rc, wc = _column_step(rcols, wcols, i, nbrs[i])
+            product = w * G.simple_reflection(i + 1)
+            assert tuple(zip(*rc)) == product.root_action
+            assert tuple(zip(*wc)) == product.weight_action
 
 
 def test_size_gates_fire_before_building():

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -173,9 +174,8 @@ def test_pool_capped_by_items_and_cpus(monkeypatch, threads, items, cpus,
     """parallel_over asks for at most one worker per item and per CPU, and
     none when that leaves one; the results do not depend on the count."""
     ctx = FakePoolContext()
-    monkeypatch.setattr(workbench.multiprocessing, "get_context",
-                        lambda method: ctx)
-    monkeypatch.setattr(workbench.multiprocessing, "get_start_method",
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(multiprocessing, "get_start_method",
                         lambda allow_none=False: "fork")
     monkeypatch.setattr(workbench.os, "cpu_count", lambda: cpus)
     group = WeylGroup(build_root_system("A", 2))
@@ -184,6 +184,20 @@ def test_pool_capped_by_items_and_cpus(monkeypatch, threads, items, cpus,
         costs=list(range(items)) if costs else None)
     assert got == [(item, 6) for item in range(items)]
     assert ctx.sizes == ([] if size is None else [size])
+
+
+def test_cli_import_leaves_out_fork_and_digest_modules():
+    """Every command pays for importing wwl.cli; multiprocessing (for a
+    forking sweep) and hashlib (for a --cache digest) are imported where
+    they are used, not on the way in."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(workbench.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wwl.cli; "
+         "print(sorted({'multiprocessing', 'hashlib'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])
@@ -731,6 +745,20 @@ def test_coeff_digests(capsys, type_letter, rank, word):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert sum(entry["condition"] == "fails"
                for entry in json.loads(out)["coeffs"]) == failing
+
+
+def test_coeff_b5_digest(capsys, group_for):
+    """The B5 table order, pinned: coeff lists the 32 x <= s1s2s3s4s5 in
+    element-table order, so the bytes change if the order does."""
+    code, out, _ = run_cli(capsys, "coeff", "--type", "B", "--rank", "5",
+                           "--w", "1,2,3,4,5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8290e7c0d98f2322ef2e19093bcb57d4b3130f88bbca742ba5c268760d965d66"
+    G = group_for("B", 5)
+    indices = [G.word_to_idx(entry["x"])
+               for entry in json.loads(out)["coeffs"]]
+    assert len(indices) == 32 and indices == sorted(indices)
 
 
 # -- mtx, cs-check, good-words --------------------------------------------------------------
