@@ -18,26 +18,26 @@ w = s_1...s_n and x <= w:
       (ii)  the increasing-chain label equals the reversed decreasing one,
       (iii) lambda_set equals the increasing-chain label.
   The pair-level conditions A and B ask for some reduced word of w
-  satisfying (i), respectively (ii); searches run in lexicographic word
-  order and stop at the first witness.
+  satisfying (i), respectively (ii), and return the lexicographically
+  first one.
 
 Labels are held bit-sliced, one bitset over x per word position, and
 _failing_flags reads off the x failing each flag.  All three labels come
 from one labeller, _edge_labels, which labels the edges of w's left weak
 interval (below); a word's labels are read along its chain of edges
-(_chain_labels).  The verify sweep, also run by the independent
-statistics, visits no word: _flag_dp decides the flags of every word at
-once on the edges (below), and only a w with a violation walks its words
-to list them.  Every walk over the words of w labels the whole interval
-once (_word_labels_idx): that listing, the main-theorem sweep, and
-first_witnesses, the lexicographic witness search, which hands each x its
-witness word with that word's labels.  The single-word functions
-(lambda_set, the two chains, condition_per_word, is_good_word, the closed
-forms and m_product_roots) label only their own word's chain
-(_one_word_labels).  _deodhar_masks compares #S(x,w) with l(w) - l(x)
-for all x at once, on a bit-sliced counter.  Per-x tuples are read from
-the bitsets (_label_of) only where a caller needs them: violation
-records, closed forms, chain roots, and the single-x public functions.
+(_chain_labels).  No search over the words of w visits them: on the
+edges, _flag_dp decides the flags of every word at once (the verify
+sweep, also run by the independent statistics), _first_words finds each
+x's first word with flag (i) or (ii) (conditions A and B, mtx's
+witnesses), and _good_word_mask the x with a good word (the good-word
+census).  Only a w with a violation walks its words, to list them
+(_word_labels_idx).  The single-word functions (lambda_set, the two
+chains, condition_per_word, is_good_word, the closed forms and
+m_product_roots) label only their own word's chain (_edge_labels given
+the word).  _deodhar_masks compares #S(x,w) with l(w) - l(x) for all x
+at once, on a bit-sliced counter.  Per-x tuples are read from the
+bitsets (_label_of) only where a caller needs them: violation records,
+closed forms, chain roots, and the single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -95,7 +95,8 @@ failing a flag on a word are the OR over its edges of the XOR of two
 labels.  Every edge lies on some reduced word of w, as the interval is
 graded, so a DP down the interval (_flag_dp) decides which x have a word
 whose flags disagree, and which have a word with flag (i), with a few
-bitwise operations per edge and no word visited.
+bitwise operations per edge and no word visited; so do _first_words and
+_good_word_mask.
 
 Word-free condition search.  condition_b_mask answers condition B for one x
 against every w at once, as reachability over the prefixes of all reduced
@@ -153,23 +154,8 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, wi = _checked_word_idx(group, x, word)
-    return bool(_good_word_idx(group, word, 1 << xi,
-                               *_one_word_labels(group, wi, word, 1 << xi)))
-
-
-def _good_word_idx(group: WeylGroup, word, xset: int, lam, *_chains) -> int:
-    """The x of the bitset xset for which word is good (is_good_word),
-    from the word's bit-sliced lambda_set lam; the two chain labels that
-    come with it (_chain_labels) are not read."""
-    out = 0
-    for xi in _bit_indices(xset):
-        residual = [a for a, s in zip(word, lam) if not (s >> xi) & 1]
-        if group.word_to_idx(residual) != xi:
-            continue
-        if len(residual) != group.len_of_idx(xi):
-            raise InvariantError("good word whose residual is not reduced")
-        out |= 1 << xi
-    return out
+    return bool(_good_word_mask(group, wi, 1 << xi,
+                                _edge_labels(group, wi, 1 << xi, word)))
 
 
 def lower_reflections_idx(group: WeylGroup, wi: int) -> list[tuple[Coords, int]]:
@@ -465,38 +451,80 @@ def _failing_flags(lam, inc, dec) -> tuple[int, int, int]:
     return _differing(lam, dec), _differing(inc, dec), _differing(lam, inc)
 
 
-def first_witnesses(group: WeylGroup, wi: int, xs, holds) -> dict:
-    """{xi: (word, lam, inc, dec)} for the xi in xs that have a witness: the
-    first reduced word of w, in lexicographic order, on which a flag holds
-    for xi, with its labels from _word_labels_idx, which labels the edges
-    of w's left weak interval once before the first word.
-    holds(group, word, left, lam, inc, dec) returns the x of the bitset
-    `left` whose flag holds on word (_flag_holds, _good_word_idx); each x
-    drops out at its first witness and the walk stops when none is left."""
-    found: dict[int, tuple] = {}
-    left = 0
-    for xi in xs:
-        left |= 1 << xi
-    for walked in _word_labels_idx(group, wi, left) if left else ():
-        held = holds(group, walked[0], left, *walked[1:])
-        left &= ~held
-        for xi in _bit_indices(held):
-            found[xi] = walked
-        if not left:
-            break
+def _first_words(group: WeylGroup, wi: int, xset: int, labels: dict,
+                 k: int) -> dict:
+    """{xi: the lexicographically first reduced word of w with flag (i)
+    (k = 0) or (ii) (k = 1) for xi}, over the x of xset that have one,
+    from the _edge_labels of w over xset.  A word has flag k for x when
+    none of its edges has x in lam^dec (k = 0) or inc^dec (k = 1).  Going
+    up from e, reach[v] holds the x that can get from v to e on passing
+    edges; from w down, the x at a node take the smallest letter whose
+    edge they pass and whose child they reach e from, together while
+    their words agree."""
+    lmul = group._lmul
+    reach = {0: xset}
+    for (v, a), lab in reversed(labels.items()):  # children first
+        reach[v] = reach.get(v, 0) | reach[lmul[a - 1][v]] & ~(lab[k] ^ lab[2])
+    found = {}
+    todo = [((), wi, reach[wi])]
+    while todo:
+        word, v, xs = todo.pop()
+        if v == 0:
+            found.update((xi, word) for xi in _bit_indices(xs))
+        for a, row in enumerate(lmul, 1):  # e has no edge
+            lab = labels.get((v, a))
+            if lab is not None:
+                took = xs & reach[row[v]] & ~(lab[k] ^ lab[2])
+                xs &= ~took
+                if took:
+                    todo.append((word + (a,), row[v], took))
     return found
 
 
-def _flag_holds(k: int):
-    """The first_witnesses test of flag (i) (k = 0) or (ii) (k = 1)."""
-    return lambda _, word, left, *labels: left & ~_failing_flags(*labels)[k]
+def _good_word_mask(group: WeylGroup, wi: int, xset: int, labels: dict) -> int:
+    """The x of xset with a good word (is_good_word) among the reduced
+    words of w, or the one word whose chain labels holds (_edge_labels
+    over xset).  Along a word, x carries r = k^-1 x, k the product of the
+    letters kept so far: on an edge whose lambda bit holds x the letter is
+    deleted and r stays, else r moves to s_a r, which must be shorter.
+    x has a good word when r = e at e.  Each node carries {r: bitset of
+    x}, OR-merged over its in-edges; the x after a move that does not
+    shorten r go on in a second map, where r = e at e would be a good word
+    whose kept letters are not reduced, which Deodhar's inequality rules
+    out."""
+    lens, lmul, bruhat = group._len, group._lmul, group._bruhat
+    maps = {wi: ({xi: 1 << xi for xi in _bit_indices(xset)}, {})}
+    last = None
+    for (v, a), (lam, _, _) in labels.items():  # parents first
+        if v != last:  # every edge into v is merged
+            last, (clean, stray) = v, maps.pop(v)
+        row = lmul[a - 1]
+        c = row[v]
+        below = bruhat[c]  # a subword of a word of c multiplies to r <= c
+        into = maps.setdefault(c, ({}, {}))
+        for j, residuals in enumerate((clean, stray)):
+            for r, xs in residuals.items():
+                kept = xs & ~lam
+                if kept:
+                    t = row[r]
+                    if below >> t & 1:
+                        dest = into[j or lens[t] > lens[r]]
+                        dest[t] = dest.get(t, 0) | kept
+                xs &= lam
+                if xs and below >> r & 1:
+                    into[j][r] = into[j].get(r, 0) | xs
+    clean, stray = maps[0]
+    if stray.get(0):
+        raise InvariantError("good word whose residual is not reduced")
+    return clean.get(0, 0)
 
 
 def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
                        k: int):
     xi, wi = _checked_pair_idx(group, x, w)
-    walked = first_witnesses(group, wi, [xi], _flag_holds(k)).get(xi)
-    return (False, None) if walked is None else (True, walked[0])
+    word = _first_words(group, wi, 1 << xi,
+                        _edge_labels(group, wi, 1 << xi), k).get(xi)
+    return word is not None, word
 
 
 def condition_A(group: WeylGroup, x: WeylElement, w: WeylElement):

@@ -28,17 +28,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import (_atom_coeffs_idx, _check_dominant, _closed_form_idx,
-                     _closed_form_product, atom_coeffs,
+from .coeffs import (_check_dominant, _closed_form_idx, atom_coeffs,
                      casselman_shalika_check, char_coeffs)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_bit_indices, _deodhar_masks, _edge_labels,
-                           _failing_flags, _flag_dp, _flag_holds,
-                           _good_word_idx, _label_of, _one_word_labels,
-                           _word_labels_idx, condition_b_mask,
-                           first_witnesses, gamma_sequence)
+from .shellability import (_bit_indices, _chain_labels, _deodhar_masks,
+                           _edge_labels, _failing_flags, _first_words,
+                           _flag_dp, _good_word_mask, _label_of,
+                           _one_word_labels, _word_labels_idx,
+                           condition_b_mask, gamma_sequence)
 from .weyl import WeylGroup
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -61,10 +60,10 @@ MAX_ORDER = {
     # grow as the cube of the order, so A5 (720 elements) would take
     # several minutes
     "mtx": 384,
-    # D4, about 0.7 s; the next group up, B4/C4 (384 elements), takes
-    # about 23 s, and F4 and A5 run longer: a qualifying pair without a
-    # good word is tested on every reduced word of w
-    "good-words": 192,
+    # D5, 31-40 s and 240 MB at one thread (F4 8-10 s, A5 4-5.5 s); the
+    # residual maps grow with the interval, which puts the next group, B5
+    # (3,840 elements), past 100 s and 750 MB
+    "good-words": 1920,
 }
 # Most matrix entries mtx holds, |W|^2 per point: 113 points on B4/C4
 MAX_MTX_ENTRIES = 1 << 24
@@ -488,20 +487,22 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
-    # x, then one lexicographic search per w over just those x < w; each
+    # x, then one first-word search per w over just those x < w; each
     # pair's chain roots are read off its witness word's increasing label,
     # which flag (ii) makes equal to the decreasing one
     cond = [condition_b_mask(group, xi) for xi in range(size)]
     roots = []
     for wi in range(size):
-        xs = [xi for xi in range(wi) if (cond[xi] >> wi) & 1]
-        found = first_witnesses(group, wi, xs, _flag_holds(1))
-        if len(found) != len(xs):
+        xset = sum(1 << xi for xi in range(wi) if (cond[xi] >> wi) & 1)
+        labels = _edge_labels(group, wi, xset)
+        found = _first_words(group, wi, xset, labels, 1)
+        if len(found) != xset.bit_count():
             raise InvariantError(
                 "a condition-(B) pair of the reachability search has no "
                 "witness word")
-        roots.append({xi: gamma_sequence(group, word, _label_of(inc, xi))
-                      for xi, (word, _, inc, _) in found.items()})
+        roots.append({xi: gamma_sequence(group, word, _label_of(
+            _chain_labels(group, labels, wi, word)[1], xi))
+            for xi, word in found.items()})
     pairs = []
     ok = True
     for xi in range(size):
@@ -563,14 +564,14 @@ def good_words_report(group: WeylGroup) -> dict:
     group.ensure_bruhat()
     pairs = []
     for wi in range(group.order()):
-        qualifying = list(_bit_indices(
-            _deodhar_masks(group, wi, group.bruhat_mask(wi))[1]))
-        found = first_witnesses(group, wi, qualifying, _good_word_idx)
-        for xi in qualifying:
+        qualifying = _deodhar_masks(group, wi, group.bruhat_mask(wi))[1]
+        good = _good_word_mask(group, wi, qualifying,
+                               _edge_labels(group, wi, qualifying))
+        for xi in _bit_indices(qualifying):
             pairs.append({
                 "x": list(group.canon_of_idx(xi)),
                 "w": list(group.canon_of_idx(wi)),
-                "has_good_word": xi in found,
+                "has_good_word": bool(good >> xi & 1),
             })
     return {
         "type": group.rs.type_letter,
@@ -580,34 +581,3 @@ def good_words_report(group: WeylGroup) -> dict:
         "pairs": pairs,
     }
 
-
-# -- main-theorem sweep (run by the tests) ----------------------------------------
-
-def main_theorem_sweep(group: WeylGroup) -> dict:
-    """Across every (w, reduced word, x <= w): where the per-word condition
-    holds, the closed form must equal the recursion entry; also hunt for one
-    condition-failing triple where the label-driven formula differs."""
-    group.ensure_bruhat()
-    held = 0
-    mismatches = 0
-    failing_differs = False
-    for wi in range(group.order()):
-        table = _atom_coeffs_idx(group, wi)
-        xset = group.bruhat_mask(wi)
-        for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
-            fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
-            for xi, entry in table.items():
-                if not (fails_i & fails_ii) >> xi & 1:
-                    held += 1
-                    closed = _closed_form_product(group, word, _label_of(
-                        inc if (fails_i >> xi) & 1 else lam, xi))
-                    if closed != entry:
-                        mismatches += 1
-                elif not failing_differs:
-                    failing_differs = _closed_form_product(
-                        group, word, _label_of(inc, xi)) != entry
-    return {
-        "condition_triples": held,
-        "mismatches": mismatches,
-        "failing_triple_differs": failing_differs,
-    }

@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from wwl.coeffs import (atom_coeffs, casselman_shalika_check, demazure_atom,
+from wwl.coeffs import (_atom_coeffs_idx, _closed_form_product, atom_coeffs,
+                        casselman_shalika_check, demazure_atom,
                         demazure_character, whittaker_function)
 from wwl.groupalg import GAElement, mul_one_minus_v_exp, t_op
 from wwl.hecke import m_direct, m_product, sample_spectral_point
-from wwl.shellability import s_set
-from wwl.workbench import (SweepConfig, good_words_report, main_theorem_sweep,
-                           mtx_report, stats_sweep, verify_conjecture)
+from wwl.shellability import _failing_flags, _label_of, _word_labels_idx, s_set
+from wwl.workbench import (SweepConfig, good_words_report, mtx_report,
+                           stats_sweep, verify_conjecture)
 
 from test_weyl import interval
 
@@ -37,6 +38,36 @@ def test_criterion_01_conjecture_equivalence(group_for):
         check(f"criterion 1: zero violating triples in {t}{r}",
               report["violations"] == [],
               f"{report['triples_tested']} triples")
+
+
+def main_theorem_sweep(group):
+    """Across every (w, reduced word, x <= w): where the per-word condition
+    holds, the closed form must equal the recursion entry; also hunt for one
+    condition-failing triple where the label-driven formula differs."""
+    group.ensure_bruhat()
+    held = 0
+    mismatches = 0
+    failing_differs = False
+    for wi in range(group.order()):
+        table = _atom_coeffs_idx(group, wi)
+        xset = group.bruhat_mask(wi)
+        for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
+            fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
+            for xi, entry in table.items():
+                if not (fails_i & fails_ii) >> xi & 1:
+                    held += 1
+                    closed = _closed_form_product(group, word, _label_of(
+                        inc if (fails_i >> xi) & 1 else lam, xi))
+                    if closed != entry:
+                        mismatches += 1
+                elif not failing_differs:
+                    failing_differs = _closed_form_product(
+                        group, word, _label_of(inc, xi)) != entry
+    return {
+        "condition_triples": held,
+        "mismatches": mismatches,
+        "failing_triple_differs": failing_differs,
+    }
 
 
 def test_criterion_02_main_theorem(group_for):

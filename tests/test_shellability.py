@@ -17,13 +17,13 @@ from wwl import (DomainError, WeylGroup, build_root_system, shellability,
 from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
-from wwl.cli import _emit
+from wwl.cli import _emit, main
 from wwl.shellability import (_bit_indices, _deodhar_masks, _edge_labels,
-                              _failing_flags, _flag_dp, _flag_holds,
-                              _label_of, _one_word_labels, _word_labels_idx,
-                              beta_sequence, condition_A,
+                              _failing_flags, _first_words, _flag_dp,
+                              _good_word_mask, _label_of, _one_word_labels,
+                              _word_labels_idx, beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
-                              deodhar_check, first_witnesses, gamma_sequence,
+                              deodhar_check, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
 from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
@@ -185,9 +185,6 @@ def assert_flags_match_tuple_oracle(group, word, xs):
     mixed = (fails[0] | fails[1] | fails[2]) & \
         ~(fails[0] & fails[1] & fails[2])
     assert mixed == bitset(disagree)
-    for k in (0, 1):
-        assert _flag_holds(k)(group, word, bitset(xs), lam, inc, dec) \
-            == bitset(xs) & ~fails[k]
 
 
 # -- lambda sets ---------------------------------------------------------------
@@ -295,27 +292,126 @@ def test_b2_has_pair_without_good_word(group_for):
                        for word in G2.all_reduced_words(w))
 
 
-@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def first_witnesses(group, wi, xs, holds, labels=None):
+    """{xi: (word, lam, inc, dec)} for the xi in xs that have a witness: the
+    first reduced word of w, in lexicographic order, on which holds finds
+    xi, with that word's labels, from the walk over the words of w
+    (_word_labels_idx, over the given edge labels if any).  holds(group,
+    word, left, lam, inc, dec) returns the x of the bitset left that the
+    word witnesses (flag_holds, good_word_residuals); each x drops out at
+    its first witness and the walk stops when none is left."""
+    found = {}
+    left = bitset(xs)
+    for walked in _word_labels_idx(group, wi, left, labels) if left else ():
+        held = holds(group, walked[0], left, *walked[1:])
+        left &= ~held
+        for xi in _bit_indices(held):
+            found[xi] = walked
+        if not left:
+            break
+    return found
+
+
+def flag_holds(k):
+    """The first_witnesses test of flag (i) (k = 0) or (ii) (k = 1)."""
+    return lambda _, word, left, *labels: left & ~_failing_flags(*labels)[k]
+
+
+def good_word_residuals(group, word, left, lam, *_chains):
+    """The first_witnesses test of a good word: the x of left for which
+    word, less the positions of its bit-sliced lambda_set lam, is a word
+    for x, rebuilt and multiplied out per x; a residual with the product
+    x but not its length raises."""
+    out = 0
+    for xi in _bit_indices(left):
+        residual = [a for a, s in zip(word, lam) if not (s >> xi) & 1]
+        if group.word_to_idx(residual) != xi:
+            continue
+        if len(residual) != group.len_of_idx(xi):
+            raise InvariantError("good word whose residual is not reduced")
+        out |= 1 << xi
+    return out
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("C", 3),
+                                              ("G", 2), ("A", 4)])
 def test_good_words_report_matches_element_oracle(group_for, type_letter,
                                                   rank):
-    """The census's shared witness search against testing every reduced
-    word of w with the element-level is_good_word."""
+    """The census's residual-map DP against a walk over the reduced words
+    of w that rebuilds each qualifying x's residual word, the pairs chosen
+    by the element-level s_set."""
     G = group_for(type_letter, rank)
+    G.ensure_bruhat()
     expected = []
     for w in G.enumerate_group():
-        for x in interval(G, G.identity, w):
-            if len(s_set(G, x, w)) != G.length(w) - G.length(x):
-                continue
-            expected.append({
-                "x": list(G.canonical_word(x)),
-                "w": list(G.canonical_word(w)),
-                "has_good_word": any(is_good_word(G, x, word)
-                                     for word in G.iter_reduced_words(w)),
-            })
+        wi = G.idx_of(w)
+        xs = [G.idx_of(x) for x in interval(G, G.identity, w)
+              if len(s_set(G, x, w)) == G.length(w) - G.length(x)]
+        found = first_witnesses(G, wi, xs, good_word_residuals)
+        expected += [{"x": list(G.canon_of_idx(xi)),
+                      "w": list(G.canon_of_idx(wi)),
+                      "has_good_word": xi in found} for xi in xs]
     report = good_words_report(G)
     assert report["pairs"] == expected
     assert report["pairs_without_good_word"] == \
         sum(not p["has_good_word"] for p in expected)
+
+
+@pytest.mark.parametrize("type_letter,rank,qualifying,without",
+                         [("A", 3, 207, 0), ("A", 4, 3387, 0),
+                          ("D", 4, 7983, 0), ("B", 3, 749, 149),
+                          ("C", 3, 749, 149), ("G", 2, 73, 18)])
+def test_good_word_census(group_for, type_letter, rank, qualifying, without):
+    """Every qualifying pair (#S(x,w) = l(w) - l(x)) of the simply-laced
+    A3, A4 and D4 has a good word; B3, C3 and G2 have pairs without
+    one."""
+    report = good_words_report(group_for(type_letter, rank))
+    assert (report["qualifying_pairs"], report["pairs_without_good_word"]) \
+        == (qualifying, without)
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_is_good_word_matches_residual_rebuild(group_for, type_letter, rank):
+    """Every (w, reduced word, x <= w): is_good_word's DP on the word's
+    own chain against the rebuilt residual word, with lambda_set from the
+    word's single deletions."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        for word in G._iter_words_idx(wi):
+            lam = word_scan_labels(G, word, xset)[0]
+            assert _good_word_mask(G, wi, xset,
+                                   _edge_labels(G, wi, xset, word)) == \
+                good_word_residuals(G, word, xset, lam)
+
+
+def test_non_reduced_residual_raises(monkeypatch, capsys):
+    """The lambda bits of x = e cleared on the edges (w0, letter 1) and
+    (s1, letter 1) of the longest element of A2, which lie on its word
+    1,2,1 alone: that word keeps positions 1 and 3, whose product s1 s1 is
+    e but not reduced.  The census, is_good_word and the command raise."""
+    labeller = shellability._edge_labels
+
+    def flipped(group, wi, xset, word=None):
+        labels = labeller(group, wi, xset, word)
+        for edge in ((group.order() - 1, 1), (group.word_to_idx((1,)), 1)):
+            if edge in labels:
+                labels[edge][0] &= ~1  # x = e has index 0
+        return labels
+
+    for module in (shellability, workbench):
+        monkeypatch.setattr(module, "_edge_labels", flipped)
+    G = fresh_group("A", 2)
+    with pytest.raises(InvariantError, match="residual is not reduced"):
+        good_words_report(G)
+    with pytest.raises(InvariantError, match="residual is not reduced"):
+        is_good_word(G, G.identity, (1, 2, 1))
+    assert is_good_word(G, G.identity, (2, 1, 2))
+    assert main(["good-words", "--type", "A", "--rank", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "residual is not reduced" in captured.err
 
 
 # -- S sets and gamma roots --------------------------------------------------------
@@ -1069,16 +1165,53 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
 def test_condition_b_mask_matches_witness_search(group_for, type_letter,
                                                  rank):
     """The reachability search finds exactly the pairs (x, w) for which the
-    lexicographic search over the reduced words of w finds a flag-(ii)
+    lexicographic walk over the reduced words of w finds a flag-(ii)
     witness."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     masks = [condition_b_mask(G, xi) for xi in range(G.order())]
     for wi in range(G.order()):
         found = first_witnesses(G, wi, G.lower_interval_idx(wi),
-                                _flag_holds(1))
+                                flag_holds(1))
         assert sorted(found) == [xi for xi in range(G.order())
                                  if (masks[xi] >> wi) & 1]
+
+
+@pytest.mark.parametrize("type_letter,rank,trials",
+                         [("A", 3, 300), ("B", 3, 300), ("G", 2, 200),
+                          ("A", 4, 150)])
+def test_word_free_searches_under_flipped_edge_bits(group_for, type_letter,
+                                                    rank, trials):
+    """Seeded flips of one to three single bits of w's edge labels, which
+    no real word produces: the first words of flags (i) and (ii) and the
+    good-word mask equal the walk over the words that reads the same
+    flipped labels, the good-word mask over every word.  Some trials move
+    a first word or a good word."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    rng = random.Random(f"first-{type_letter}{rank}")
+    moved = 0
+    for _ in range(trials):
+        wi = rng.randrange(1, G.order())
+        xset = G.bruhat_mask(wi)
+        labels = _edge_labels(G, wi, xset)
+        before = [_first_words(G, wi, xset, labels, k) for k in (0, 1)]
+        before.append(_good_word_mask(G, wi, xset, labels))
+        xs = list(_bit_indices(xset))
+        edges = list(labels)
+        for _ in range(rng.randint(1, 3)):
+            labels[rng.choice(edges)][rng.randrange(3)] ^= 1 << rng.choice(xs)
+        after = []
+        for k in (0, 1):
+            found = first_witnesses(G, wi, xs, flag_holds(k), labels)
+            after.append({xi: walked[0] for xi, walked in found.items()})
+            assert _first_words(G, wi, xset, labels, k) == after[k]
+        good = 0
+        for word, lam, _, _ in _word_labels_idx(G, wi, xset, labels):
+            good |= good_word_residuals(G, word, xset, lam)
+        assert _good_word_mask(G, wi, xset, labels) == good
+        moved += after + [good] != before
+    assert moved
 
 
 # -- beta sequences ------------------------------------------------------------------

@@ -268,9 +268,12 @@ def _too_large_runs():
         yield ["mtx", "--type", type_letter, "--rank", str(rank)]
     # above the mtx entry limit: 114 points of 384^2 entries
     yield ["mtx", "--type", "B", "--rank", "4", "--points", "114"]
-    # above the good-words order limit
-    for type_letter, rank in (("B", 4), ("F", 4), ("A", 5)):
-        yield ["good-words", "--type", type_letter, "--rank", str(rank)]
+    # good-words above the --large threshold, and above its order limit
+    # even with --large
+    yield ["good-words", "--type", "F", "--rank", "4"]
+    for type_letter, rank in (("B", 5), ("A", 6)):
+        yield ["good-words", "--type", type_letter, "--rank", str(rank),
+               "--large"]
     yield from _too_large_weights()
 
 
@@ -775,19 +778,21 @@ def test_mtx_a2(capsys):
 
 
 def test_mtx_condition_b_matches_pair_search(monkeypatch):
-    """mtx_report's per-w witness search gives every B3 pair the condition
-    (B) answer and the first witness word of the per-pair condition_B,
-    searches words only for pairs that have a witness, and finds each
-    pair's chain roots once for all points."""
+    """mtx_report's per-w first-word search gives every B3 pair the
+    condition (B) answer and the first witness word of a walk over the
+    reduced words of w, searches only for pairs that have a witness, and
+    finds each pair's chain roots once for all points."""
+    from test_shellability import first_witnesses, flag_holds
+
     words = {}
 
-    def witnesses_for_all(group, wi, xs, holds):
-        found = real_first_witnesses(group, wi, xs, holds)
-        assert sorted(found) == sorted(xs)
+    def words_for_all(group, wi, xset, labels, k):
+        found = real_first_words(group, wi, xset, labels, k)
+        assert k == 1 and len(found) == xset.bit_count()
         return found
 
-    real_first_witnesses = workbench.first_witnesses
-    monkeypatch.setattr(workbench, "first_witnesses", witnesses_for_all)
+    real_first_words = workbench._first_words
+    monkeypatch.setattr(workbench, "_first_words", words_for_all)
 
     def recording_gamma_sequence(group, word, lam):
         # the chain label determines x: the product of the kept positions
@@ -803,15 +808,17 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
     monkeypatch.setattr(workbench, "gamma_sequence", recording_gamma_sequence)
     G = WeylGroup(build_root_system("B", 3))
     report = mtx_report(G, SweepConfig("B", 3, points=2))
+    walked = {(G.canon_of_idx(xi), G.canon_of_idx(wi)): found[0]
+              for wi in range(G.order())
+              for xi, found in first_witnesses(
+                  G, wi, G.lower_interval_idx(wi)[:-1], flag_holds(1)).items()}
     checked = 0
     for entry in report["pairs"]:
         if "condition_b" not in entry:
             continue
-        x = G.element_from_word(entry["x"])
-        w = G.element_from_word(entry["w"])
-        has_b, word = condition_B(G, x, w)
-        assert entry["condition_b"] == has_b
-        assert words.get((tuple(entry["x"]), tuple(entry["w"]))) == word
+        key = tuple(entry["x"]), tuple(entry["w"])
+        assert entry["condition_b"] == (key in walked)
+        assert words.get(key) == walked.get(key)
         checked += 1
     assert checked == sum(len(interval(G, G.identity, w)) - 1
                           for w in G.enumerate_group())
@@ -896,12 +903,14 @@ def test_good_words_digests(capsys, type_letter, rank):
         GOOD_WORDS_DIGESTS[(type_letter, rank)]
 
 
-def test_witness_searches_read_only_the_word_walk(capsys, monkeypatch):
-    """With the single-word labeller raising, mtx and good-words on B3
-    print their pinned bytes, and condition_A and condition_B give every
-    A3 pair the first word, in lexicographic order, whose own labels show
-    the flag: the witness searches read only the labels of
-    _word_labels_idx, which labels w's whole left weak interval."""
+def test_witness_searches_visit_no_word(capsys, monkeypatch):
+    """With every reduced word and the single-word labeller refused,
+    condition_A and condition_B give every A3 pair the first word, in
+    lexicographic order, whose own labels show the flag, and mtx on B3
+    and good-words on B3 and D4 print their pinned bytes: the witness
+    searches and the census read only the edge labels of w's whole left
+    weak interval, and no command but verify's violation listing walks a
+    word."""
     G = WeylGroup(build_root_system("A", 3))
     G.ensure_bruhat()
     expected = {}
@@ -915,22 +924,29 @@ def test_witness_searches_read_only_the_word_walk(capsys, monkeypatch):
 
     edge_labels = shellability._edge_labels
 
-    def walk_only(group, wi, xset, word=None):
+    def interval_only(group, wi, xset, word=None):
         if word is not None:
             raise AssertionError("a single-word label routine was called")
         return edge_labels(group, wi, xset)
 
-    monkeypatch.setattr(shellability, "_edge_labels", walk_only)
+    def refuse(*args):
+        raise AssertionError("a reduced word was asked for")
+
+    monkeypatch.setattr(WeylGroup, "_iter_words_idx", refuse)
+    for module in (shellability, workbench):
+        monkeypatch.setattr(module, "_edge_labels", interval_only)
+        monkeypatch.setattr(module, "_word_labels_idx", refuse)
     for (k, xi, wi), answer in expected.items():
         condition = (condition_A, condition_B)[k]
         assert condition(G, G.elem_of(xi), G.elem_of(wi)) == answer
-    for command, extra, digests in (
-            ("mtx", ["--points", "8", "--seed", "0"], MTX_DIGESTS),
-            ("good-words", [], GOOD_WORDS_DIGESTS)):
-        code, out, _ = run_cli(capsys, command, "--type", "B", "--rank", "3",
+    for command, (t, r), extra, digests in (
+            ("mtx", ("B", 3), ["--points", "8", "--seed", "0"], MTX_DIGESTS),
+            ("good-words", ("B", 3), [], GOOD_WORDS_DIGESTS),
+            ("good-words", ("D", 4), [], GOOD_WORDS_DIGESTS)):
+        code, out, _ = run_cli(capsys, command, "--type", t, "--rank", str(r),
                                "--threads", "1", *extra)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digests["B", 3]
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[t, r]
 
 
 # -- golden statistics --------------------------------------------------------------------
