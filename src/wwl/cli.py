@@ -9,8 +9,8 @@
 
 Exit codes: 0 ok, 2 mathematical violation, 3 size budget exceeded,
 4 bad input, 5 unlucky-point exhaustion.  All JSON output has sorted keys;
-identical configurations produce byte-identical output.  WWL_THREADS
-overrides --threads; either must be an integer of at least 1.
+identical configurations produce byte-identical output.  --threads
+must be at least 1.
 """
 
 from __future__ import annotations
@@ -96,19 +96,10 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> SweepConfig:
-    threads = os.environ.get("WWL_THREADS")
-    if threads is None:
-        threads = args.threads if args.threads is not None else \
-            (os.cpu_count() or 1)
-    else:
-        try:
-            threads = int(threads)
-        except ValueError:
-            raise DomainError(f"WWL_THREADS must be an integer, not "
-                              f"{threads!r}") from None
-    for count in (args.threads, threads):
-        if count is not None and count < 1:
-            raise DomainError(f"a thread count must be at least 1, not {count}")
+    threads = args.threads if args.threads is not None else \
+        (os.cpu_count() or 1)
+    if threads < 1:
+        raise DomainError(f"a thread count must be at least 1, not {threads}")
     config = SweepConfig(type_letter=args.type_letter, rank=args.rank,
                          seed=args.seed, threads=threads,
                          cache_dir=args.cache_dir, large=args.large)

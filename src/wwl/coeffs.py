@@ -57,7 +57,9 @@ factors to e^lam for k = 1..rank costs sum_k ([W_k : W_(k-1)] - 1) t_op:
 10 for A4, 13 for D4 and 15 for A5, where the sum over the elements
 costs |W| - 1 (119, 191 and 719).  spherical_whittaker keeps the sum
 over a lower interval, and at w0 it is the oracle the tests hold the
-factorisation to.
+factorisation to.  The interval and the coset representatives are both
+closed under removing a left descent, so one walk up from e by left
+ascents builds either sum with one t_op per element.
 """
 
 from __future__ import annotations
@@ -108,28 +110,36 @@ def demazure_atom(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
                        GAElement.monomial(lam))
 
 
-def spherical_whittaker(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
-    """Sum of the Whittaker functions over the lower interval of w.
-
-    The interval is walked in index order, which is by length, so for x
-    with canonical word (a, ...) the element s_a x < x is on the previous
-    length level and t_x e^lam is one t_op on t_(s_a x) e^lam.  The values
-    are summed as they come, and only the previous level is kept."""
-    lam = _check_dominant(group.rs, lam)
+def _ascent_values(group: WeylGroup, g: GAElement, letters, keep):
+    """t_u g for e and for each u reached from e by left ascents s_a u,
+    a in letters, with keep(u) true.  The kept set must be closed under
+    removing a left descent: then each kept u = s_a u' has u' kept on the
+    previous length level, and t_u g is one t_op on t_(u') g, the same for
+    every such u' by the braid relations.  Only one length level is held."""
     rs = group.rs
+    lens, lmul = group._len, group._lmul
+    level = {0: g}
+    yield g
+    while level:
+        nxt: dict[int, GAElement] = {}
+        for ui, f in level.items():
+            for a in letters:
+                vi = lmul[a - 1][ui]
+                if vi in nxt or lens[vi] < lens[ui] or not keep(vi):
+                    continue
+                f_v = nxt[vi] = t_op(rs, rs.simple_root(a), f)
+                yield f_v
+        level = nxt
 
-    def values():
-        prev, cur, level = {}, {0: GAElement.monomial(lam)}, 0
-        yield cur[0]
-        for xi in group.lower_interval_idx(group.idx_of(w))[1:]:
-            a = group.canon_of_idx(xi)[0]
-            if group.len_of_idx(xi) > level:
-                prev, cur, level = cur, {}, level + 1
-            f = cur[xi] = t_op(rs, rs.simple_root(a),
-                               prev[group.lmul_idx(a, xi)])
-            yield f
 
-    return ga_sum(values())
+def spherical_whittaker(group: WeylGroup, w: WeylElement, lam: Weight) -> GAElement:
+    """Sum of the Whittaker functions over the lower interval of w, which
+    is closed under removing a left descent."""
+    lam = _check_dominant(group.rs, lam)
+    mask = group.bruhat_mask(group.idx_of(w))
+    return ga_sum(_ascent_values(group, GAElement.monomial(lam),
+                                 range(1, group.rs.rank + 1),
+                                 lambda ui: mask >> ui & 1))
 
 
 def _word_recursion(group: WeylGroup, wi: int, word,
@@ -168,10 +178,13 @@ def _atom_step(group: WeylGroup, letter: int, table, new_idx):
     return out
 
 
-def _atom_coeffs_idx(group: WeylGroup, wi: int,
-                     word=None) -> dict[int, GAElement]:
-    """atom_coeffs for the element of index wi.  An interior entry may be
-    zero (none is expected; it is data, not an error), an end may not."""
+def atom_coeffs(group: WeylGroup, w: WeylElement,
+                word=None) -> dict[int, GAElement]:
+    """c[w,x] for every x <= w, keyed by the index of x, via the three-case
+    left-multiplication recursion along a reduced word (the canonical one
+    by default).  An interior entry may be zero (none is expected; it is
+    data, not an error), an end may not."""
+    wi = group.idx_of(w)
     table = _word_recursion(group, wi, word, _atom_step)
     if not table[0]:
         raise InvariantError("coefficient at the identity vanished")
@@ -180,36 +193,24 @@ def _atom_coeffs_idx(group: WeylGroup, wi: int,
     return table
 
 
-def atom_coeffs(group: WeylGroup, w: WeylElement,
-                word=None) -> dict[int, GAElement]:
-    """c[w,x] for every x <= w, keyed by the index of x, via the three-case
-    left-multiplication recursion along a reduced word (the canonical one
-    by default)."""
-    return _atom_coeffs_idx(group, group.idx_of(w), word)
-
-
-def closed_form_coeff(group: WeylGroup, x: WeylElement, word,
-                      check: bool = True) -> GAElement:
+def closed_form_coeff(group: WeylGroup, x: WeylElement, word) -> GAElement:
     """Closed-form coefficient for (x, word).
 
-    With check=True the word must satisfy the chain condition for x (in
-    either the deletion-set form or the chain form); otherwise a
-    ConditionError carrying the three labels is raised.  With check=False
-    the formula is evaluated anyway, using the increasing-chain label; that
-    is the variant whose failure off-condition is itself a tested fact."""
+    The word must satisfy the chain condition for x (in either the
+    deletion-set form or the chain form); otherwise a ConditionError
+    carrying the three labels is raised.  The formula off the condition is
+    _closed_form_product with the increasing-chain label; that its value
+    differs from the recursion there is itself a tested fact."""
     word = tuple(word)
     xi, wi = _checked_word_idx(group, x, word)
     return _closed_form_idx(group, word, xi,
-                            _one_word_labels(group, wi, word, 1 << xi), check)
+                            _one_word_labels(group, wi, word, 1 << xi))
 
 
-def _closed_form_idx(group: WeylGroup, word, xi: int, labels,
-                     check: bool = True) -> GAElement:
+def _closed_form_idx(group: WeylGroup, word, xi: int, labels) -> GAElement:
     """closed_form_coeff for the x of index xi below a reduced word, from
     the word's labels (_one_word_labels over a bitset that holds xi)."""
     lam, inc, dec = labels
-    if not check:
-        return _closed_form_product(group, word, _label_of(inc, xi))
     fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
     if (fails_i & fails_ii) >> xi & 1:
         raise ConditionError(
@@ -276,36 +277,17 @@ def tilde_coeffs(group: WeylGroup, w: WeylElement) -> dict[int, GAElement]:
 def _whole_group_sum(group: WeylGroup, lam: Weight) -> GAElement:
     """Sum of t_x e^lam over all of W, by the parabolic factorisation of
     the module docstring: for k = 1..rank, g <- sum of t_u g over the
-    minimal left coset representatives u of W_(k-1) in W_k."""
+    minimal left coset representatives u of W_(k-1) in W_k, the elements
+    of W_k with no right descent among the letters < k."""
     group.ensure_tables()
+    lens, rmul = group._len, group._rmul
     g = GAElement.monomial(lam)
     for k in range(1, group.rs.rank + 1):
-        g = ga_sum(_coset_terms(group, k, g))
+        g = ga_sum(_ascent_values(
+            group, g, range(1, k + 1),
+            lambda ui: all(lens[rmul[b][ui]] > lens[ui]
+                           for b in range(k - 1))))
     return g
-
-
-def _coset_terms(group: WeylGroup, k: int, g: GAElement):
-    """t_u g for each minimal left coset representative u of W_(k-1) in
-    W_k, W_k being generated by the letters 1..k.  The u are found by
-    walking up from e by left multiplication with the letters <= k,
-    keeping each product with no right descent among the letters < k.
-    The kept u are closed under taking s_a u < u, so each new u = s_a u'
-    costs one t_op on t_(u') g.  Only one length level is held."""
-    rs = group.rs
-    lens, lmul, rmul = group._len, group._lmul, group._rmul
-    level = {0: g}
-    yield g
-    while level:
-        nxt: dict[int, GAElement] = {}
-        for ui, f in level.items():
-            for a in range(k):
-                vi = lmul[a][ui]
-                if vi in nxt or lens[vi] < lens[ui] or any(
-                        lens[rmul[b][vi]] < lens[vi] for b in range(k - 1)):
-                    continue
-                f_v = nxt[vi] = t_op(rs, rs.simple_root(a + 1), f)
-                yield f_v
-        level = nxt
 
 
 def casselman_shalika_check(group: WeylGroup, lam: Weight) -> bool:

@@ -89,19 +89,18 @@ class SpectralPoint:
 
 
 def sample_spectral_point(rs: RootSystem, rng: random.Random,
-                          p: int = MODULUS_DEFAULT,
-                          max_attempts: int = 100) -> SpectralPoint:
+                          p: int = MODULUS_DEFAULT) -> SpectralPoint:
     """Draw a point with u not in {0, 1} and 1 - z^alpha nonzero for every
-    root; since translates only permute and negate roots, no denominator
-    can vanish later."""
-    for _ in range(max_attempts):
+    root, in at most 100 attempts; since translates only permute and negate
+    roots, no denominator can vanish later."""
+    for _ in range(100):
         u = rng.randrange(2, p)
         z = tuple(rng.randrange(1, p) for _ in range(rs.rank))
         pt = SpectralPoint(p, u, z)
         if all(pt.z_pow(alpha) != 1 for alpha in rs.positive_roots):
             return pt
     raise UnluckyPointError(
-        f"no usable spectral point after {max_attempts} attempts")
+        "no usable spectral point after 100 attempts")
 
 
 def hecke_left_mul_gen(group: WeylGroup, letter: int, f: HeckeElement,

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from wwl.coeffs import (_atom_coeffs_idx, _closed_form_product, atom_coeffs,
+from wwl.coeffs import (_closed_form_product, atom_coeffs,
                         casselman_shalika_check, demazure_atom,
                         demazure_character, whittaker_function)
 from wwl.groupalg import GAElement, mul_one_minus_v_exp, t_op
@@ -49,7 +49,7 @@ def main_theorem_sweep(group):
     mismatches = 0
     failing_differs = False
     for wi in range(group.order()):
-        table = _atom_coeffs_idx(group, wi)
+        table = atom_coeffs(group, group.elem_of(wi))
         xset = group.bruhat_mask(wi)
         for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
             fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)

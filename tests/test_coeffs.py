@@ -352,6 +352,20 @@ def test_whole_group_sum_matches_spherical_at_w0(group_for, type_letter,
         spherical_whittaker(G, G.longest_element(), lam)
 
 
+def t_op_calls(monkeypatch, total, *args):
+    """The number of t_op calls total(*args) makes."""
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return t_op(*args)
+
+    monkeypatch.setattr(coeffs, "t_op", counted)
+    total(*args)
+    return count
+
+
 @pytest.mark.parametrize("type_letter,rank,lam,calls", [
     ("A", 4, (1, 0, 0, 1), 10), ("B", 3, (1, 0, 1), 10),
     ("D", 4, (1, 0, 0, 0), 13),
@@ -361,16 +375,23 @@ def test_whole_group_sum_t_op_count(monkeypatch, group_for, type_letter,
     """One t_op per non-identity coset representative of each step,
     sum_k ([W_k : W_(k-1)] - 1), where the sum over the elements takes
     |W| - 1: A4 119, B3 47 and D4 191."""
-    count = 0
+    assert t_op_calls(monkeypatch, _whole_group_sum,
+                      group_for(type_letter, rank), lam) == calls
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return t_op(*args)
 
-    monkeypatch.setattr(coeffs, "t_op", counted)
-    _whole_group_sum(group_for(type_letter, rank), lam)
-    assert count == calls
+@pytest.mark.parametrize("type_letter,rank,word,calls", [
+    ("A", 4, None, 119), ("A", 4, (2, 1, 3, 2, 4), 27),
+    ("B", 3, (1, 2, 3, 2, 1), 19),
+])
+def test_spherical_whittaker_t_op_count(monkeypatch, group_for, type_letter,
+                                        rank, word, calls):
+    """One t_op per non-identity element of [e, w] (w0 when word is None),
+    by the same level walk as the coset sums."""
+    G = group_for(type_letter, rank)
+    w = G.longest_element() if word is None else G.element_from_word(word)
+    assert len(interval(G, G.identity, w)) - 1 == calls
+    assert t_op_calls(monkeypatch, spherical_whittaker, G, w,
+                      G.rs.rho()) == calls
 
 
 def test_zero_entries_recorded_not_asserted(group_for):

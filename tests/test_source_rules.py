@@ -49,6 +49,14 @@ def test_no_vpoly_helpers_in_library():
     assert found == []
 
 
+def test_library_reads_no_environment_variable():
+    """Settings come from the command line alone: no os.environ or
+    os.getenv in the library, so the thread count has one source."""
+    found = [f"{place}:{name}" for place, name in library_names()
+             if name in {"environ", "environb", "getenv", "getenvb"}]
+    assert found == []
+
+
 def test_oracle_only_helpers_not_in_library():
     """Helpers with no caller in the library live in the tests: the
     covers of an element, read from its canonical word's cover list, and
