@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import (BudgetError, ConfigurationError, DomainError,
                      InvariantError, UnluckyPointError)
+from .groupalg import GAElement, _grouped, _weight_of
 from .workbench import (SweepConfig, build_group, check_request,
                         coeff_report, cs_report, good_words_report,
                         mtx_report, parse_int_seq, stats_sweep, stats_to_csv,
@@ -112,25 +113,26 @@ def _config_from(args) -> SweepConfig:
     return config
 
 
-def _json_text(obj, indent: str) -> str:
+def _json_text(obj, indent: str, memo: dict) -> str:
     """The text json.dumps(obj, sort_keys=True, indent=2) gives obj when it
-    sits at the nesting of indent.  Only what reports hold is accepted:
-    dicts with str keys, lists, tuples, ints, strs, bools and None."""
+    sits at the nesting of indent, a GAElement standing for its
+    to_json_obj().  Only what reports hold is accepted: dicts with str
+    keys, lists, tuples, ints, strs, bools, None and GAElements.  memo
+    holds _ga_text's texts for one _emit call."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = indent + "  "
         if {*map(type, obj)} == {int}:  # no bool, which prints as a word
-            body = (",\n" + inner).join(map(int.__repr__, obj))
-        else:
-            body = (",\n" + inner).join([_json_text(x, inner) for x in obj])
+            return _int_list_text(obj, indent)
+        inner = indent + "  "
+        body = (",\n" + inner).join([_json_text(x, inner, memo) for x in obj])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = indent + "  "
         body = (",\n" + inner).join(
-            [f"{_json_key(k)}: {_json_text(obj[k], inner)}"
+            [f"{_json_key(k)}: {_json_text(obj[k], inner, memo)}"
              for k in sorted(obj)])
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(obj, str):
@@ -143,8 +145,48 @@ def _json_text(obj, indent: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, GAElement):
+        return _ga_text(obj, indent, memo)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                     f"serializable")
+
+
+def _int_list_text(values, indent: str) -> str:
+    """_json_text of a list of ints at the nesting of indent."""
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + (",\n" + inner).join(map(int.__repr__, values)) \
+        + f"\n{indent}]"
+
+
+def _ga_text(f: GAElement, indent: str, memo: dict) -> str:
+    """_json_text(f.to_json_obj(), indent, memo), written from the packed
+    keys with no intermediate dicts.  At each indent, the text of each
+    distinct v-polynomial (with the head of its entry) and of each packed
+    weight (with the tail of its entry) is made once and kept in memo."""
+    if not f.terms:
+        return "[]"
+    texts = memo.get(indent)
+    if texts is None:
+        texts = memo[indent] = ({}, {})
+    polys, weights = texts
+    entry = indent + "  "
+    field = entry + "  "
+    items = []
+    for key, poly in _grouped(f.terms):
+        poly = tuple(poly)
+        head = polys.get(poly)
+        if head is None:
+            head = polys[poly] = f'{{\n{field}"vpoly": ' + \
+                _int_list_text(poly, field)
+        tail = weights.get(key)
+        if tail is None:
+            tail = weights[key] = f',\n{field}"weight": ' + \
+                _int_list_text(_weight_of(key), field) + \
+                f"\n{entry}}}"
+        items.append(head + tail)
+    return f"[\n{entry}" + (",\n" + entry).join(items) + f"\n{indent}]"
 
 
 def _json_key(key) -> str:
@@ -153,10 +195,10 @@ def _json_key(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _json_chunks(obj, indent: str = "", depth: int = 2):
-    """_json_text(obj, indent) in pieces: a non-empty dict or list within
-    depth levels of the top streams its entries one at a time, so only
-    one entry of a top-level list is held as text."""
+def _json_chunks(obj, indent: str, depth: int, memo: dict):
+    """_json_text(obj, indent, memo) in pieces: a non-empty dict or list
+    within depth levels of the top streams its entries one at a time, so
+    only one entry of a top-level list is held as text."""
     if depth and isinstance(obj, (dict, list, tuple)) and obj:
         inner = indent + "  "
         is_dict = isinstance(obj, dict)
@@ -165,18 +207,19 @@ def _json_chunks(obj, indent: str = "", depth: int = 2):
             yield sep + inner
             if is_dict:
                 yield _json_key(k) + ": "
-            yield from _json_chunks(obj[k], inner, depth - 1)
+            yield from _json_chunks(obj[k], inner, depth - 1, memo)
             sep = ",\n"
         yield "\n" + indent + ("}" if is_dict else "]")
     else:
-        yield _json_text(obj, indent)
+        yield _json_text(obj, indent, memo)
 
 
 def _emit(obj) -> None:
-    """Write obj as json.dumps(obj, sort_keys=True, indent=2) would, and a
-    newline, streaming the entries of each top-level list."""
+    """Write obj as json.dumps(obj, sort_keys=True, indent=2,
+    default=GAElement.to_json_obj) would, and a newline, streaming the
+    entries of each top-level list."""
     write = sys.stdout.write
-    for chunk in _json_chunks(obj):
+    for chunk in _json_chunks(obj, "", 2, {}):
         write(chunk)
     write("\n")
 

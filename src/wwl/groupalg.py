@@ -13,8 +13,12 @@ v-degree in the lowest, so integer order is lexicographic order on
 bit length.  Keys differing only in their fields add as vectors: a weight
 shift is one integer addition, multiplying by v is adding 1, and the key of
 a product is the sum of the two keys minus the key of (0, 0).  The
-constructor and `to_json_obj` still speak {weight: v-polynomial}, the
-v-polynomial being a tuple of coefficients, constant term first.
+constructor and `by_weight` still speak {weight: v-polynomial}, the
+v-polynomial being a tuple of coefficients, constant term first;
+`to_json_obj` is the public structured form, one {"weight", "vpoly"} dict
+per weight in weight order, and the command-line writer prints the same
+JSON text straight from the packed keys.  All of them read the keys
+through one walk, `_grouped`.
 
 Overflow bound.  A weight enters through the constructor, `monomial` or a
 dominance check, and each of these raises BudgetError for a coordinate
@@ -134,20 +138,21 @@ def _iadd(out: dict[int, int], terms: dict[int, int], shift: int = 0,
 
 
 def _grouped(terms: dict[int, int]):
-    """(weight, v-polynomial) list pairs in weight order."""
+    """(weight key, v-polynomial list) pairs in weight order; the weight
+    key is the key of v^0 e^lam, which _weight_of decodes."""
     base = poly = None
     for k, c in sorted(terms.items()):
-        b = k >> DEG_BITS
+        d = k & _DEG_MASK
+        b = k - d
         if b != base:
             if poly is not None:
-                yield _weight_of(base << DEG_BITS), poly
+                yield base, poly
             base, poly = b, []
-        d = k & _DEG_MASK
         if d > len(poly):
             poly.extend([0] * (d - len(poly)))
         poly.append(c)
     if poly is not None:
-        yield _weight_of(base << DEG_BITS), poly
+        yield base, poly
 
 
 class GAElement:
@@ -227,16 +232,17 @@ class GAElement:
 
     def by_weight(self) -> dict[Weight, tuple[int, ...]]:
         """The element as {weight: v-polynomial tuple, constant first}."""
-        return {lam: tuple(p) for lam, p in _grouped(self.terms)}
+        return {_weight_of(k): tuple(p) for k, p in _grouped(self.terms)}
 
     def to_json_obj(self):
-        return [{"weight": list(lam), "vpoly": p}
-                for lam, p in _grouped(self.terms)]
+        return [{"weight": list(_weight_of(k)), "vpoly": p}
+                for k, p in _grouped(self.terms)]
 
     def __repr__(self):
         if not self.terms:
             return "GAElement(0)"
-        bits = [f"e{list(lam)}*{p}" for lam, p in _grouped(self.terms)]
+        bits = [f"e{list(_weight_of(k))}*{p}"
+                for k, p in _grouped(self.terms)]
         return "GAElement(" + " + ".join(bits) + ")"
 
 
@@ -343,13 +349,6 @@ def mul_one_minus_v_exp(rs: RootSystem, alpha: Coords, f: GAElement) -> GAElemen
     return _element(out)
 
 
-def one_minus_v_exp(rs: RootSystem, alpha: Coords) -> GAElement:
-    """The scalar 1 - v e^(-alpha) as a group-algebra element."""
-    wc = rs.root_to_weight_coords(alpha)
-    return GAElement({(0,) * rs.rank: (1,),
-                      tuple(-y for y in wc): (0, -1)})
-
-
 def t_op(rs: RootSystem, alpha: Coords, f: GAElement) -> GAElement:
     """(1 - v e^(-alpha)) * divided_difference(f) - f, for alpha positive.
 
@@ -366,10 +365,10 @@ def specialize_v(f: GAElement, value) -> dict[Weight, Fraction]:
     """Substitute a rational for v; drops weights whose value vanishes."""
     val = Fraction(value)
     out = {}
-    for lam, poly in _grouped(f.terms):
+    for k, poly in _grouped(f.terms):
         c = Fraction(0)
         for x in reversed(poly):
             c = c * val + x
         if c:
-            out[lam] = c
+            out[_weight_of(k)] = c
     return out

@@ -57,6 +57,7 @@ only their generators, reflections and root data are available.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, InvariantError
@@ -269,6 +270,19 @@ class WeylGroup:
             raise BudgetError(
                 f"{rs.type_letter}{rs.rank} has {rs.group_order} elements; "
                 f"element tables stop at {MAX_TABLE_ORDER}")
+        # the build allocates several tuples per element, and the cyclic
+        # collector would walk the growing tables again and again; they
+        # hold no reference cycles, so it pauses for the build
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._build_tables()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build_tables(self) -> None:
+        rs = self.rs
         n = rs.rank
         rng = range(n)
         cartan = rs.cartan

@@ -9,10 +9,13 @@ w depends on neither the number of reduced words nor, but for bitset
 width, the number of x; only a w with a violation walks its words, to
 list them.
 
-Reports are plain JSON-able dictionaries with deterministic content: rows
-are sorted by canonical word, percentages are exact rationals rendered to
-two decimals, and every random choice is driven by the configured seed, so
-identical configurations produce byte-identical output.
+Reports are dictionaries of JSON values, except the group-algebra values
+of the coefficient dump, which the command line writes as their
+to_json_obj() straight from the packed keys.  Their content is
+deterministic: rows are sorted by canonical word, percentages are exact
+rationals rendered to two decimals, and every random choice is driven by
+the configured seed, so identical configurations produce byte-identical
+output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
 the tables are built; the tables are read-only, so the workers share them,
@@ -65,6 +68,12 @@ MAX_ORDER = {
     # (3,840 elements), past 100 s and 750 MB
     "good-words": 1920,
 }
+# Largest interval [e, w] coeff accepts, the number of entries of its
+# atom and character tables: B4/C4 at w0 (384) with --char, about 12 s and
+# 240 MB, printing 144 MB (D4 at w0, 192, about 1 s and 32 MB); from D4 to
+# B4 the time grows as about the 3.5th power of the interval, which would
+# put A5 at w0 (720, not run) near two minutes
+MAX_COEFF_INTERVAL = 384
 # Most matrix entries mtx holds, |W|^2 per point: 113 points on B4/C4
 MAX_MTX_ENTRIES = 1 << 24
 # Largest Weyl dimension of lambda cs-check accepts: B4 at rho (65,536)
@@ -430,19 +439,23 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
     w_word = tuple(w_word)
     w = group.element_from_word(w_word)
     wi = group.idx_of(w)
+    below = group.bruhat_mask(wi)
+    if below.bit_count() > MAX_COEFF_INTERVAL:
+        raise BudgetError(f"coeff stops at {MAX_COEFF_INTERVAL} elements "
+                          f"below w; [e, w] has {below.bit_count()}")
     table = atom_coeffs(group, w, w_word)  # checks that w_word is reduced
     chars = char_coeffs(group, w, w_word) if include_char else None
-    labels = _one_word_labels(group, wi, w_word, group.bruhat_mask(wi))
+    labels = _one_word_labels(group, wi, w_word, below)
 
     def entry_for(xi):
         obj = {
             "x": list(group.canon_of_idx(xi)),
-            "value": table[xi].to_json_obj(),
+            "value": table[xi],
         }
         try:
             closed = _closed_form_idx(group, w_word, xi, labels)
             obj["condition"] = "holds"
-            obj["closed_form"] = closed.to_json_obj()
+            obj["closed_form"] = closed
             obj["closed_form_matches"] = closed == table[xi]
         except ConditionError as exc:
             obj["condition"] = "fails"
@@ -453,7 +466,7 @@ def coeff_report(group: WeylGroup, w_word, x_word=None,
                 "chain_max": list(exc.chain_max or ()),
             }
         if chars is not None:
-            obj["char_coeff"] = chars[xi].to_json_obj()
+            obj["char_coeff"] = chars[xi]
         return obj
 
     report = {

@@ -5,11 +5,15 @@ of integer coefficients, constant term first, with trailing zeros stripped
 and no zero values stored.  This is the representation the library used
 before it packed monomials into integers; the operators here are that
 code, kept as the independent reference the packed operators are checked
-against."""
+against.  `one_minus_v_exp` alone builds a packed GAElement: the scalar
+1 - v e^(-alpha), the generic product by which the tests check the
+library's mul_one_minus_v_exp."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from wwl.groupalg import GAElement
 
 VP_ZERO = ()
 
@@ -118,6 +122,13 @@ def mul_one_minus_v_exp(rs, alpha, f):
         _accumulate(out, tuple(x - y for x, y in zip(lam, wc)),
                     vp_mul(p, (0, -1)))
     return out
+
+
+def one_minus_v_exp(rs, alpha):
+    """The scalar 1 - v e^(-alpha) as a packed GAElement."""
+    wc = rs.root_to_weight_coords(alpha)
+    return GAElement({(0,) * rs.rank: (1,),
+                      tuple(-y for y in wc): (0, -1)})
 
 
 def t_op(rs, alpha, f):

@@ -16,9 +16,9 @@ from wwl.coeffs import (_whole_group_sum, atom_coeffs,
                         closed_form_coeff, demazure_atom, demazure_character,
                         spherical_whittaker, tilde_coeffs, whittaker_function)
 from wwl.groupalg import (GAElement, atom_op, demazure, ga_sum,
-                          mul_one_minus_v_exp, one_minus_v_exp, specialize_v,
-                          t_op)
+                          mul_one_minus_v_exp, specialize_v, t_op)
 
+from ga_oracle import one_minus_v_exp
 from test_weyl import interval
 
 

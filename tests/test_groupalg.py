@@ -11,12 +11,12 @@ from fractions import Fraction
 import pytest
 
 import ga_oracle
-from ga_oracle import vp_add, vp_mul, vp_strip
+from ga_oracle import one_minus_v_exp, vp_add, vp_mul, vp_strip
 from wwl import DomainError
 from wwl.errors import BudgetError
 from wwl.groupalg import (MAX_WEIGHT_COORD, GAElement, atom_op, demazure,
-                          ga_sum, mul_one_minus_v_exp, one_minus_v_exp,
-                          reflect, specialize_v, t_op, weyl_act)
+                          ga_sum, mul_one_minus_v_exp, reflect,
+                          specialize_v, t_op, weyl_act)
 
 RANK2 = [("A", 2), ("B", 2), ("G", 2)]
 

@@ -3,6 +3,7 @@ permutations for type A, the subword criterion and the rank-matrix
 criterion for the Bruhat order, and a matrix-product breadth-first search
 for the element tables."""
 
+import gc
 import itertools
 import random
 
@@ -186,6 +187,35 @@ def test_rank_one_step_matches_product(group_for, type_letter, rank):
             product = w * G.simple_reflection(i + 1)
             assert tuple(zip(*rc)) == product.root_action
             assert tuple(zip(*wc)) == product.weight_action
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_table_build_keeps_the_collectors_state(monkeypatch, enabled):
+    """ensure_tables pauses the cyclic garbage collector for the build and
+    gives the caller's state back, also when the build raises."""
+    build = WeylGroup._build_tables
+    seen = []
+
+    def spy(self):
+        seen.append(gc.isenabled())
+        build(self)
+
+    def broken(self):
+        raise RuntimeError("build failed")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(WeylGroup, "_build_tables", spy)
+        G = WeylGroup(build_root_system("B", 3))
+        G.ensure_tables()
+        assert (seen, gc.isenabled(), G.order()) == ([False], enabled, 48)
+        monkeypatch.setattr(WeylGroup, "_build_tables", broken)
+        with pytest.raises(RuntimeError, match="build failed"):
+            WeylGroup(build_root_system("A", 2)).ensure_tables()
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_size_gates_fire_before_building():

@@ -17,6 +17,7 @@ from wwl import (WeylGroup, build_root_system, roots, shellability,
                  workbench)
 from wwl.cli import _emit, main
 from wwl.errors import BudgetError, InvariantError
+from wwl.groupalg import MAX_WEIGHT_COORD, GAElement
 from wwl.shellability import condition_A, condition_B, condition_per_word
 from wwl.workbench import (SweepConfig, check_request, coeff_report,
                            cs_report, good_words_report, load_group_cache,
@@ -252,6 +253,9 @@ def test_refused_input_leaves_no_cache_file(capsys, tmp_path, argv, code):
     assert list(cache.iterdir()) == []
 
 
+A5_W0 = "1,2,1,3,2,1,4,3,2,1,5,4,3,2,1"
+
+
 def _too_large_runs():
     for rank in (7, 8):
         zero = ",".join(["0"] * rank)
@@ -260,6 +264,8 @@ def _too_large_runs():
                                 ["cs-check", "--lambda", zero], ["good-words"]):
             yield [command, "--type", "E", "--rank", str(rank), *extra]
     yield ["coeff", "--type", "E", "--rank", "6", "--w", "1,3"]
+    # [e, w0] of A5 has 720 elements, past the coeff interval limit
+    yield ["coeff", "--type", "A", "--rank", "5", "--w", A5_W0, "--char"]
     yield ["cs-check", "--type", "E", "--rank", "6", "--lambda", "0,0,0,0,0,0"]
     # above the --large threshold: refused before any table is built
     yield ["stats", "--type", "B", "--rank", "5"]
@@ -725,6 +731,32 @@ def test_coeff_all_lists_interval(capsys):
     assert len(report["coeffs"]) == 4  # e, s1, s2, s1s2
 
 
+class Admitted(Exception):
+    pass
+
+
+def test_coeff_interval_gate(group_for, monkeypatch):
+    """coeff admits [e, w] up to MAX_COEFF_INTERVAL elements: D4 and B4 at
+    w0 (192 and 384) and B5 at 1,2,3,4,5 (32) reach the atom table; A5 at
+    w0 (720) is refused before any atom or character table is built."""
+    def admit(*args):
+        raise Admitted
+
+    monkeypatch.setattr(workbench, "atom_coeffs", admit)
+    monkeypatch.setattr(workbench, "char_coeffs", admit)
+    for type_letter, rank, word in (("D", 4, None), ("B", 4, None),
+                                    ("B", 5, (1, 2, 3, 4, 5))):
+        G = group_for(type_letter, rank)
+        if word is None:
+            word = G.canonical_word(G.longest_element())
+        with pytest.raises(Admitted):
+            coeff_report(G, word, include_char=True)
+    with pytest.raises(BudgetError, match="coeff stops at 384 elements "
+                       r"below w; \[e, w\] has 720"):
+        coeff_report(group_for("A", 5), parse_int_seq(A5_W0),
+                     include_char=True)
+
+
 # sha256 of the stdout of `coeff --w <word> --char`, as printed when each
 # single-word label came from its own scan of the word, and the number of
 # entries whose chain condition fails (each printing its three labels)
@@ -986,7 +1018,10 @@ def emitted(obj) -> str:
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The stdlib oracle of the writer; a GAElement stands for its
+    to_json_obj()."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=GAElement.to_json_obj) + "\n"
 
 
 def every_report(G):
@@ -1028,6 +1063,32 @@ def test_writer_matches_json_on_nested_values(obj):
     assert emitted(obj) == json_text(obj)
     assert emitted({"a": [obj, [obj]], "b": obj}) == \
         json_text({"a": [obj, [obj]], "b": obj})
+
+
+def ga_elements(rank):
+    """GAElements of one rank: the empty one among them, weights with
+    negative coordinates up to the packed bound, v-polynomials with gaps
+    in degree and coefficients far past 64 bits."""
+    weights = st.tuples(*[st.integers(-MAX_WEIGHT_COORD, MAX_WEIGHT_COORD)
+                          | st.integers(-2, 2)] * rank)
+    polys = st.lists(st.just(0) | st.integers(-(1 << 70), 1 << 70),
+                     max_size=6).map(tuple)
+    return st.dictionaries(weights, polys, max_size=6).map(GAElement)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda rank: st.lists(ga_elements(rank), min_size=1, max_size=4)))
+def test_writer_matches_json_on_group_algebra_values(elements):
+    """A GAElement is written as json.dumps writes its to_json_obj, at
+    every nesting, the same values recurring at several nestings of one
+    report."""
+    f, *rest = elements
+    report = {"top": f, "coeffs": [{"value": g, "char": [g, f]}
+                                   for g in elements],
+              "deep": [[{"x": rest}]], "z": rest}
+    assert emitted(report) == json_text(report)
+    assert emitted(f) == json_text(f)
+    assert emitted(elements) == json_text(elements)
 
 
 @pytest.mark.parametrize("obj", [
