@@ -25,16 +25,21 @@ Labels are held bit-sliced, one bitset over x per word position, and
 _failing_flags reads off the x failing each flag.  All three labels come
 from one labeller, _edge_labels, which labels the edges of w's left weak
 interval (below); a word's labels are read along its chain of edges
-(_chain_labels).  No search over the words of w visits them: on the
-edges, _flag_dp decides the flags of every word at once (the verify
-sweep, also run by the independent statistics), _first_words finds each
-x's first word with flag (i) or (ii) (conditions A and B, mtx's
-witnesses), and _good_word_mask the x with a good word (the good-word
-census).  Only a w with a violation walks its words, to list them
-(_word_labels_idx).  The single-word functions (lambda_set, the two
-chains, condition_per_word, is_good_word, the closed forms and
-m_product_roots) label only their own word's chain (_edge_labels given
-the word).  _deodhar_masks compares #S(x,w) with l(w) - l(x) for all x
+(_chain_labels).  The sweeps over many w (verify, also run by the
+independent statistics, and mtx's witnesses) label w0 once, into a
+table (_chain_table), and read every w's edges from it
+(_interval_labels); the good-word census reads lambda alone, which needs
+no scan.  No search over the words of w visits them: on the edges,
+_flag_dp decides the flags of every word at once (the verify sweep),
+_first_words finds each x's first word with flag (i) or (ii) (conditions
+A and B, mtx's witnesses), and _good_word_mask the x with a good word
+(the good-word census).  Only a w with a violation walks its words, to
+list them (_word_labels_idx).  The single-pair conditions A and B scan
+w's interval for their one x, and the single-word functions
+(lambda_set, the two chains, condition_per_word, is_good_word, the
+closed forms and m_product_roots) label only their own word's chain
+(_edge_labels given the word): for one x or one chain a scan costs less
+than the table.  _deodhar_masks compares #S(x,w) with l(w) - l(x) for all x
 at once, on a bit-sliced counter.  Per-x tuples are read from the
 bitsets (_label_of) only where a caller needs them: violation records,
 closed forms, chain roots, and the single-x public functions.
@@ -87,6 +92,21 @@ maps raise.  A node's map is dropped once every edge from it has been
 scanned, so only about two length levels of maps are held at a time.
 Given one word, it scans only that word's chain v_1 = w, ..., v_(n+1) = e,
 the same steps on n of the edges.
+
+Every w's chain labels are w0's.  A prefix w v^-1 and a suffix v of a
+reduced word of w are a prefix and a suffix of a reduced word of w0 too
+(extend the word by one of w^-1 w0), and the scans see them only
+through their products.  So the edge (v, a) of w's left weak interval
+has the increasing bits of w0's edge (v, a) and the decreasing bits of
+w0's edge after the same prefix w v^-1, the edge (v w^-1 w0, a); each
+is ANDed with w's set of x, and lambda is read from the Bruhat mask of
+the deletion as above.  One _edge_labels of w0 over all the x a sweep
+reads, built before the sweep forks so that its workers share it, then
+replaces every w's scans, and checks the residual invariant once for
+every x and every prefix and suffix.  The table keeps the two chain
+labels of w0's |W| * r / 2 edges, |W|^2 * r bits over all of W: about
+19 MB on A6 and 9 MB on B5.  D6 would need about 400 MB, which verify's
+MAX_ORDER keeps out.
 
 Flags on the edges.  Each label bit of x at a position depends on the
 position's edge alone (above: a scan sees a prefix or suffix only through
@@ -293,19 +313,17 @@ def _edge_labels(group: WeylGroup, wi: int, xset: int, word=None) -> dict:
     (module docstring)."""
     group.ensure_bruhat()
     lens, lmul, rmul = group._len, group._lmul, group._rmul
+    bruhat = group._bruhat
     start = {xi: 1 << xi for xi in _bit_indices(xset)}
     left, right = {wi: start}, {0: start}
     labels = {}
     last = None
-    for v, a in _down_edges(group, wi, left) if word is None else \
-            _chain_edges(lmul, wi, word):
+    for v, a, c, p in _down_edges(group, wi) if word is None else \
+            _chain_edges(group, wi, word):
         if v != last:  # every edge into v is scanned
             last, residuals = v, left.pop(v)
-        row = lmul[a - 1]
-        c = row[v]
-        kept = _scan_edge(left, c, residuals, row, lens)
-        d = group.idx_mul(group.idx_mul(wi, group._inv[v]), c)
-        labels[v, a] = [xset & group._bruhat[d], 0, xset & ~kept]
+        kept = _scan_edge(left, c, residuals, lmul[a - 1], lens)
+        labels[v, a] = [xset & bruhat[group.idx_mul(p, c)], 0, xset & ~kept]
     _check_scanned(left[0])
     level = 0
     for v, a in reversed(labels):  # up from e, each edge after those below
@@ -318,30 +336,73 @@ def _edge_labels(group: WeylGroup, wi: int, xset: int, word=None) -> dict:
     return labels
 
 
-def _down_edges(group: WeylGroup, wi: int, reached):
-    """The edges v -> s_a v of w's left weak interval, parents first (the
-    table is by length), from the nodes in `reached` as it grows."""
-    lens = group._len
-    for v in range(wi, -1, -1):
-        if v in reached:
-            for a, row in enumerate(group._lmul, 1):
-                if lens[row[v]] < lens[v]:
-                    yield v, a
+def _chain_table(group: WeylGroup, xset: int) -> tuple[list, list]:
+    """The chain labels of every w over the x of xset, as those of w0
+    (module docstring): (inc, dec), where inc[a - 1][v] is the increasing
+    label of w0's edge (v, a) and dec[a - 1][p] the decreasing label of
+    w0's edge after the prefix p, the edge (p^-1 w0, a).  Both come from
+    one _edge_labels of w0 over xset; entries that are no edge are None.
+    _interval_labels reads it."""
+    size = group.order()
+    w0 = size - 1
+    labels = _edge_labels(group, w0, xset)
+    inc = [[None] * size for _ in group._lmul]
+    dec = [[None] * size for _ in group._lmul]
+    for v, a, _, p in _down_edges(group, w0):
+        _, inc[a - 1][v], dec[a - 1][p] = labels.pop((v, a))
+    return inc, dec
 
 
-def _chain_edges(lmul, wi: int, word):
-    """The edges (v_i, a_i) of a word's chain, v_1 = w and
-    v_(i+1) = s_(a_i) v_i."""
-    v = wi
+def _interval_labels(group: WeylGroup, wi: int, xset: int,
+                     table=None) -> dict:
+    """_edge_labels(group, wi, xset) with no scan: the chain labels of
+    each edge (v, a) of w's left weak interval are read from the
+    _chain_table of w0 (over a superset of xset), the increasing one at
+    (v, a) and the decreasing one after the prefix w v^-1, and ANDed
+    with xset.  With no table, each edge's list holds lambda alone."""
+    bruhat = group._bruhat
+    labels = {}
+    for v, a, c, p in _down_edges(group, wi):
+        lam = xset & bruhat[group.idx_mul(p, c)]
+        labels[v, a] = [lam] if table is None else \
+            [lam, xset & table[0][a - 1][v], xset & table[1][a - 1][p]]
+    return labels
+
+
+def _down_edges(group: WeylGroup, wi: int):
+    """(v, a, s_a v, w v^-1) for each edge v -> s_a v of w's left weak
+    interval, parents first: a length level at a time from w, each in
+    descending table order.  The prefix w v^-1 of a child is its
+    parent's times s_a, whichever parent reaches it."""
+    lens, lmul, rmul = group._len, group._lmul, group._rmul
+    level = {wi: 0}
+    while level:
+        below = {}
+        for v in sorted(level, reverse=True):
+            p = level[v]
+            for a, row in enumerate(lmul, 1):
+                c = row[v]
+                if lens[c] < lens[v]:
+                    below[c] = rmul[a - 1][p]
+                    yield v, a, c, p
+        level = below
+
+
+def _chain_edges(group: WeylGroup, wi: int, word):
+    """(v_i, a_i, v_(i+1), a_1...a_(i-1)) for the edges of a word's
+    chain, v_1 = w and v_(i+1) = s_(a_i) v_i."""
+    lmul, rmul = group._lmul, group._rmul
+    v, p = wi, 0
     for a in word:
-        yield v, a
-        v = lmul[a - 1][v]
+        c = lmul[a - 1][v]
+        yield v, a, c, p
+        v, p = c, rmul[a - 1][p]
 
 
 def _chain_labels(group: WeylGroup, labels: dict, wi: int, word):
     """(lambda, increasing, decreasing) of a reduced word of w, each
     bit-sliced by position, read off its chain's edges in labels."""
-    path = [labels[edge] for edge in _chain_edges(group._lmul, wi, word)]
+    path = [labels[v, a] for v, a, _, _ in _chain_edges(group, wi, word)]
     return tuple([edge[k] for edge in path] for k in range(3))
 
 
@@ -495,7 +556,7 @@ def _good_word_mask(group: WeylGroup, wi: int, xset: int, labels: dict) -> int:
     lens, lmul, bruhat = group._len, group._lmul, group._bruhat
     maps = {wi: ({xi: 1 << xi for xi in _bit_indices(xset)}, {})}
     last = None
-    for (v, a), (lam, _, _) in labels.items():  # parents first
+    for (v, a), (lam, *_) in labels.items():  # parents first
         if v != last:  # every edge into v is merged
             last, (clean, stray) = v, maps.pop(v)
         row = lmul[a - 1]

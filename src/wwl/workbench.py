@@ -7,7 +7,8 @@ w on the edges of its left weak interval (shellability._flag_dp) and on a
 bit-sliced count of #S(x,w) (shellability._deodhar_masks), so its work per
 w depends on neither the number of reduced words nor, but for bitset
 width, the number of x; only a w with a violation walks its words, to
-list them.
+list them.  The edges' chain labels are read from one table of w0's
+(shellability._chain_table), which the sweep builds before it forks.
 
 Reports are dictionaries of JSON values, except the group-algebra values
 of the coefficient dump, which the command line writes as their
@@ -18,7 +19,8 @@ the configured seed, so identical configurations produce byte-identical
 output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
-the tables are built; the tables are read-only, so the workers share them,
+the tables are built; the tables, the chain-label table among them, are
+read-only, so the workers share them,
 and results are merged in index order, so the thread count never changes
 the output.
 """
@@ -30,16 +32,17 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .coeffs import (_check_dominant, _closed_form_idx, atom_coeffs,
                      casselman_shalika_check, char_coeffs)
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_bit_indices, _chain_labels, _deodhar_masks,
-                           _edge_labels, _failing_flags, _first_words,
-                           _flag_dp, _good_word_mask, _label_of,
-                           _one_word_labels, _word_labels_idx,
+from .shellability import (_bit_indices, _chain_labels, _chain_table,
+                           _deodhar_masks, _failing_flags, _first_words,
+                           _flag_dp, _good_word_mask, _interval_labels,
+                           _label_of, _one_word_labels, _word_labels_idx,
                            condition_b_mask, gamma_sequence)
 from .weyl import WeylGroup
 
@@ -54,10 +57,13 @@ MAX_ORDER = {
     "stats --mode fast": 5040,
     # A6, as verify-conjecture (the sweep it runs) below
     "stats --mode independent": 5040,
-    # A6 (16,913,275,917,601 triples), about 2 minutes at two threads and
-    # 160 MB; from D5 (13 s) to A6 the time grows as about the 2.3rd power
-    # of the order, which puts D6 (23,040 elements) near an hour.
-    # --budget, not --large, bounds verify's work below the gate
+    # A6 (16,913,275,917,601 triples), about 13 s at two threads and
+    # 160 MB, and D5 about 2 s and 33 MB, both labelled from w0's table;
+    # from D5 to A6 the time grows as about the square of the order and
+    # the table's one-process build as about the 2.3rd power (F4 0.13 s,
+    # A6 3.8 s), which puts D6 (23,040 elements, not run) at 5 minutes or
+    # more, with a table of about 400 MB (|W|^2 * r bits).  --budget, not
+    # --large, bounds verify's work below the gate
     "verify-conjecture": 5040,
     # B4/C4, about 12 s and 140 MB at 8 points; the upper-interval sums
     # grow as the cube of the order, so A5 (720 elements) would take
@@ -254,12 +260,15 @@ def parallel_over(group: WeylGroup, fn, items, threads: int, costs=None):
     uniform work.  With costs (one estimate per item), items are handed
     out one per task, heaviest first, so a worker that draws the few
     heavy items is not left with a long chunk behind them."""
-    import multiprocessing  # only a forking sweep needs it
-
     items = list(items)
     threads = min(threads, len(items), os.cpu_count() or 1)
-    if threads <= 1 or \
-            multiprocessing.get_start_method(allow_none=True) not in (None, "fork"):
+    if threads > 1:
+        import multiprocessing  # only a forking sweep needs it
+
+        if multiprocessing.get_start_method(allow_none=True) not in \
+                (None, "fork"):
+            threads = 1
+    if threads <= 1:
         return [fn(group, it) for it in items]
     global _WORKER_GROUP, _WORKER_FN
     _WORKER_GROUP, _WORKER_FN = group, fn
@@ -286,15 +295,15 @@ def _triples_per_w(group: WeylGroup) -> list[int]:
             for wi in range(group.order())]
 
 
-def _verify_w(group: WeylGroup, wi: int):
+def _verify_w(group: WeylGroup, wi: int, table):
     """Every (reduced word, x <= w) triple of one w, decided on the edges
-    of w's left weak interval (_flag_dp) with no word visited: `held`
-    counts the x with flag (i) on some word.  Only a w with a violation
-    walks its words, reading the same edge labels, to list each
-    disagreeing triple with its labels; the x that walk finds must be
-    those the edges gave."""
+    of w's left weak interval (_flag_dp) with no word visited, their
+    labels read from the _chain_table of w0: `held` counts the x with
+    flag (i) on some word.  Only a w with a violation walks its words,
+    reading the same edge labels, to list each disagreeing triple with
+    its labels; the x that walk finds must be those the edges gave."""
     xset = group.bruhat_mask(wi)
-    labels = _edge_labels(group, wi, xset)
+    labels = _interval_labels(group, wi, xset, table)
     violating, held = _flag_dp(group, wi, xset, labels)
     violations = []
     listed = 0
@@ -340,9 +349,8 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
             break
         cum += per_w[wi]
         included.append(wi)
-    partial = len(included) < size
-    results = parallel_over(group, _verify_w, included, config.threads,
-                            costs=per_w[:len(included)])
+    results = _verify_sweep(group, included, config.threads,
+                            per_w[:len(included)])
     return {
         "type": group.rs.type_letter,
         "rank": group.rs.rank,
@@ -351,8 +359,20 @@ def verify_conjecture(group: WeylGroup, config: SweepConfig) -> dict:
         "triples_tested": sum(r["triples"] for r in results),
         "violations": [v for r in results for v in r["violations"]],
         "deodhar_failures": [d for r in results for d in r["deodhar_failures"]],
-        "partial": partial,
+        "partial": len(included) < size,
     }
+
+
+def _verify_sweep(group: WeylGroup, items, threads: int, costs) -> list:
+    """_verify_w over the w of items, forked as parallel_over does, on one
+    _chain_table built first over the x below any of them, which the
+    workers share."""
+    xset = 0
+    for wi in items:
+        xset |= group.bruhat_mask(wi)
+    return parallel_over(
+        group, partial(_verify_w, table=_chain_table(group, xset)), items,
+        threads, costs=costs)
 
 
 # -- statistics ------------------------------------------------------------------
@@ -374,8 +394,8 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
         counts = [(group.bruhat_mask(wi).bit_count(), cond[wi])
                   for wi in range(size)]
     else:
-        results = parallel_over(group, _verify_w, range(size),
-                                config.threads, costs=_triples_per_w(group))
+        results = _verify_sweep(group, range(size), config.threads,
+                                _triples_per_w(group))
         for r in results:
             if r["violations"]:
                 raise InvariantError(
@@ -500,14 +520,16 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
     # condition (B) witnesses: the pairs come from one condition_b_mask per
-    # x, then one first-word search per w over just those x < w; each
-    # pair's chain roots are read off its witness word's increasing label,
-    # which flag (ii) makes equal to the decreasing one
+    # x, then one first-word search per w over just those x < w, on labels
+    # read from one _chain_table; each pair's chain roots are read off its
+    # witness word's increasing label, which flag (ii) makes equal to the
+    # decreasing one
     cond = [condition_b_mask(group, xi) for xi in range(size)]
+    table = _chain_table(group, group.bruhat_mask(size - 1))
     roots = []
     for wi in range(size):
         xset = sum(1 << xi for xi in range(wi) if (cond[xi] >> wi) & 1)
-        labels = _edge_labels(group, wi, xset)
+        labels = _interval_labels(group, wi, xset, table)
         found = _first_words(group, wi, xset, labels, 1)
         if len(found) != xset.bit_count():
             raise InvariantError(
@@ -579,7 +601,7 @@ def good_words_report(group: WeylGroup) -> dict:
     for wi in range(group.order()):
         qualifying = _deodhar_masks(group, wi, group.bruhat_mask(wi))[1]
         good = _good_word_mask(group, wi, qualifying,
-                               _edge_labels(group, wi, qualifying))
+                               _interval_labels(group, wi, qualifying))
         for xi in _bit_indices(qualifying):
             pairs.append({
                 "x": list(group.canon_of_idx(xi)),

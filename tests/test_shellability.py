@@ -18,16 +18,17 @@ from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.cli import _emit, main
-from wwl.shellability import (_bit_indices, _deodhar_masks, _edge_labels,
-                              _failing_flags, _first_words, _flag_dp,
-                              _good_word_mask, _label_of, _one_word_labels,
+from wwl.shellability import (_bit_indices, _chain_table, _deodhar_masks,
+                              _edge_labels, _failing_flags, _first_words,
+                              _flag_dp, _good_word_mask, _interval_labels,
+                              _label_of, _one_word_labels,
                               _word_labels_idx, beta_sequence, condition_A,
                               condition_B, condition_b_mask, condition_per_word,
                               deodhar_check, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
 from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
-                           stats_sweep, verify_conjecture)
+                           mtx_report, stats_sweep, verify_conjecture)
 
 from test_weyl import (deleted_word_elements, interval, perm_of_word,
                        rank_matrix_leq)
@@ -390,18 +391,24 @@ def test_non_reduced_residual_raises(monkeypatch, capsys):
     """The lambda bits of x = e cleared on the edges (w0, letter 1) and
     (s1, letter 1) of the longest element of A2, which lie on its word
     1,2,1 alone: that word keeps positions 1 and 3, whose product s1 s1 is
-    e but not reduced.  The census, is_good_word and the command raise."""
-    labeller = shellability._edge_labels
+    e but not reduced.  The bits are cleared where each reads its lambda
+    labels: the census in the interval reader, is_good_word in the
+    single-word labeller.  The census, is_good_word and the command
+    raise."""
+    def flip(labeller):
+        def flipped(group, *args):
+            labels = labeller(group, *args)
+            for edge in ((group.order() - 1, 1),
+                         (group.word_to_idx((1,)), 1)):
+                if edge in labels:
+                    labels[edge][0] &= ~1  # x = e has index 0
+            return labels
+        return flipped
 
-    def flipped(group, wi, xset, word=None):
-        labels = labeller(group, wi, xset, word)
-        for edge in ((group.order() - 1, 1), (group.word_to_idx((1,)), 1)):
-            if edge in labels:
-                labels[edge][0] &= ~1  # x = e has index 0
-        return labels
-
-    for module in (shellability, workbench):
-        monkeypatch.setattr(module, "_edge_labels", flipped)
+    monkeypatch.setattr(shellability, "_edge_labels",
+                        flip(shellability._edge_labels))
+    monkeypatch.setattr(workbench, "_interval_labels",
+                        flip(workbench._interval_labels))
     G = fresh_group("A", 2)
     with pytest.raises(InvariantError, match="residual is not reduced"):
         good_words_report(G)
@@ -757,6 +764,49 @@ def test_word_labels_scan_each_edge_twice_before_the_first_word(
     assert len(steps) == 2 * len(edges)
 
 
+def test_verify_sweep_scans_only_w0(monkeypatch):
+    """A whole verify sweep of B3 (48 elements) takes two scan steps per
+    edge of w0's left weak interval, one left and one right, and none for
+    any other w: every w reads its chain labels from w0's table.  So do
+    the independent statistics and mtx's witness search."""
+    G = fresh_group("B", 3)
+    steps = []
+    step = shellability._scan_step
+
+    def counted(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(shellability, "_scan_step", counted)
+    report = verify_conjecture(G, SweepConfig(type_letter="B", rank=3))
+    assert report["elements_swept"] == 48
+    assert len(steps) == 2 * 72
+    for sweep, config in ((stats_sweep, SweepConfig("B", 3,
+                                                    mode="independent")),
+                          (mtx_report, SweepConfig("B", 3, points=1))):
+        steps.clear()
+        sweep(G, config)
+        assert len(steps) == 2 * 72
+
+
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4)])
+def test_table_labels_match_per_w_scan(group_for, type_letter, rank):
+    """On every w, the labels read from w0's table, over all of W and
+    over the x below w alone, equal those of w's own scan over the x
+    below w; with no table, the reader gives lambda alone."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    whole = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        oracle = _edge_labels(G, wi, xset)
+        for table in (whole, _chain_table(G, xset)):
+            assert _interval_labels(G, wi, xset, table) == oracle
+        assert _interval_labels(G, wi, xset) == \
+            {edge: [lab[0]] for edge, lab in oracle.items()}
+
+
 def test_two_residuals_at_one_node_raise():
     """In A2, w0 has the reduced words 121 and 212.  With s1s2 * s2 made
     s2 instead of s1, the right scan of x = w0 along 121 ends at s2 and
@@ -836,11 +886,12 @@ def test_flags_match_tuple_oracle_exhaustive(group_for, type_letter, rank):
     of the verify sweep."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
+    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
         for word in G._iter_words_idx(wi):
             assert_flags_match_tuple_oracle(G, word, xs)
-        got = _verify_w(G, wi)
+        got = _verify_w(G, wi, table)
         assert (got["triples"], got["held"], got["violations"]) == \
             verify_w_oracle(G, wi)
 
@@ -884,12 +935,13 @@ def test_flag_dp_matches_word_walk(group_for, type_letter, rank):
     count and (empty) violation list equal the walk's."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
+    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
     for wi in range(G.order()):
         xset = G.bruhat_mask(wi)
         labels = _edge_labels(G, wi, xset)
         triples, held, violating = verify_w_walk(G, wi, labels)
         assert _flag_dp(G, wi, xset, labels) == (violating, held)
-        got = _verify_w(G, wi)
+        got = _verify_w(G, wi, table)
         assert (got["triples"], got["held"], got["violations"]) == \
             (triples, held.bit_count(), [])
 

@@ -206,6 +206,22 @@ def test_cli_import_leaves_out_fork_and_digest_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_one_thread_sweep_leaves_out_multiprocessing():
+    """A sweep at one thread runs in the process it starts in, so it never
+    imports multiprocessing, whose import costs tens of milliseconds."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(workbench.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from wwl.cli import main; "
+         "code = main(['verify-conjecture', '--type', 'A', '--rank', '2', "
+         "'--threads', '1']); "
+         "sys.stderr.write(f'{code} {\"multiprocessing\" in sys.modules}')"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stderr == "0 False"
+    assert json.loads(proc.stdout)["triples_tested"] == 25
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_mtx_needs_a_point(capsys, points):
     code, out, err = run_cli(capsys, "mtx", "--type", "A", "--rank", "2",
@@ -476,19 +492,18 @@ def test_stats_independent_mode_cli(capsys):
 
 def force_edge_disagreement(monkeypatch):
     """The increasing-label bit of x = e flipped on the edge (w0, letter 1)
-    of the longest element of A2, which lies on its word 1,2,1 alone: that
-    word's increasing label of e loses position 1, so e fails flags (ii)
-    and (iii) there and keeps flag (i)."""
-    labeller = workbench._edge_labels
+    of the longest element of A2, which lies on its word 1,2,1 alone, in
+    the table of w0's chain labels that the sweeps read: that word's
+    increasing label of e loses position 1, so e fails flags (ii) and
+    (iii) there and keeps flag (i)."""
+    build = workbench._chain_table
 
-    def flipped(group, wi, xset, word=None):
-        labels = labeller(group, wi, xset, word)
-        edge = (group.order() - 1, 1)
-        if edge in labels:
-            labels[edge][1] ^= 1  # x = e has index 0
-        return labels
+    def flipped(group, xset):
+        inc, dec = build(group, xset)
+        inc[0][group.order() - 1] ^= 1  # letter 1; x = e has index 0
+        return inc, dec
 
-    monkeypatch.setattr(workbench, "_edge_labels", flipped)
+    monkeypatch.setattr(workbench, "_chain_table", flipped)
 
 
 def test_stats_independent_flag_disagreement_raises(monkeypatch):
@@ -967,8 +982,8 @@ def test_witness_searches_visit_no_word(capsys, monkeypatch):
         raise AssertionError("a reduced word was asked for")
 
     monkeypatch.setattr(WeylGroup, "_iter_words_idx", refuse)
+    monkeypatch.setattr(shellability, "_edge_labels", interval_only)
     for module in (shellability, workbench):
-        monkeypatch.setattr(module, "_edge_labels", interval_only)
         monkeypatch.setattr(module, "_word_labels_idx", refuse)
     for (k, xi, wi), answer in expected.items():
         condition = (condition_A, condition_B)[k]
