@@ -39,10 +39,14 @@ w's interval for their one x, and the single-word functions
 (lambda_set, the two chains, condition_per_word, is_good_word, the
 closed forms and m_product_roots) label only their own word's chain
 (_edge_labels given the word): for one x or one chain a scan costs less
-than the table.  _deodhar_masks compares #S(x,w) with l(w) - l(x) for all x
-at once, on a bit-sliced counter.  Per-x tuples are read from the
-bitsets (_label_of) only where a caller needs them: violation records,
-closed forms, chain roots, and the single-x public functions.
+than the table.  #S(x,w) is counted from one chain's lambda: position i
+of a reduced word of w deletes to w*s_(gamma_i) (gamma_sequence), and by
+strong exchange every w*s_alpha < w is such a deletion, so s_set and
+_deodhar_masks, which compares #S(x,w) with l(w) - l(x) for all x at once
+on a bit-sliced counter, read the lambda bits of w's canonical word
+(_canonical_lambda).  Per-x tuples are read from the bitsets (_label_of)
+only where a caller needs them: violation records, closed forms, chain
+roots, and the single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -130,7 +134,7 @@ from bisect import bisect_left
 
 from .errors import DomainError, InvariantError
 from .roots import Coords
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, _bit_indices
 
 
 def _reduced_word_idx(group: WeylGroup, word, wi: int | None = None) -> int:
@@ -178,38 +182,31 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
                                 _edge_labels(group, wi, 1 << xi, word)))
 
 
-def lower_reflections_idx(group: WeylGroup, wi: int) -> list[tuple[Coords, int]]:
-    """(alpha, index of w*s_alpha) for every positive root alpha with
-    w*s_alpha < w, in positive-root order."""
-    lw = group.len_of_idx(wi)
-    out = []
-    for alpha in group.rs.positive_roots:
-        ri = group.idx_mul(wi, group.idx_of(group.reflection(alpha)))
-        if group.len_of_idx(ri) < lw:
-            out.append((alpha, ri))
-    return out
-
-
 def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...]:
-    """{alpha in Phi+ : x <= w*s_alpha < w}, in positive-root order."""
-    xi, wi = _checked_pair_idx(group, x, w)
-    return tuple(alpha for alpha, ri in lower_reflections_idx(group, wi)
-                 if group.leq_idx(xi, ri))
+    """{alpha in Phi+ : x <= w*s_alpha < w}, in positive-root order: the
+    gamma roots of lambda_set on w's canonical word, since deleting
+    position i of a reduced word of w gives w*s_(gamma_i), and every
+    w*s_alpha < w is such a deletion (strong exchange)."""
+    _, wi = _checked_pair_idx(group, x, w)
+    word = group.canon_of_idx(wi)
+    found = set(gamma_sequence(group, word, lambda_set(group, x, word)))
+    return tuple(alpha for alpha in group.rs.positive_roots if alpha in found)
 
 
-def _deodhar_masks(group: WeylGroup, wi: int, xset: int) -> tuple[int, int]:
+def _deodhar_masks(group: WeylGroup, wi: int, xset: int,
+                   lams) -> tuple[int, int]:
     """(below, tight): the x of the bitset xset (each x <= w) with #S(x,w)
-    less than, and equal to, l(w) - l(x).  Deodhar's inequality says that
-    below is empty.  #S(x,w) counts the lower reflections w*s_alpha above
-    x, so their Bruhat masks are added into a bit-sliced counter, one
-    bitset per binary digit; the table is ordered by length, so each
-    length level of x is a run of indices, compared with its l(w) - l(x)
-    digit by digit, from the top."""
-    group.ensure_bruhat()
-    bruhat, lens = group._bruhat, group._len
+    less than, and equal to, l(w) - l(x), from lams, the lambda bits over
+    xset of w's canonical word (_canonical_lambda).  Deodhar's inequality
+    says that below is empty.  #S(x,w) counts the lower reflections
+    w*s_alpha above x, and those are the single deletions of the word, one
+    per position (s_set), so the lambda bits are added into a bit-sliced
+    counter, one bitset per binary digit; the table is ordered by length,
+    so each length level of x is a run of indices, compared with its
+    l(w) - l(x) digit by digit, from the top."""
+    lens = group._len
     planes: list[int] = []  # planes[k]: the x whose count has bit k set
-    for _, ri in lower_reflections_idx(group, wi):
-        carry = bruhat[ri] & xset
+    for carry in lams:
         for k, plane in enumerate(planes):
             planes[k] = plane ^ carry
             carry &= plane
@@ -406,6 +403,13 @@ def _chain_labels(group: WeylGroup, labels: dict, wi: int, word):
     return tuple([edge[k] for edge in path] for k in range(3))
 
 
+def _canonical_lambda(group: WeylGroup, wi: int, labels: dict) -> list:
+    """The lambda bits of w's canonical word, by position, read off its
+    chain's edges in labels (of the interval or of that chain)."""
+    return [labels[v, a][0] for v, a, _, _ in
+            _chain_edges(group, wi, group.canon_of_idx(wi))]
+
+
 def _one_word_labels(group: WeylGroup, wi: int, word, xset: int):
     """_chain_labels of one reduced word of w, labelling only its chain."""
     return _chain_labels(group, _edge_labels(group, wi, xset, word), wi, word)
@@ -455,14 +459,6 @@ def _flag_dp(group: WeylGroup, wi: int, xset: int, labels: dict):
             tuple(p | q for p, q in zip(seen, out))
     _, s01, s02, s12, h = states[0]
     return s01 | s02 | s12, h
-
-
-def _bit_indices(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _label_of(sets, xi: int, descending: bool = False) -> tuple[int, ...]:
@@ -602,7 +598,9 @@ def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
     xi, wi = _checked_pair_idx(group, x, w)
-    return not _deodhar_masks(group, wi, 1 << xi)[0]
+    labels = _edge_labels(group, wi, 1 << xi, group.canon_of_idx(wi))
+    return not _deodhar_masks(group, wi, 1 << xi,
+                              _canonical_lambda(group, wi, labels))[0]
 
 
 # -- word-free condition search --------------------------------------------------

@@ -69,6 +69,14 @@ MAX_TABLE_ORDER = 51_840
 MAX_BRUHAT_BYTES = 64 << 20
 
 
+def _bit_indices(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     rng = range(n)
@@ -150,7 +158,6 @@ class WeylGroup:
         self._gens = tuple(
             WeylElement(rs.simple_root_matrices[i], rs.simple_weight_matrices[i])
             for i in range(n))
-        self._refl_cache: dict[Coords, WeylElement] = {}
         # indexed layer, built on first element query
         self._elements: list[WeylElement] | None = None
         self._index: dict[Matrix, int] | None = None
@@ -179,9 +186,6 @@ class WeylGroup:
 
     def reflection(self, alpha: Coords) -> WeylElement:
         """Reflection s_alpha for an arbitrary positive root."""
-        cached = self._refl_cache.get(alpha)
-        if cached is not None:
-            return cached
         rs = self.rs
         if not rs.is_positive_root(alpha):
             raise DomainError(f"{alpha} is not a positive root")
@@ -196,9 +200,7 @@ class WeylGroup:
         weight_m = tuple(tuple((1 if k == j else 0) - coro[j] * wc[k]
                                for j in range(n))
                          for k in range(n))
-        elem = WeylElement(root_m, weight_m)
-        self._refl_cache[alpha] = elem
-        return elem
+        return WeylElement(root_m, weight_m)
 
     def length(self, w: WeylElement) -> int:
         idx = self.idx_of(w)
@@ -443,8 +445,7 @@ class WeylGroup:
 
     def lower_interval_idx(self, wi: int) -> list[int]:
         """Indices of every x <= w, ascending."""
-        mask = self.bruhat_mask(wi)
-        return [xi for xi in range(len(self._elements)) if (mask >> xi) & 1]
+        return list(_bit_indices(self.bruhat_mask(wi)))
 
     def reduced_word_counts(self) -> list[int]:
         """Number of reduced words for every element, indexed like the

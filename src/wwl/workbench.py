@@ -39,24 +39,23 @@ from .coeffs import (_check_dominant, _closed_form_idx, atom_coeffs,
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_bit_indices, _chain_labels, _chain_table,
+from .shellability import (_canonical_lambda, _chain_labels, _chain_table,
                            _deodhar_masks, _failing_flags, _first_words,
                            _flag_dp, _good_word_mask, _interval_labels,
                            _label_of, _one_word_labels, _word_labels_idx,
                            condition_b_mask, gamma_sequence)
-from .weyl import WeylGroup
+from .weyl import WeylGroup, _bit_indices
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
-# Largest group each sweep accepts, keyed by command (stats by mode too)
+# Largest group each sweep accepts, keyed by command
 MAX_ORDER = {
-    # A6, about 16 s and 42 MB at one thread; the next group, D6 (23,040
-    # elements), builds its element tables in about 0.7 s and its Bruhat
-    # masks in 0.25 s, but the sweep over its pairs then runs for about
-    # 330 s and peaks at 188 MB at one thread
-    "stats --mode fast": 5040,
-    # A6, as verify-conjecture (the sweep it runs) below
-    "stats --mode independent": 5040,
+    # A6 in either mode: the fast one about 16 s and 42 MB at one thread,
+    # the next group, D6 (23,040 elements), building its element tables in
+    # about 0.7 s and its Bruhat masks in 0.25 s but then sweeping its
+    # pairs for about 330 s at 188 MB; the independent one runs the verify
+    # sweep, gated as verify-conjecture below
+    "stats": 5040,
     # A6 (16,913,275,917,601 triples), about 13 s at two threads and
     # 160 MB, and D5 about 2 s and 33 MB, both labelled from w0's table;
     # from D5 to A6 the time grows as about the square of the order and
@@ -208,10 +207,9 @@ def check_request(command: str, config: SweepConfig, lam=()) -> None:
     """Refuse bad or oversized input from the root data alone, before any
     table is built and so before build_group writes a cache file: a
     verify budget below one triple; a cs-check weight lam that is not
-    dominant or past MAX_CS_DIMENSION; a group above MAX_ORDER[command]
-    (stats keyed by mode too) at all, or, but for verify, above
-    LARGE_ORDER_THRESHOLD without --large; an mtx run without a point or
-    past MAX_MTX_ENTRIES."""
+    dominant or past MAX_CS_DIMENSION; a group above MAX_ORDER[command] at
+    all, or, but for verify, above LARGE_ORDER_THRESHOLD without --large;
+    an mtx run without a point or past MAX_MTX_ENTRIES."""
     if command == "verify-conjecture" and config.budget < 1:
         raise DomainError("verify-conjecture needs a budget of at least 1")
     if command == "cs-check":
@@ -220,8 +218,6 @@ def check_request(command: str, config: SweepConfig, lam=()) -> None:
         if dim > MAX_CS_DIMENSION:
             raise BudgetError(f"cs-check stops at Weyl dimension "
                               f"{MAX_CS_DIMENSION}; weight {lam} has {dim}")
-    if command == "stats":
-        command += f" --mode {config.mode}"
     if command not in MAX_ORDER:
         return
     rs = build_root_system(config.type_letter, config.rank)
@@ -326,7 +322,8 @@ def _verify_w(group: WeylGroup, wi: int, table):
     if listed != violating:
         raise InvariantError("the word walk and the edge DP find different "
                              "disagreeing x")
-    below, _ = _deodhar_masks(group, wi, xset)
+    below, _ = _deodhar_masks(group, wi, xset,
+                              _canonical_lambda(group, wi, labels))
     deodhar_failures = [
         {"w": list(group.canon_of_idx(wi)), "x": list(group.canon_of_idx(xi))}
         for xi in _bit_indices(below)]
@@ -599,9 +596,11 @@ def good_words_report(group: WeylGroup) -> dict:
     group.ensure_bruhat()
     pairs = []
     for wi in range(group.order()):
-        qualifying = _deodhar_masks(group, wi, group.bruhat_mask(wi))[1]
-        good = _good_word_mask(group, wi, qualifying,
-                               _interval_labels(group, wi, qualifying))
+        xset = group.bruhat_mask(wi)
+        labels = _interval_labels(group, wi, xset)
+        qualifying = _deodhar_masks(group, wi, xset,
+                                    _canonical_lambda(group, wi, labels))[1]
+        good = _good_word_mask(group, wi, qualifying, labels)
         for xi in _bit_indices(qualifying):
             pairs.append({
                 "x": list(group.canon_of_idx(xi)),

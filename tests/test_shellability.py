@@ -18,8 +18,8 @@ from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.cli import _emit, main
-from wwl.shellability import (_bit_indices, _chain_table, _deodhar_masks,
-                              _edge_labels, _failing_flags, _first_words,
+from wwl.shellability import (_chain_table, _deodhar_masks, _edge_labels,
+                              _failing_flags, _first_words,
                               _flag_dp, _good_word_mask, _interval_labels,
                               _label_of, _one_word_labels,
                               _word_labels_idx, beta_sequence, condition_A,
@@ -27,6 +27,7 @@ from wwl.shellability import (_bit_indices, _chain_table, _deodhar_masks,
                               deodhar_check, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
+from wwl.weyl import _bit_indices
 from wwl.workbench import (SweepConfig, _verify_w, good_words_report,
                            mtx_report, stats_sweep, verify_conjecture)
 
@@ -388,18 +389,19 @@ def test_is_good_word_matches_residual_rebuild(group_for, type_letter, rank):
 
 
 def test_non_reduced_residual_raises(monkeypatch, capsys):
-    """The lambda bits of x = e cleared on the edges (w0, letter 1) and
-    (s1, letter 1) of the longest element of A2, which lie on its word
-    1,2,1 alone: that word keeps positions 1 and 3, whose product s1 s1 is
-    e but not reduced.  The bits are cleared where each reads its lambda
-    labels: the census in the interval reader, is_good_word in the
-    single-word labeller.  The census, is_good_word and the command
-    raise."""
+    """The lambda bits of x = e cleared on the edges (w0, letter 2) and
+    (s2, letter 2) of the longest element of A2, which lie on its word
+    2,1,2 alone: that word keeps positions 1 and 3, whose product s2 s2 is
+    e but not reduced.  The canonical word 1,2,1, whose lambda bits the
+    census counts #S(e, w0) from, keeps its bits, so (e, w0) still
+    qualifies.  The bits are cleared where each reads its lambda labels:
+    the census in the interval reader, is_good_word in the single-word
+    labeller.  The census, is_good_word and the command raise."""
     def flip(labeller):
         def flipped(group, *args):
             labels = labeller(group, *args)
-            for edge in ((group.order() - 1, 1),
-                         (group.word_to_idx((1,)), 1)):
+            for edge in ((group.order() - 1, 2),
+                         (group.word_to_idx((2,)), 2)):
                 if edge in labels:
                     labels[edge][0] &= ~1  # x = e has index 0
             return labels
@@ -413,8 +415,8 @@ def test_non_reduced_residual_raises(monkeypatch, capsys):
     with pytest.raises(InvariantError, match="residual is not reduced"):
         good_words_report(G)
     with pytest.raises(InvariantError, match="residual is not reduced"):
-        is_good_word(G, G.identity, (1, 2, 1))
-    assert is_good_word(G, G.identity, (2, 1, 2))
+        is_good_word(G, G.identity, (2, 1, 2))
+    assert is_good_word(G, G.identity, (1, 2, 1))
     assert main(["good-words", "--type", "A", "--rank", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -434,20 +436,31 @@ def test_s_set_examples(group_for):
     assert len(s_set(G3, x, w)) == 4
 
 
+def lower_reflections_idx(group, wi):
+    """(alpha, index of w*s_alpha) for every positive root alpha with
+    w*s_alpha < w, in positive-root order, with w*s_alpha formed as a
+    matrix product rather than as a single deletion of a word of w."""
+    w = group.elem_of(wi)
+    out = []
+    for alpha in group.rs.positive_roots:
+        ri = group.idx_of(w * group.reflection(alpha))
+        if group.len_of_idx(ri) < group.len_of_idx(wi):
+            out.append((alpha, ri))
+    return out
+
+
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
 def test_s_set_matches_matrix_definition(group_for, type_letter, rank):
-    """S(x,w) against its definition, with w*s_alpha formed as a matrix
-    product rather than through the index tables."""
+    """S(x,w) against its definition, with the lower reflections w*s_alpha
+    formed as matrix products (lower_reflections_idx)."""
     G = group_for(type_letter, rank)
-    for w in G.enumerate_group():
-        lower = [(alpha, w * G.reflection(alpha))
-                 for alpha in G.rs.positive_roots]
-        lower = [(alpha, ws) for alpha, ws in lower
-                 if G.length(ws) < G.length(w)]
-        for x in interval(G, G.identity, w):
-            expected = tuple(alpha for alpha, ws in lower
-                             if G.bruhat_leq(x, ws))
-            assert s_set(G, x, w) == expected
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        lower = lower_reflections_idx(G, wi)
+        for xi in G.lower_interval_idx(wi):
+            expected = tuple(alpha for alpha, ri in lower
+                             if G.leq_idx(xi, ri))
+            assert s_set(G, G.elem_of(xi), G.elem_of(wi)) == expected
 
 
 def test_gamma_bijection(group_for):
@@ -535,10 +548,9 @@ def fresh_group(type_letter, rank):
 
 
 def tables(group):
-    """A copy of the group's state, less its root system and its cache of
-    reflections by root."""
+    """A copy of the group's state, less its root system."""
     return copy.deepcopy({k: v for k, v in vars(group).items()
-                          if k not in ("rs", "_refl_cache")})
+                          if k != "rs"})
 
 
 def word_scan_labels(group, word, xset):
@@ -591,6 +603,22 @@ def test_second_verify_builds_no_cover_list():
     first = verify_conjecture(G, config)
     assert tables(G) == built
     assert verify_conjecture(G, config) == first
+    assert tables(G) == built
+
+
+def test_sweeps_and_s_sets_keep_no_table():
+    """An independent statistics sweep, and s_set and deodhar_check on
+    every pair of B3, leave the group's tables as they were built: the
+    lower reflections are read off w's canonical chain, and no table of
+    reflections or deletions is kept."""
+    G = fresh_group("B", 3)
+    built = tables(G)
+    stats_sweep(G, SweepConfig("B", 3, mode="independent"))
+    for wi in range(G.order()):
+        for xi in G.lower_interval_idx(wi):
+            x, w = G.elem_of(xi), G.elem_of(wi)
+            s_set(G, x, w)
+            assert deodhar_check(G, x, w)
     assert tables(G) == built
 
 
@@ -822,10 +850,14 @@ def test_two_residuals_at_one_node_raise():
 
 
 @st.composite
-def word_and_xs(draw, group):
-    """A random w, a random reduced word of it (built by peeling off a
-    random left descent at each step) and a few x <= w."""
-    wi = draw(st.integers(0, group.order() - 1))
+def word_and_xs(draw, group, max_length=None):
+    """A random w (of length at most max_length, when given), a random
+    reduced word of it (built by peeling off a random left descent at each
+    step) and a few x <= w."""
+    top = group.order() if max_length is None else sum(
+        1 for wi in range(group.order())
+        if group.len_of_idx(wi) <= max_length)  # the table is by length
+    wi = draw(st.integers(0, top - 1))
     word, cur = [], wi
     while group.len_of_idx(cur):
         descents = [i for i in range(1, group.rs.rank + 1)
@@ -974,18 +1006,24 @@ def test_flag_dp_under_flipped_edge_bits(group_for, type_letter, rank,
     assert seen == {True, False}
 
 
-def deodhar_slack_oracle(group, wi, xs):
+def deodhar_slack_oracle(group, wi, xs, lower):
     """#S(x,w) - (l(w) - l(x)) for every x index in xs (each x <= w), in the
-    order of xs, one Bruhat test per (x, lower reflection)."""
-    lower = [ri for _, ri in shellability.lower_reflections_idx(group, wi)]
+    order of xs, one Bruhat test per (x, lower reflection w*s_alpha), their
+    indices given in lower."""
     lw = group.len_of_idx(wi)
     return [sum(1 for ri in lower if group.leq_idx(xi, ri))
             - lw + group.len_of_idx(xi) for xi in xs]
 
 
-def assert_deodhar_masks_match_oracle(group, wi, xs):
-    below, tight = _deodhar_masks(group, wi, bitset(xs))
-    slack = deodhar_slack_oracle(group, wi, xs)
+def assert_deodhar_masks_match_oracle(group, wi, xs, lower):
+    """The masks from the lambda bits of w's canonical chain, as the
+    sweeps read them (shellability._canonical_lambda on the interval's
+    labels), against deodhar_slack_oracle over lower."""
+    xset = bitset(xs)
+    lams = shellability._canonical_lambda(
+        group, wi, _interval_labels(group, wi, xset))
+    below, tight = _deodhar_masks(group, wi, xset, lams)
+    slack = deodhar_slack_oracle(group, wi, xs, lower)
     assert below == bitset(xi for xi, d in zip(xs, slack) if d < 0)
     assert tight == bitset(xi for xi, d in zip(xs, slack) if d == 0)
     return below
@@ -996,30 +1034,37 @@ def assert_deodhar_masks_match_oracle(group, wi, xs):
                           ("D", 4), ("B", 4)])
 def test_deodhar_masks_match_slack_oracle(group_for, type_letter, rank):
     """On every w, the bit-sliced masks of x with negative and with zero
-    slack #S(x,w) - (l(w) - l(x)) equal the per-x count's, over all x <= w
-    and over every other x of them."""
+    slack #S(x,w) - (l(w) - l(x)) equal the per-x count's over the matrix
+    products w*s_alpha (lower_reflections_idx), over all x <= w and over
+    every other x of them."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
-        assert assert_deodhar_masks_match_oracle(G, wi, xs) == 0
-        assert_deodhar_masks_match_oracle(G, wi, xs[1::2])
+        lower = [ri for _, ri in lower_reflections_idx(G, wi)]
+        assert assert_deodhar_masks_match_oracle(G, wi, xs, lower) == 0
+        assert_deodhar_masks_match_oracle(G, wi, xs[1::2], lower)
 
 
 def test_deodhar_masks_see_negative_slack(group_for, monkeypatch):
-    """With the first lower reflection of each w dropped, slacks go
-    negative: the masks still equal the per-x count's, which reads the
-    same shortened list, on every w of B3, and deodhar_check reports the
+    """With the first deletion of each w's canonical word dropped from the
+    lambda bits the masks read, slacks go negative: the masks still equal
+    the per-x count's over the matrix oracle's list less the same element,
+    w's canonical parent, on every w of B3, and deodhar_check reports the
     failures."""
     G = group_for("B", 3)
     G.ensure_bruhat()
-    lower = shellability.lower_reflections_idx
-    monkeypatch.setattr(shellability, "lower_reflections_idx",
-                        lambda group, wi: lower(group, wi)[1:])
+    canonical = shellability._canonical_lambda
+    monkeypatch.setattr(shellability, "_canonical_lambda",
+                        lambda group, wi, labels:
+                        canonical(group, wi, labels)[1:])
     failing = 0
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
-        below = assert_deodhar_masks_match_oracle(G, wi, xs)
+        lower = [ri for _, ri in lower_reflections_idx(G, wi)]
+        if wi:
+            lower.remove(G.lmul_idx(G.canon_of_idx(wi)[0], wi))
+        below = assert_deodhar_masks_match_oracle(G, wi, xs, lower)
         failing += below.bit_count()
         for xi in xs:
             assert deodhar_check(G, G.elem_of(xi), G.elem_of(wi)) == \
@@ -1212,6 +1257,29 @@ def test_walk_matches_flag_ii_sampled(group_for, type_letter, rank):
     check()
 
 
+@pytest.mark.parametrize("type_letter,rank", [("D", 4), ("B", 4), ("F", 4)])
+def test_flag_ii_is_a_unique_reduced_subword_sampled(group_for, type_letter,
+                                                     rank):
+    """Seeded samples past the exhaustive groups, of w of length at most
+    12, so that trying the 2^l subsets of positions stays cheap: flag (ii)
+    of the library's labels holds for x exactly when x has one reduced
+    subword in the word, and every x <= w has one."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+
+    @settings(max_examples=100)
+    @given(word_and_xs(G, max_length=12))
+    def check(drawn):
+        word, xs = drawn
+        xset = bitset(xs)
+        counts = reduced_subword_counts(G, word)
+        labels = _one_word_labels(G, G.word_to_idx(word), word, xset)
+        assert xset & ~_failing_flags(*labels)[1] == \
+            bitset(xi for xi in xs if counts[xi] == 1)
+
+    check()
+
+
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("C", 3),
                                               ("G", 2), ("A", 4)])
 def test_condition_b_mask_matches_witness_search(group_for, type_letter,
@@ -1376,3 +1444,76 @@ def test_s_set_deletion_lemma(group_for, type_letter, rank):
                     continue
                 after = s_set(G, x, sw)
                 assert set(after) == set(before) - {removed}
+
+
+# -- symmetries -------------------------------------------------------------------
+
+def coxeter_entry(cartan, i, j):
+    """m_ij of the Coxeter matrix (i != j, 0-based), from the Cartan
+    entries."""
+    return {0: 2, 1: 3, 2: 4, 3: 6}[cartan[i][j] * cartan[j][i]]
+
+
+def is_graph_automorphism(rs, perm):
+    """Does perm (perm[a - 1] the image of letter a) keep every m_ij?"""
+    rng = range(rs.rank)
+    return all(coxeter_entry(rs.cartan, perm[i] - 1, perm[j] - 1)
+               == coxeter_entry(rs.cartan, i, j)
+               for i in rng for j in rng if i != j)
+
+
+def stats_mismatches(group, perm):
+    """The stats_sweep rows whose (n_leq, n_cond) differ from those of the
+    element whose word is the row's canonical word relabelled letter by
+    letter by perm."""
+    rows = {tuple(r["w"]): (r["n_leq"], r["n_cond"]) for r in stats_sweep(
+        group, SweepConfig(group.rs.type_letter, group.rs.rank))["rows"]}
+    image = {word: group.canon_of_idx(
+        group.word_to_idx([perm[a - 1] for a in word])) for word in rows}
+    return sum(rows[image[word]] != counts for word, counts in rows.items())
+
+
+@pytest.mark.parametrize("type_letter,rank,perm", [
+    ("A", 4, (4, 3, 2, 1)), ("G", 2, (2, 1)), ("F", 4, (4, 3, 2, 1)),
+    ("D", 4, (1, 2, 4, 3)), ("D", 4, (3, 2, 4, 1))])
+def test_stats_rows_invariant_under_graph_automorphisms(
+        group_for, type_letter, rank, perm):
+    """An automorphism of the Coxeter graph (triality on D4 among them)
+    relabels the letters of every word and keeps positions, so it keeps
+    every flag of every triple, and the statistics rows of w and of its
+    image agree."""
+    G = group_for(type_letter, rank)
+    assert is_graph_automorphism(G.rs, perm)
+    assert stats_mismatches(G, perm) == 0
+
+
+def test_stats_rows_move_under_a_non_automorphism(group_for):
+    """The control: reversing the letters of B3 is no automorphism of its
+    Coxeter graph, and 28 rows then differ from their images'."""
+    G = group_for("B", 3)
+    assert not is_graph_automorphism(G.rs, (3, 2, 1))
+    assert stats_mismatches(G, (3, 2, 1)) == 28
+
+
+@pytest.mark.parametrize("type_letter,rank",
+                         [("A", 3), ("B", 3), ("G", 2), ("A", 4), ("D", 4)])
+def test_condition_b_pairs_closed_under_inversion(group_for, type_letter,
+                                                  rank):
+    """(x, w) -> (x^-1, w^-1), with the word reversed, maps the reduced
+    subwords of x onto those of x^-1, so it keeps flag (ii) (the unique
+    subword theorem of the shellability docstring): the condition-B pairs
+    of x^-1 are the inverses of those of x."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    inv = [G.idx_of(G.inverse(G.elem_of(i))) for i in range(G.order())]
+    cond = [condition_b_mask(G, xi) for xi in range(G.order())]
+    for xi, mask in enumerate(cond):
+        assert bitset(inv[wi] for wi in _bit_indices(mask)) == cond[inv[xi]]
+
+
+def test_b4_and_c4_give_equal_stats_rows(group_for):
+    """B4 and C4 are one Coxeter group, and the chain conditions see only
+    the Coxeter system, so their statistics rows agree word by word."""
+    rows = [stats_sweep(group_for(t, 4), SweepConfig(t, 4))["rows"]
+            for t in "BC"]
+    assert rows[0] == rows[1]

@@ -331,11 +331,15 @@ ORDERED_GROUPS = [("G", 2), ("A", 3), ("B", 3), ("A", 4), ("D", 4), ("B", 4),
 
 def _order_gate_runs():
     """(command, (type, rank)) for each MAX_ORDER gate, with the smallest
-    group of ORDERED_GROUPS above it."""
+    group of ORDERED_GROUPS above it; the stats gate is run in each mode."""
     for command, limit in sorted(workbench.MAX_ORDER.items()):
-        yield command, next(
-            (t, r) for t, r in ORDERED_GROUPS
-            if build_root_system(t, r).group_order > limit)
+        group = next((t, r) for t, r in ORDERED_GROUPS
+                     if build_root_system(t, r).group_order > limit)
+        if command == "stats":
+            yield "stats --mode fast", group
+            yield "stats --mode independent", group
+        else:
+            yield command, group
 
 
 @pytest.mark.parametrize("command,group", list(_order_gate_runs()),
@@ -524,8 +528,8 @@ def test_stats_independent_deodhar_failure_raises(monkeypatch, capsys):
     the command exits 2 with nothing on stdout."""
     masks = workbench._deodhar_masks
 
-    def one_below(group, wi, xset):
-        below, tight = masks(group, wi, xset)
+    def one_below(group, wi, xset, lams):
+        below, tight = masks(group, wi, xset, lams)
         if wi == group.order() - 1:
             below |= 1  # x = e has index 0
         return below, tight
