@@ -26,24 +26,28 @@ _failing_flags reads off the x failing each flag.  All three labels come
 from one labeller, _edge_labels, which labels the edges of w's left weak
 interval (below); a word's labels are read along its chain of edges
 (_chain_labels).  The sweeps over many w (verify, also run by the
-independent statistics, and mtx's witnesses) label w0 once, into a
-table (_chain_table), and read every w's edges from it
-(_interval_labels); the good-word census reads lambda alone, which needs
-no scan.  No search over the words of w visits them: on the edges,
-_flag_dp decides the flags of every word at once (the verify sweep),
-_first_words finds each x's first word with flag (i) or (ii) (conditions
-A and B, mtx's witnesses), and _good_word_mask the x with a good word
-(the good-word census).  Only a w with a violation walks its words, to
-list them (_word_labels_idx).  The single-pair conditions A and B scan
-w's interval for their one x, and the single-word functions
-(lambda_set, the two chains, condition_per_word, is_good_word, the
-closed forms and m_product_roots) label only their own word's chain
-(_edge_labels given the word): for one x or one chain a scan costs less
-than the table.  #S(x,w) is counted from one chain's lambda: position i
-of a reduced word of w deletes to w*s_(gamma_i) (gamma_sequence), and by
-strong exchange every w*s_alpha < w is such a deletion, so s_set and
-_deodhar_masks, which compares #S(x,w) with l(w) - l(x) for all x at once
-on a bit-sliced counter, read the lambda bits of w's canonical word
+independent statistics, the fast statistics and mtx) label w0 once, into
+a table (_chain_table), and read every w's edges from it
+(_interval_labels); lambda alone needs no scan, so the good-word census
+and the single-word functions that read only lambda (lambda_set, s_set,
+is_good_word, deodhar_check) read it from the Bruhat masks
+(_interval_labels with no table, given the word).  No search over the
+words of w visits them: on the edges, _flag_dp decides the flags of every
+word at once (the verify sweep), _condition_b_set finds the x with flag
+(ii) on some word (the fast statistics and mtx's pairs), _first_words
+each x's first word with flag (i) or (ii) (conditions A and B, mtx's
+witnesses), and _good_word_mask the x with a good word (the good-word
+census).  Only a w with a violation walks its words, to list them
+(_word_labels_idx).  The single-pair conditions A and B scan w's interval
+for their one x, and the single-word functions that read a chain label
+(the two chains, condition_per_word, the closed forms and
+m_product_roots) label only their own word's chain (_edge_labels given
+the word): for one x or one chain a scan costs less than the table.
+#S(x,w) is counted from one chain's lambda: position i of a reduced word
+of w deletes to w*s_(gamma_i) (gamma_sequence), and by strong exchange
+every w*s_alpha < w is such a deletion, so s_set and _deodhar_masks,
+which compares #S(x,w) with l(w) - l(x) for all x at once on a
+bit-sliced counter, read the lambda bits of w's canonical word
 (_canonical_lambda).  Per-x tuples are read from the bitsets (_label_of)
 only where a caller needs them: violation records, closed forms, chain
 roots, and the single-x public functions.
@@ -119,13 +123,12 @@ failing a flag on a word are the OR over its edges of the XOR of two
 labels.  Every edge lies on some reduced word of w, as the interval is
 graded, so a DP down the interval (_flag_dp) decides which x have a word
 whose flags disagree, and which have a word with flag (i), with a few
-bitwise operations per edge and no word visited; so do _first_words and
-_good_word_mask.
-
-Word-free condition search.  condition_b_mask answers condition B for one x
-against every w at once, as reachability over the prefixes of all reduced
-words, in O(|W| * rank); the statistics fast path and the mtx witness
-pre-pass read it.
+bitwise operations per edge and no word visited; so do _condition_b_set,
+_first_words and _good_word_mask.  _condition_b_set reads the two chain
+labels of each edge straight from w0's table and keeps one bitset per
+node, so the fast statistics build no label dict; the residual
+invariant is checked once per group, where _edge_labels of w0 builds the
+table.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ def _checked_word_idx(group: WeylGroup, x: WeylElement, word,
 def lambda_set(group: WeylGroup, x: WeylElement, word) -> tuple[int, ...]:
     """Positions whose single deletion leaves an element >= x, ascending."""
     xi, wi = _checked_word_idx(group, x, word)
-    return _label_of(_one_word_labels(group, wi, word, 1 << xi)[0], xi)
+    labels = _interval_labels(group, wi, 1 << xi, word=word)
+    return _label_of([lam for lam, in labels.values()], xi)  # word order
 
 
 def _checked_pair_idx(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[int, int]:
@@ -178,8 +182,8 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
     """True when deleting the whole lambda_set from the word leaves exactly
     a word for x."""
     xi, wi = _checked_word_idx(group, x, word)
-    return bool(_good_word_mask(group, wi, 1 << xi,
-                                _edge_labels(group, wi, 1 << xi, word)))
+    return bool(_good_word_mask(group, wi, 1 << xi, _interval_labels(
+        group, wi, 1 << xi, word=word)))
 
 
 def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...]:
@@ -351,15 +355,17 @@ def _chain_table(group: WeylGroup, xset: int) -> tuple[list, list]:
 
 
 def _interval_labels(group: WeylGroup, wi: int, xset: int,
-                     table=None) -> dict:
-    """_edge_labels(group, wi, xset) with no scan: the chain labels of
-    each edge (v, a) of w's left weak interval are read from the
-    _chain_table of w0 (over a superset of xset), the increasing one at
-    (v, a) and the decreasing one after the prefix w v^-1, and ANDed
-    with xset.  With no table, each edge's list holds lambda alone."""
+                     table=None, word=None) -> dict:
+    """_edge_labels(group, wi, xset, word) with no scan: the chain labels
+    of each edge (v, a) of w's left weak interval, or of the given reduced
+    word's chain, are read from the _chain_table of w0 (over a superset of
+    xset), the increasing one at (v, a) and the decreasing one after the
+    prefix w v^-1, and ANDed with xset.  With no table, each edge's list
+    holds lambda alone."""
     bruhat = group._bruhat
     labels = {}
-    for v, a, c, p in _down_edges(group, wi):
+    for v, a, c, p in _down_edges(group, wi) if word is None else \
+            _chain_edges(group, wi, word):
         lam = xset & bruhat[group.idx_mul(p, c)]
         labels[v, a] = [lam] if table is None else \
             [lam, xset & table[0][a - 1][v], xset & table[1][a - 1][p]]
@@ -459,6 +465,23 @@ def _flag_dp(group: WeylGroup, wi: int, xset: int, labels: dict):
             tuple(p | q for p, q in zip(seen, out))
     _, s01, s02, s12, h = states[0]
     return s01 | s02 | s12, h
+
+
+def _condition_b_set(group: WeylGroup, wi: int, table) -> int:
+    """The x <= w with flag (ii) on some reduced word of w, from the
+    _chain_table of w0 over all of W: the counterpart for flag (ii) of
+    _flag_dp's h, its labels read straight from the table.  Going down
+    from w, each node carries, OR-merged over its in-edges, the x with no
+    failing edge yet; the edge (v, a) after the prefix p fails the x of
+    inc ^ dec."""
+    inc, dec = table
+    held = {wi: group.bruhat_mask(wi)}
+    last = None
+    for v, a, c, p in _down_edges(group, wi):  # parents first
+        if v != last:  # every edge into v is merged
+            last, xs = v, held.pop(v)
+        held[c] = held.get(c, 0) | xs & ~(inc[a - 1][v] ^ dec[a - 1][p])
+    return held[0]
 
 
 def _label_of(sets, xi: int, descending: bool = False) -> tuple[int, ...]:
@@ -598,55 +621,8 @@ def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
     xi, wi = _checked_pair_idx(group, x, w)
-    labels = _edge_labels(group, wi, 1 << xi, group.canon_of_idx(wi))
+    labels = _interval_labels(group, wi, 1 << xi,
+                              word=group.canon_of_idx(wi))
     return not _deodhar_masks(group, wi, 1 << xi,
                               _canonical_lambda(group, wi, labels))[0]
 
-
-# -- word-free condition search --------------------------------------------------
-
-def condition_b_mask(group: WeylGroup, xi: int) -> int:
-    """Bitmask over w of the pairs (x, w), x of index xi, for which some
-    reduced word of w satisfies flag (ii); no word is enumerated.
-
-    Flag (ii) of a word is decided by a walk from the residual y = x.  At
-    letter a: if s_a*y < y, then y <- s_a*y; otherwise, if k*s_a < k for
-    the kept product k = x*y^-1, the flag fails; otherwise y is unchanged.
-    The flag holds when the walk ends at y = e.  The walk sees a word only
-    through its prefixes, so prefixes p are visited in table order from e
-    along right ascents p -> p*s_a.  A surviving walk moves by
-    y <- min(y, s_a*y), the downward 0-Hecke action, which satisfies the
-    braid relations: every reduced word of p that survives leaves the same
-    residual, so one residual per prefix is carried (two that differ raise
-    InvariantError).  Bit w is set when the residual at p = w is e."""
-    group.ensure_tables()
-    size = group.order()
-    lens, lmul, rmul, inv = group._len, group._lmul, group._rmul, group._inv
-    letters = range(group.rs.rank)
-    # per residual y: the residual after each letter, -1 where the walk fails
-    steps: list[list[int] | None] = [None] * size
-    residual = [-1] * size  # -1: no reduced word of the prefix survives
-    residual[0] = xi
-    mask = 0
-    for p, edges in enumerate(group.right_ascents_idx()):
-        y = residual[p]
-        if y < 0:
-            continue
-        if y == 0:
-            mask |= 1 << p
-        step = steps[y]
-        if step is None:
-            k = group.idx_mul(xi, inv[y])
-            ly, lk = lens[y], lens[k]
-            step = steps[y] = [
-                lmul[a][y] if lens[lmul[a][y]] < ly
-                else -1 if lens[rmul[a][k]] < lk else y for a in letters]
-        for a, q in edges:
-            t = step[a]
-            if t >= 0 and residual[q] != t:
-                if residual[q] >= 0:
-                    raise InvariantError(
-                        "two reduced words of one prefix leave different "
-                        "residuals")
-                residual[q] = t
-    return mask

@@ -168,7 +168,6 @@ class WeylGroup:
         self._inv: list[int] | None = None
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
-        self._ascents: list[list[tuple[int, int]]] | None = None
 
     # -- element-level API --------------------------------------------------
 
@@ -463,16 +462,3 @@ class WeylGroup:
                             if self._len[self._lmul[i][w]] < lw)
         self._nwords = counts
         return counts
-
-    def right_ascents_idx(self) -> list[list[tuple[int, int]]]:
-        """For every element p, indexed like the element table, the pairs
-        (letter - 1, index of p*s_letter) with l(p*s_letter) > l(p), in
-        letter order: the edges of the right weak order."""
-        if self._ascents is None:
-            self.ensure_tables()
-            lengths, rmul = self._len, self._rmul
-            self._ascents = [
-                [(a, row[p]) for a, row in enumerate(rmul)
-                 if lengths[row[p]] > lengths[p]]
-                for p in range(len(self._elements))]
-        return self._ascents

@@ -8,7 +8,9 @@ bit-sliced count of #S(x,w) (shellability._deodhar_masks), so its work per
 w depends on neither the number of reduced words nor, but for bitset
 width, the number of x; only a w with a violation walks its words, to
 list them.  The edges' chain labels are read from one table of w0's
-(shellability._chain_table), which the sweep builds before it forks.
+(shellability._chain_table), which the sweep builds before it forks; the
+fast statistics and mtx's condition-(B) pairs read the same table, with
+one bitset per node of w's interval (shellability._condition_b_set).
 
 Reports are dictionaries of JSON values, except the group-algebra values
 of the coefficient dump, which the command line writes as their
@@ -40,21 +42,21 @@ from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
 from .shellability import (_canonical_lambda, _chain_labels, _chain_table,
-                           _deodhar_masks, _failing_flags, _first_words,
-                           _flag_dp, _good_word_mask, _interval_labels,
-                           _label_of, _one_word_labels, _word_labels_idx,
-                           condition_b_mask, gamma_sequence)
+                           _condition_b_set, _deodhar_masks, _failing_flags,
+                           _first_words, _flag_dp, _good_word_mask,
+                           _interval_labels, _label_of, _one_word_labels,
+                           _word_labels_idx, gamma_sequence)
 from .weyl import WeylGroup, _bit_indices
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
 LARGE_ORDER_THRESHOLD = 400
 # Largest group each sweep accepts, keyed by command
 MAX_ORDER = {
-    # A6 in either mode: the fast one about 16 s and 42 MB at one thread,
-    # the next group, D6 (23,040 elements), building its element tables in
-    # about 0.7 s and its Bruhat masks in 0.25 s but then sweeping its
-    # pairs for about 330 s at 188 MB; the independent one runs the verify
-    # sweep, gated as verify-conjecture below
+    # A6 in either mode: the fast one 5.4-6.6 s at one thread and 5.1-5.3 s
+    # at two, at 157 MB, most of it w0's chain table, which both modes
+    # build; the independent one runs the verify sweep, gated as
+    # verify-conjecture below, in 12.4-12.9 s and 8.4-9.1 s.  D6 (23,040
+    # elements) would need a table of about 400 MB
     "stats": 5040,
     # A6 (16,913,275,917,601 triples), about 13 s at two threads and
     # 160 MB, and D5 about 2 s and 33 MB, both labelled from w0's table;
@@ -376,20 +378,19 @@ def _verify_sweep(group: WeylGroup, items, threads: int, costs) -> list:
 
 def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     """One row per element: how many x below it satisfy the chain condition
-    for some reduced word.  The fast mode reads the pairs from one
-    condition_b_mask per x, relying on the verified equivalence of the
-    three flags; the independent mode runs the verify sweep and raises
+    for some reduced word.  The fast mode counts the x with flag (ii) on
+    some word (_condition_b_set), relying on the verified equivalence of
+    the three flags, on one _chain_table of w0 built before the sweep
+    forks; the independent mode runs the verify sweep and raises
     InvariantError on any flag disagreement or Deodhar failure."""
     group.ensure_bruhat()
     size = group.order()
     if config.mode == "fast":
-        cond = [0] * size
-        for mask in parallel_over(group, condition_b_mask, range(size),
-                                  config.threads):
-            for wi in _bit_indices(mask):
-                cond[wi] += 1
-        counts = [(group.bruhat_mask(wi).bit_count(), cond[wi])
-                  for wi in range(size)]
+        table = _chain_table(group, group.bruhat_mask(size - 1))
+        held = parallel_over(group, partial(_condition_b_set, table=table),
+                             range(size), config.threads)
+        counts = [(group.bruhat_mask(wi).bit_count(), xs.bit_count())
+                  for wi, xs in enumerate(held)]
     else:
         results = _verify_sweep(group, range(size), config.threads,
                                 _triples_per_w(group))
@@ -516,22 +517,21 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
               for _ in range(config.points)]
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
-    # condition (B) witnesses: the pairs come from one condition_b_mask per
-    # x, then one first-word search per w over just those x < w, on labels
-    # read from one _chain_table; each pair's chain roots are read off its
-    # witness word's increasing label, which flag (ii) makes equal to the
-    # decreasing one
-    cond = [condition_b_mask(group, xi) for xi in range(size)]
+    # condition (B) witnesses, on one _chain_table: each w's pairs are the
+    # x < w of _condition_b_set, then one first-word search over just
+    # those x finds their witnesses, and it must find one for each; each
+    # pair's chain roots are read off its witness word's increasing label,
+    # which flag (ii) makes equal to the decreasing one
     table = _chain_table(group, group.bruhat_mask(size - 1))
     roots = []
     for wi in range(size):
-        xset = sum(1 << xi for xi in range(wi) if (cond[xi] >> wi) & 1)
+        xset = _condition_b_set(group, wi, table) & ~(1 << wi)
         labels = _interval_labels(group, wi, xset, table)
         found = _first_words(group, wi, xset, labels, 1)
         if len(found) != xset.bit_count():
             raise InvariantError(
-                "a condition-(B) pair of the reachability search has no "
-                "witness word")
+                "a condition-(B) pair of the edge search has no witness "
+                "word")
         roots.append({xi: gamma_sequence(group, word, _label_of(
             _chain_labels(group, labels, wi, word)[1], xi))
             for xi, word in found.items()})

@@ -18,12 +18,13 @@ from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.cli import _emit, main
-from wwl.shellability import (_chain_table, _deodhar_masks, _edge_labels,
+from wwl.shellability import (_chain_table, _condition_b_set,
+                              _deodhar_masks, _edge_labels,
                               _failing_flags, _first_words,
                               _flag_dp, _good_word_mask, _interval_labels,
                               _label_of, _one_word_labels,
                               _word_labels_idx, beta_sequence, condition_A,
-                              condition_B, condition_b_mask, condition_per_word,
+                              condition_B, condition_per_word,
                               deodhar_check, gamma_sequence,
                               is_good_word, lambda_set, lex_max_chain,
                               lex_min_chain, s_set)
@@ -394,12 +395,12 @@ def test_non_reduced_residual_raises(monkeypatch, capsys):
     2,1,2 alone: that word keeps positions 1 and 3, whose product s2 s2 is
     e but not reduced.  The canonical word 1,2,1, whose lambda bits the
     census counts #S(e, w0) from, keeps its bits, so (e, w0) still
-    qualifies.  The bits are cleared where each reads its lambda labels:
-    the census in the interval reader, is_good_word in the single-word
-    labeller.  The census, is_good_word and the command raise."""
+    qualifies.  The bits are cleared where both read their lambda labels,
+    in the interval reader, which is_good_word gives its word.  The
+    census, is_good_word and the command raise."""
     def flip(labeller):
-        def flipped(group, *args):
-            labels = labeller(group, *args)
+        def flipped(group, *args, **kwargs):
+            labels = labeller(group, *args, **kwargs)
             for edge in ((group.order() - 1, 2),
                          (group.word_to_idx((2,)), 2)):
                 if edge in labels:
@@ -407,10 +408,9 @@ def test_non_reduced_residual_raises(monkeypatch, capsys):
             return labels
         return flipped
 
-    monkeypatch.setattr(shellability, "_edge_labels",
-                        flip(shellability._edge_labels))
-    monkeypatch.setattr(workbench, "_interval_labels",
-                        flip(workbench._interval_labels))
+    for module in (shellability, workbench):
+        monkeypatch.setattr(module, "_interval_labels",
+                            flip(module._interval_labels))
     G = fresh_group("A", 2)
     with pytest.raises(InvariantError, match="residual is not reduced"):
         good_words_report(G)
@@ -543,7 +543,6 @@ def fresh_group(type_letter, rank):
     G = WeylGroup(build_root_system(type_letter, rank))
     G.ensure_bruhat()
     G.reduced_word_counts()
-    G.right_ascents_idx()
     return G
 
 
@@ -796,7 +795,7 @@ def test_verify_sweep_scans_only_w0(monkeypatch):
     """A whole verify sweep of B3 (48 elements) takes two scan steps per
     edge of w0's left weak interval, one left and one right, and none for
     any other w: every w reads its chain labels from w0's table.  So do
-    the independent statistics and mtx's witness search."""
+    the statistics in both modes and mtx's witness search."""
     G = fresh_group("B", 3)
     steps = []
     step = shellability._scan_step
@@ -809,7 +808,8 @@ def test_verify_sweep_scans_only_w0(monkeypatch):
     report = verify_conjecture(G, SweepConfig(type_letter="B", rank=3))
     assert report["elements_swept"] == 48
     assert len(steps) == 2 * 72
-    for sweep, config in ((stats_sweep, SweepConfig("B", 3,
+    for sweep, config in ((stats_sweep, SweepConfig("B", 3)),
+                          (stats_sweep, SweepConfig("B", 3,
                                                     mode="independent")),
                           (mtx_report, SweepConfig("B", 3, points=1))):
         steps.clear()
@@ -1088,16 +1088,24 @@ def test_failing_flags_on_disagreeing_labels():
 
 
 def test_stats_fast_path_computes_no_label(monkeypatch):
-    """The statistics fast path enumerates no reduced word and labels no
-    edge, neither along the walk nor along one word."""
+    """The statistics fast path enumerates no reduced word, labels only
+    w0, once, into the chain table, and builds no label dict for any w:
+    _condition_b_set reads the table itself."""
     G = fresh_group("B", 3)
     monkeypatch.setattr(G, "_iter_words_idx", refuse)
     for module in (shellability, workbench):
         monkeypatch.setattr(module, "_word_labels_idx", refuse)
-    monkeypatch.setattr(shellability, "_edge_labels", refuse)
+        monkeypatch.setattr(module, "_interval_labels", refuse)
+    labelled = []
+    label = shellability._edge_labels
+
+    def recorded(group, wi, *args):
+        labelled.append(wi)
+        return label(group, wi, *args)
+
+    monkeypatch.setattr(shellability, "_edge_labels", recorded)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
-    with pytest.raises(AssertionError):
-        lex_min_chain(G, G.identity, G.canonical_word(G.longest_element()))
+    assert labelled == [G.order() - 1]
 
 
 def test_chains_against_enumeration_a3_sample(group_for):
@@ -1280,6 +1288,66 @@ def test_flag_ii_is_a_unique_reduced_subword_sampled(group_for, type_letter,
     check()
 
 
+def condition_b_mask(group, xi):
+    """Bitmask over w of the pairs (x, w), x of index xi, for which some
+    reduced word of w satisfies flag (ii): the oracle of _condition_b_set,
+    a walk over the right weak order with no chain label.
+
+    Flag (ii) of a word is decided by a walk from the residual y = x.  At
+    letter a: if s_a*y < y, then y <- s_a*y; otherwise, if k*s_a < k for
+    the kept product k = x*y^-1, the flag fails; otherwise y is unchanged.
+    The flag holds when the walk ends at y = e.  The walk sees a word only
+    through its prefixes, so prefixes p are visited in table order from e
+    along right ascents p -> p*s_a.  A surviving walk moves by
+    y <- min(y, s_a*y), the downward 0-Hecke action, which satisfies the
+    braid relations: every reduced word of p that survives leaves the same
+    residual, so one residual per prefix is carried (two that differ
+    fail).  Bit w is set when the residual at p = w is e."""
+    group.ensure_tables()
+    size = group.order()
+    lens, lmul, rmul, inv = group._len, group._lmul, group._rmul, group._inv
+    letters = range(group.rs.rank)
+    # per residual y: the residual after each letter, -1 where the walk fails
+    steps = [None] * size
+    residual = [-1] * size  # -1: no reduced word of the prefix survives
+    residual[0] = xi
+    mask = 0
+    for p in range(size):
+        y = residual[p]
+        if y < 0:
+            continue
+        if y == 0:
+            mask |= 1 << p
+        step = steps[y]
+        if step is None:
+            k = group.idx_mul(xi, inv[y])
+            ly, lk = lens[y], lens[k]
+            step = steps[y] = [
+                lmul[a][y] if lens[lmul[a][y]] < ly
+                else -1 if lens[rmul[a][k]] < lk else y for a in letters]
+        for a, row in enumerate(rmul):
+            q, t = row[p], step[a]
+            if lens[q] > lens[p] and t >= 0 and residual[q] != t:
+                assert residual[q] < 0, "two surviving residuals of a prefix"
+                residual[q] = t
+    return mask
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("C", 3),
+                                              ("G", 2), ("A", 4), ("D", 4)])
+def test_condition_b_set_matches_prefix_walk(group_for, type_letter, rank):
+    """On every w, the x that the edge DP on w0's table gives flag (ii)
+    on some word are those whose walk over the prefixes of all reduced
+    words (condition_b_mask) ends at e at w."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    masks = [condition_b_mask(G, xi) for xi in range(G.order())]
+    for wi in range(G.order()):
+        assert _condition_b_set(G, wi, table) == \
+            bitset(xi for xi, mask in enumerate(masks) if (mask >> wi) & 1)
+
+
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3), ("C", 3),
                                               ("G", 2), ("A", 4)])
 def test_condition_b_mask_matches_witness_search(group_for, type_letter,
@@ -1360,6 +1428,34 @@ def test_beta_spec_example(group_for):
     assert betas[3] == (0, 1, 1)
     outside = {betas[i - 1] for i in range(1, 7) if i not in lam}
     assert outside == set(G.inversion_set(x))
+
+
+# -- lambda alone ----------------------------------------------------------------
+
+def test_lambda_only_functions_scan_nothing(monkeypatch):
+    """lambda_set, s_set, is_good_word and deodhar_check read lambda from
+    the Bruhat masks along the word's chain: on every pair of B3, with
+    w's canonical word, they take no scan step and give what the scanned
+    labels of that word give."""
+    G = fresh_group("B", 3)
+    pairs = [(xi, wi) for wi in range(G.order())
+             for xi in G.lower_interval_idx(wi)]
+    expected = []
+    for xi, wi in pairs:
+        word = G.canon_of_idx(wi)
+        labels = _edge_labels(G, wi, 1 << xi, word)
+        lams = _one_word_labels(G, wi, word, 1 << xi)[0]
+        lam = _label_of(lams, xi)
+        found = set(gamma_sequence(G, word, lam))
+        expected.append((
+            lam, tuple(a for a in G.rs.positive_roots if a in found),
+            bool(_good_word_mask(G, wi, 1 << xi, labels)),
+            not _deodhar_masks(G, wi, 1 << xi, lams)[0]))
+    monkeypatch.setattr(shellability, "_scan_step", refuse)
+    for (xi, wi), values in zip(pairs, expected):
+        x, w, word = G.elem_of(xi), G.elem_of(wi), G.canon_of_idx(wi)
+        assert (lambda_set(G, x, word), s_set(G, x, w),
+                is_good_word(G, x, word), deodhar_check(G, x, w)) == values
 
 
 # -- Deodhar inequality --------------------------------------------------------------
@@ -1502,13 +1598,14 @@ def test_condition_b_pairs_closed_under_inversion(group_for, type_letter,
     """(x, w) -> (x^-1, w^-1), with the word reversed, maps the reduced
     subwords of x onto those of x^-1, so it keeps flag (ii) (the unique
     subword theorem of the shellability docstring): the condition-B pairs
-    of x^-1 are the inverses of those of x."""
+    below w^-1 are the inverses of those below w."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     inv = [G.idx_of(G.inverse(G.elem_of(i))) for i in range(G.order())]
-    cond = [condition_b_mask(G, xi) for xi in range(G.order())]
-    for xi, mask in enumerate(cond):
-        assert bitset(inv[wi] for wi in _bit_indices(mask)) == cond[inv[xi]]
+    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    cond = [_condition_b_set(G, wi, table) for wi in range(G.order())]
+    for wi, xs in enumerate(cond):
+        assert bitset(inv[xi] for xi in _bit_indices(xs)) == cond[inv[wi]]
 
 
 def test_b4_and_c4_give_equal_stats_rows(group_for):

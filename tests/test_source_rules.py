@@ -73,14 +73,17 @@ def test_oracle_only_helpers_not_in_library():
     1 - v e^(-alpha) as an element, which only the tests multiply by, and
     the lower reflections w*s_alpha as matrix products, which the single
     deletions of w's canonical word replaced, with the group's cache of
-    reflection matrices."""
+    reflection matrices, and the walk over the right weak order that
+    decided condition B, with the group's list of right ascents, which the
+    edge DP on w0's chain table replaced."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
               "bruhat_masks_oracle", "interval", "_greedy_chain_idx",
               "_lambda_sets_idx", "_label_sets_idx",
               "deleted_word_elements_idx", "deleted_word_elements",
               "deodhar_slack_idx", "_times_simple", "first_witnesses",
               "_flag_holds", "_good_word_idx", "main_theorem_sweep",
-              "one_minus_v_exp", "lower_reflections_idx", "_refl_cache"}
+              "one_minus_v_exp", "lower_reflections_idx", "_refl_cache",
+              "condition_b_mask", "right_ascents_idx", "_ascents"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []

@@ -466,7 +466,8 @@ def _golden_a4():
 
 
 # sha256 of the stdout of `stats --large`, as printed before the fast path
-# became a reachability search
+# became a reachability search, and since it became an edge DP on w0's
+# chain table
 STATS_DIGESTS = {
     ("D", 4): "a81ac0cf47780b41219fc9f2b753fc4c968fc5005b4547cc6023840879f54437",
     ("B", 4): "31affdc37487d3f32ae67b3ed0f58eb4ad7316bad73828a5aa4977deb3b11b68",
@@ -875,6 +876,25 @@ def test_mtx_condition_b_matches_pair_search(monkeypatch):
         checked += 1
     assert checked == sum(len(interval(G, G.identity, w)) - 1
                           for w in G.enumerate_group())
+
+
+def test_mtx_pair_without_witness_raises(monkeypatch):
+    """A condition-(B) pair of the edge DP whose first-word search finds no
+    word, forced by dropping one x from the search's answer for w0 of A2,
+    is a broken invariant: mtx_report raises instead of reporting the pair
+    as failing condition (B)."""
+    real_first_words = workbench._first_words
+
+    def one_dropped(group, wi, xset, labels, k):
+        found = real_first_words(group, wi, xset, labels, k)
+        if wi == group.order() - 1:
+            del found[min(found)]
+        return found
+
+    monkeypatch.setattr(workbench, "_first_words", one_dropped)
+    G = WeylGroup(build_root_system("A", 2))
+    with pytest.raises(InvariantError, match="has no witness word"):
+        mtx_report(G, SweepConfig("A", 2, points=1))
 
 
 # sha256 of the stdout of `mtx --points 8 --threads 1 --seed 0`, as printed
