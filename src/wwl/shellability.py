@@ -22,27 +22,29 @@ w = s_1...s_n and x <= w:
   first one.
 
 Labels are held bit-sliced, one bitset over x per word position, and
-_failing_flags reads off the x failing each flag.  All three labels come
-from one labeller, _edge_labels, which labels the edges of w's left weak
-interval (below); a word's labels are read along its chain of edges
-(_chain_labels).  The sweeps over many w (verify, also run by the
-independent statistics, the fast statistics and mtx) label w0 once, into
-a table (_chain_table), and read every w's edges from it
-(_interval_labels); lambda alone needs no scan, so the good-word census
-and the single-word functions that read only lambda (lambda_set, s_set,
-is_good_word, deodhar_check) read it from the Bruhat masks
-(_interval_labels with no table, given the word).  No search over the
+_failing_flags reads off the x failing each flag.  The labels sit on the
+edges of w's left weak interval (below).  One scanner, _chain_table,
+scans the two chain labels of an interval's edges, or of one word's
+chain, into a table, and one reader, _interval_labels, builds every
+label dict: lambda from the Bruhat masks, the chain labels from a table;
+a word's labels are read along its chain of edges (_chain_labels).  The
+sweeps over many w (verify, also run by the independent statistics, the
+fast statistics and mtx) scan w0 once and read every w's edges from
+w0's table; lambda alone needs no scan, so the good-word census and the
+single-word functions that read only lambda (lambda_set, s_set,
+is_good_word, deodhar_check) read it with no table.  No search over the
 words of w visits them: on the edges, _flag_dp decides the flags of every
 word at once (the verify sweep), _condition_b_set finds the x with flag
 (ii) on some word (the fast statistics and mtx's pairs), _first_words
 each x's first word with flag (i) or (ii) (conditions A and B, mtx's
 witnesses), and _good_word_mask the x with a good word (the good-word
 census).  Only a w with a violation walks its words, to list them
-(_word_labels_idx).  The single-pair conditions A and B scan w's interval
-for their one x, and the single-word functions that read a chain label
-(the two chains, condition_per_word, the closed forms and
-m_product_roots) label only their own word's chain (_edge_labels given
-the word): for one x or one chain a scan costs less than the table.
+(_word_labels_idx).  The single-pair conditions A and B read a table
+scanned over w's own interval for their one x, and the single-word
+functions that read a chain label (the two chains, condition_per_word,
+the closed forms and m_product_roots) one scanned along their own word's
+chain (_one_word_labels): for one x or one chain a scan costs less than
+w0's table.
 #S(x,w) is counted from one chain's lambda: position i of a reduced word
 of w deletes to w*s_(gamma_i) (gamma_sequence), and by strong exchange
 every w*s_alpha < w is such a deletion, so s_set and _deodhar_masks,
@@ -91,12 +93,14 @@ A scan whose residual does not end at e means x is not below the word, and
 raises InvariantError.  One step of a scan (_scan_step) moves a map
 {residual y: bitset of the x having it}, so every x is scanned at once.
 A scan step is a 0-Hecke action, so the map after a prefix or suffix
-depends only on its product, and _edge_labels scans each edge
+depends only on its product, and _chain_table scans each edge
 v -> s_a v of w's left weak interval once, position i of a word
-a_1...a_n being the edge at v = a_i...a_n: left going down from w,
-right going up from e, and lambda is the mask of (w v^-1)(s_a v), the
-word with position i deleted.  Two edges that give one node different
-maps raise.  A node's map is dropped once every edge from it has been
+a_1...a_n being the edge at v = a_i...a_n: left going down from w for
+the decreasing label, kept under the prefix w v^-1, and right going up
+from e for the increasing one, kept under v.  lambda needs no scan: it
+is the mask of (w v^-1)(s_a v), the word with position i deleted, which
+_interval_labels reads.  Two edges that give one node different maps
+raise.  A node's map is dropped once every edge from it has been
 scanned, so only about two length levels of maps are held at a time.
 Given one word, it scans only that word's chain v_1 = w, ..., v_(n+1) = e,
 the same steps on n of the edges.
@@ -108,7 +112,7 @@ through their products.  So the edge (v, a) of w's left weak interval
 has the increasing bits of w0's edge (v, a) and the decreasing bits of
 w0's edge after the same prefix w v^-1, the edge (v w^-1 w0, a); each
 is ANDed with w's set of x, and lambda is read from the Bruhat mask of
-the deletion as above.  One _edge_labels of w0 over all the x a sweep
+the deletion as above.  One _chain_table of w0 over all the x a sweep
 reads, built before the sweep forks so that its workers share it, then
 replaces every w's scans, and checks the residual invariant once for
 every x and every prefix and suffix.  The table keeps the two chain
@@ -127,8 +131,7 @@ bitwise operations per edge and no word visited; so do _condition_b_set,
 _first_words and _good_word_mask.  _condition_b_set reads the two chain
 labels of each edge straight from w0's table and keeps one bitset per
 node, so the fast statistics build no label dict; the residual
-invariant is checked once per group, where _edge_labels of w0 builds the
-table.
+invariant is checked once per group, where _chain_table scans w0.
 """
 
 from __future__ import annotations
@@ -306,62 +309,52 @@ def _scan_edge(maps: dict, node: int, residuals: dict, row, lens) -> int:
     return kept
 
 
-def _edge_labels(group: WeylGroup, wi: int, xset: int, word=None) -> dict:
-    """{(v, a): [lambda, increasing, decreasing]} for each edge
-    v -> s_a v of w's left weak interval, or, given a reduced word
-    a_1...a_n of w, only for the edges of its chain v_i = a_i...a_n, each
-    label bit-sliced over the x of xset (each below w) and scanned once
-    (module docstring)."""
-    group.ensure_bruhat()
+def _chain_table(group: WeylGroup, wi: int, xset: int,
+                 word=None) -> tuple[list, list]:
+    """(inc, dec), the chain labels over the x of xset (each below w) of
+    each edge v -> s_a v of w's left weak interval, or, given a reduced
+    word a_1...a_n of w, only of the edges of its chain
+    v_i = a_i...a_n, each scanned once (module docstring): inc[a - 1][v]
+    is the increasing label of the edge (v, a) and dec[a - 1][p] the
+    decreasing label of the edge after the prefix p = w v^-1.
+    _interval_labels reads it."""
+    group.ensure_tables()
     lens, lmul, rmul = group._len, group._lmul, group._rmul
-    bruhat = group._bruhat
+    edges = list(_down_edges(group, wi) if word is None else
+                 _chain_edges(group, wi, word))
     start = {xi: 1 << xi for xi in _bit_indices(xset)}
     left, right = {wi: start}, {0: start}
-    labels = {}
+    inc = [{} for _ in lmul]
+    dec = [{} for _ in lmul]
     last = None
-    for v, a, c, p in _down_edges(group, wi) if word is None else \
-            _chain_edges(group, wi, word):
+    for v, a, c, p in edges:
         if v != last:  # every edge into v is scanned
             last, residuals = v, left.pop(v)
-        kept = _scan_edge(left, c, residuals, lmul[a - 1], lens)
-        labels[v, a] = [xset & bruhat[group.idx_mul(p, c)], 0, xset & ~kept]
+        dec[a - 1][p] = xset & ~_scan_edge(left, c, residuals, lmul[a - 1],
+                                           lens)
     _check_scanned(left[0])
     level = 0
-    for v, a in reversed(labels):  # up from e, each edge after those below
+    for v, a, c, _ in reversed(edges):  # up from e, children first
         if lens[v] > level:  # the maps two levels down have been read
             level = lens[v]
             right = {u: m for u, m in right.items() if lens[u] >= level - 1}
-        labels[v, a][1] = xset & ~_scan_edge(
-            right, v, right[lmul[a - 1][v]], rmul[a - 1], lens)
+        inc[a - 1][v] = xset & ~_scan_edge(right, v, right[c], rmul[a - 1],
+                                           lens)
     _check_scanned(right[wi])
-    return labels
-
-
-def _chain_table(group: WeylGroup, xset: int) -> tuple[list, list]:
-    """The chain labels of every w over the x of xset, as those of w0
-    (module docstring): (inc, dec), where inc[a - 1][v] is the increasing
-    label of w0's edge (v, a) and dec[a - 1][p] the decreasing label of
-    w0's edge after the prefix p, the edge (p^-1 w0, a).  Both come from
-    one _edge_labels of w0 over xset; entries that are no edge are None.
-    _interval_labels reads it."""
-    size = group.order()
-    w0 = size - 1
-    labels = _edge_labels(group, w0, xset)
-    inc = [[None] * size for _ in group._lmul]
-    dec = [[None] * size for _ in group._lmul]
-    for v, a, _, p in _down_edges(group, w0):
-        _, inc[a - 1][v], dec[a - 1][p] = labels.pop((v, a))
     return inc, dec
 
 
 def _interval_labels(group: WeylGroup, wi: int, xset: int,
                      table=None, word=None) -> dict:
-    """_edge_labels(group, wi, xset, word) with no scan: the chain labels
-    of each edge (v, a) of w's left weak interval, or of the given reduced
-    word's chain, are read from the _chain_table of w0 (over a superset of
-    xset), the increasing one at (v, a) and the decreasing one after the
-    prefix w v^-1, and ANDed with xset.  With no table, each edge's list
-    holds lambda alone."""
+    """{(v, a): [lambda, increasing, decreasing]} for each edge
+    v -> s_a v of w's left weak interval, or, given a reduced word of w,
+    only for the edges of its chain, each label bit-sliced over the x of
+    xset (each below w).  lambda is the Bruhat mask of the deletion
+    (w v^-1)(s_a v); the chain labels are read from table, the
+    _chain_table of w0, of w or of the word over a superset of xset, the
+    increasing one at (v, a) and the decreasing one after the prefix
+    w v^-1, and ANDed with xset.  With no table, each edge's list holds
+    lambda alone."""
     bruhat = group._bruhat
     labels = {}
     for v, a, c, p in _down_edges(group, wi) if word is None else \
@@ -417,25 +410,25 @@ def _canonical_lambda(group: WeylGroup, wi: int, labels: dict) -> list:
 
 
 def _one_word_labels(group: WeylGroup, wi: int, word, xset: int):
-    """_chain_labels of one reduced word of w, labelling only its chain."""
-    return _chain_labels(group, _edge_labels(group, wi, xset, word), wi, word)
+    """_chain_labels of one reduced word of w, scanning only its chain."""
+    table = _chain_table(group, wi, xset, word)
+    return _chain_labels(group, _interval_labels(group, wi, xset, table, word),
+                         wi, word)
 
 
-def _word_labels_idx(group: WeylGroup, wi: int, xset: int, labels=None):
+def _word_labels_idx(group: WeylGroup, wi: int, labels: dict):
     """_chain_labels of every reduced word of w, with the word, in
-    lexicographic order, from the edges of w's left weak interval, each
-    labelled once before the first word (or given: the _edge_labels of
-    w over xset)."""
-    if labels is None:
-        labels = _edge_labels(group, wi, xset)
+    lexicographic order, from labels, the _interval_labels of w's left
+    weak interval."""
     for word in group._iter_words_idx(wi):
         yield word, *_chain_labels(group, labels, wi, word)
 
 
 def _flag_dp(group: WeylGroup, wi: int, xset: int, labels: dict):
-    """(violating, held) over the words of w, from the _edge_labels of w
-    over xset, with no word visited: the x whose three flags disagree on
-    some reduced word, and the x with flag (i) on some reduced word.
+    """(violating, held) over the words of w, from the _interval_labels
+    of w over xset, with no word visited: the x whose three flags
+    disagree on some reduced word, and the x with flag (i) on some
+    reduced word.
 
     On an edge the x failing flag (i), (ii) and (iii) are f0 = lam^dec,
     f1 = inc^dec and f2 = lam^inc, and f0^f1^f2 = 0, so an x fails no
@@ -535,7 +528,7 @@ def _first_words(group: WeylGroup, wi: int, xset: int, labels: dict,
                  k: int) -> dict:
     """{xi: the lexicographically first reduced word of w with flag (i)
     (k = 0) or (ii) (k = 1) for xi}, over the x of xset that have one,
-    from the _edge_labels of w over xset.  A word has flag k for x when
+    from the _interval_labels of w over xset.  A word has flag k for x when
     none of its edges has x in lam^dec (k = 0) or inc^dec (k = 1).  Going
     up from e, reach[v] holds the x that can get from v to e on passing
     edges; from w down, the x at a node take the smallest letter whose
@@ -563,10 +556,11 @@ def _first_words(group: WeylGroup, wi: int, xset: int, labels: dict,
 
 def _good_word_mask(group: WeylGroup, wi: int, xset: int, labels: dict) -> int:
     """The x of xset with a good word (is_good_word) among the reduced
-    words of w, or the one word whose chain labels holds (_edge_labels
-    over xset).  Along a word, x carries r = k^-1 x, k the product of the
-    letters kept so far: on an edge whose lambda bit holds x the letter is
-    deleted and r stays, else r moves to s_a r, which must be shorter.
+    words of w, or the one word whose chain labels holds
+    (_interval_labels over xset).  Along a word, x carries r = k^-1 x,
+    k the product of the letters kept so far: on an edge whose lambda bit
+    holds x the letter is deleted and r stays, else r moves to s_a r,
+    which must be shorter.
     x has a good word when r = e at e.  Each node carries {r: bitset of
     x}, OR-merged over its in-edges; the x after a move that does not
     shorten r go on in a second map, where r = e at e would be a good word
@@ -602,8 +596,9 @@ def _good_word_mask(group: WeylGroup, wi: int, xset: int, labels: dict) -> int:
 def _condition_witness(group: WeylGroup, x: WeylElement, w: WeylElement,
                        k: int):
     xi, wi = _checked_pair_idx(group, x, w)
-    word = _first_words(group, wi, 1 << xi,
-                        _edge_labels(group, wi, 1 << xi), k).get(xi)
+    labels = _interval_labels(group, wi, 1 << xi,
+                              _chain_table(group, wi, 1 << xi))
+    word = _first_words(group, wi, 1 << xi, labels, k).get(xi)
     return word is not None, word
 
 

@@ -7,10 +7,12 @@ w on the edges of its left weak interval (shellability._flag_dp) and on a
 bit-sliced count of #S(x,w) (shellability._deodhar_masks), so its work per
 w depends on neither the number of reduced words nor, but for bitset
 width, the number of x; only a w with a violation walks its words, to
-list them.  The edges' chain labels are read from one table of w0's
-(shellability._chain_table), which the sweep builds before it forks; the
-fast statistics and mtx's condition-(B) pairs read the same table, with
-one bitset per node of w's interval (shellability._condition_b_set).
+list them.  The sweep scans the chain labels once, on the edges of w0's
+interval (shellability._chain_table), before it forks, and reads every
+w's label dict from that table (shellability._interval_labels); the fast
+statistics and mtx's condition-(B) pairs read the same table, with one
+bitset per node of w's interval (shellability._condition_b_set), and the
+coefficient dump reads a table scanned along its one word's chain.
 
 Reports are dictionaries of JSON values, except the group-algebra values
 of the coefficient dump, which the command line writes as their
@@ -22,9 +24,8 @@ output.
 
 Parallel sweeps fork worker processes over blocks of group elements after
 the tables are built; the tables, the chain-label table among them, are
-read-only, so the workers share them,
-and results are merged in index order, so the thread count never changes
-the output.
+read-only, so the workers share them, and results are merged in index
+order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def _verify_w(group: WeylGroup, wi: int, table):
     violating, held = _flag_dp(group, wi, xset, labels)
     violations = []
     listed = 0
-    for word, lam, inc, dec in _word_labels_idx(group, wi, xset, labels) \
+    for word, lam, inc, dec in _word_labels_idx(group, wi, labels) \
             if violating else ():
         fails = _failing_flags(lam, inc, dec)
         disagree = (fails[0] | fails[1] | fails[2]) \
@@ -369,9 +370,9 @@ def _verify_sweep(group: WeylGroup, items, threads: int, costs) -> list:
     xset = 0
     for wi in items:
         xset |= group.bruhat_mask(wi)
-    return parallel_over(
-        group, partial(_verify_w, table=_chain_table(group, xset)), items,
-        threads, costs=costs)
+    table = _chain_table(group, group.order() - 1, xset)
+    return parallel_over(group, partial(_verify_w, table=table), items,
+                         threads, costs=costs)
 
 
 # -- statistics ------------------------------------------------------------------
@@ -386,7 +387,7 @@ def stats_sweep(group: WeylGroup, config: SweepConfig) -> dict:
     group.ensure_bruhat()
     size = group.order()
     if config.mode == "fast":
-        table = _chain_table(group, group.bruhat_mask(size - 1))
+        table = _chain_table(group, size - 1, group.bruhat_mask(size - 1))
         held = parallel_over(group, partial(_condition_b_set, table=table),
                              range(size), config.threads)
         counts = [(group.bruhat_mask(wi).bit_count(), xs.bit_count())
@@ -522,7 +523,7 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
     # those x finds their witnesses, and it must find one for each; each
     # pair's chain roots are read off its witness word's increasing label,
     # which flag (ii) makes equal to the decreasing one
-    table = _chain_table(group, group.bruhat_mask(size - 1))
+    table = _chain_table(group, size - 1, group.bruhat_mask(size - 1))
     roots = []
     for wi in range(size):
         xset = _condition_b_set(group, wi, table) & ~(1 << wi)

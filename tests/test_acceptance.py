@@ -12,7 +12,8 @@ from wwl.coeffs import (_closed_form_product, atom_coeffs,
                         demazure_character, whittaker_function)
 from wwl.groupalg import GAElement, mul_one_minus_v_exp, t_op
 from wwl.hecke import m_direct, m_product, sample_spectral_point
-from wwl.shellability import _failing_flags, _label_of, _word_labels_idx, s_set
+from wwl.shellability import (_chain_table, _failing_flags, _interval_labels,
+                              _label_of, _word_labels_idx, s_set)
 from wwl.workbench import (SweepConfig, good_words_report, mtx_report,
                            stats_sweep, verify_conjecture)
 
@@ -51,7 +52,9 @@ def main_theorem_sweep(group):
     for wi in range(group.order()):
         table = atom_coeffs(group, group.elem_of(wi))
         xset = group.bruhat_mask(wi)
-        for word, lam, inc, dec in _word_labels_idx(group, wi, xset):
+        labels = _interval_labels(group, wi, xset,
+                                  _chain_table(group, wi, xset))
+        for word, lam, inc, dec in _word_labels_idx(group, wi, labels):
             fails_i, fails_ii, _ = _failing_flags(lam, inc, dec)
             for xi, entry in table.items():
                 if not (fails_i & fails_ii) >> xi & 1:

@@ -19,8 +19,7 @@ from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.cli import _emit, main
 from wwl.shellability import (_chain_table, _condition_b_set,
-                              _deodhar_masks, _edge_labels,
-                              _failing_flags, _first_words,
+                              _deodhar_masks, _failing_flags, _first_words,
                               _flag_dp, _good_word_mask, _interval_labels,
                               _label_of, _one_word_labels,
                               _word_labels_idx, beta_sequence, condition_A,
@@ -128,6 +127,20 @@ def scan_labels(group, word, xset, pick_max):
         out[p] = xset & ~kept
     assert set(residuals) <= {0}, "an x is not below the word"
     return out
+
+
+def scanned_labels(group, wi, xset, word=None):
+    """The labels of w's own scan: the _interval_labels of w's left weak
+    interval, or of the given word's chain, read from the _chain_table
+    scanned over the same edges."""
+    return _interval_labels(group, wi, xset,
+                            _chain_table(group, wi, xset, word), word)
+
+
+def w0_table(group):
+    """The _chain_table of w0 over all of W, which the sweeps read."""
+    w0 = group.order() - 1
+    return _chain_table(group, w0, group.bruhat_mask(w0))
 
 
 def library_labels(group, word, xset):
@@ -299,13 +312,16 @@ def first_witnesses(group, wi, xs, holds, labels=None):
     """{xi: (word, lam, inc, dec)} for the xi in xs that have a witness: the
     first reduced word of w, in lexicographic order, on which holds finds
     xi, with that word's labels, from the walk over the words of w
-    (_word_labels_idx, over the given edge labels if any).  holds(group,
-    word, left, lam, inc, dec) returns the x of the bitset left that the
-    word witnesses (flag_holds, good_word_residuals); each x drops out at
-    its first witness and the walk stops when none is left."""
+    (_word_labels_idx, over the given edge labels, else w's own scan).
+    holds(group, word, left, lam, inc, dec) returns the x of the bitset
+    left that the word witnesses (flag_holds, good_word_residuals); each x
+    drops out at its first witness and the walk stops when none is
+    left."""
     found = {}
     left = bitset(xs)
-    for walked in _word_labels_idx(group, wi, left, labels) if left else ():
+    if left and labels is None:
+        labels = scanned_labels(group, wi, left)
+    for walked in _word_labels_idx(group, wi, labels) if left else ():
         held = holds(group, walked[0], left, *walked[1:])
         left &= ~held
         for xi in _bit_indices(held):
@@ -385,7 +401,7 @@ def test_is_good_word_matches_residual_rebuild(group_for, type_letter, rank):
         for word in G._iter_words_idx(wi):
             lam = word_scan_labels(G, word, xset)[0]
             assert _good_word_mask(G, wi, xset,
-                                   _edge_labels(G, wi, xset, word)) == \
+                                   scanned_labels(G, wi, xset, word)) == \
                 good_word_residuals(G, word, xset, lam)
 
 
@@ -570,9 +586,10 @@ def word_scans(group, wi, xset):
 
 
 def element_labels(group, wi, xset):
-    """_word_labels_idx as lists, comparable with word_scans."""
-    return [(word, list(lam), list(inc), list(dec))
-            for word, lam, inc, dec in _word_labels_idx(group, wi, xset)]
+    """_word_labels_idx on w's own scan as lists, comparable with
+    word_scans."""
+    return [(word, list(lam), list(inc), list(dec)) for word, lam, inc, dec
+            in _word_labels_idx(group, wi, scanned_labels(group, wi, xset))]
 
 
 @pytest.mark.parametrize("type_letter,rank",
@@ -668,17 +685,18 @@ def test_single_x_chain_scans_only_its_word(monkeypatch):
 
 def test_greedy_raises_when_an_x_is_not_below_the_word(group_for):
     """An x not below the word's product keeps a residual other than e:
-    the single-word labeller raises rather than return a partial answer,
-    also for the empty word, and so does the per-element walk."""
+    the single-word scan raises rather than return a partial answer,
+    also for the empty word, and so does the interval scan that the
+    per-element walk reads."""
     G = group_for("A", 2)
     G.ensure_bruhat()
     s2 = G.word_to_idx((2,))
     for word in ((1,), ()):
         with pytest.raises(InvariantError, match="does not end at e"):
-            _edge_labels(G, G.word_to_idx(word), 1 << s2, word)
+            _chain_table(G, G.word_to_idx(word), 1 << s2, word)
     s1 = G.word_to_idx((1,))
     with pytest.raises(InvariantError, match="does not end at e"):
-        list(_word_labels_idx(G, s1, G.bruhat_mask(s1) | 1 << s2))
+        scanned_labels(G, s1, G.bruhat_mask(s1) | 1 << s2)
 
 
 @pytest.mark.parametrize("table", ["_lmul", "_rmul"])
@@ -688,8 +706,8 @@ def test_corrupted_multiplication_row_raises(table):
     x = s1 never takes a letter; with s2 made a fixed point of the right
     multiplication by s2, neither does the right scan of x = s2.  Both
     entries lie off the walk from w down to e, so the word is still
-    found, and the single-word labeller, its three labels, the public
-    chain and the per-element walk all raise."""
+    found, and the single-word scan, its three labels, the public chain
+    and the interval scan that the per-element walk reads all raise."""
     G = fresh_group("A", 2)
     word = (1, 2)
     wi = G.word_to_idx(word)
@@ -698,14 +716,14 @@ def test_corrupted_multiplication_row_raises(table):
     getattr(G, table)[letter - 1][xi] = xi
     pick_max = table == "_lmul"
     with pytest.raises(InvariantError, match="does not end at e"):
-        _edge_labels(G, wi, 1 << xi, word)
+        _chain_table(G, wi, 1 << xi, word)
     with pytest.raises(InvariantError, match="does not end at e"):
         _one_word_labels(G, wi, word, 1 << xi)
     chain = lex_max_chain if pick_max else lex_min_chain
     with pytest.raises(InvariantError, match="does not end at e"):
         chain(G, G.elem_of(xi), word)
     with pytest.raises(InvariantError, match="does not end at e"):
-        list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
+        scanned_labels(G, wi, G.bruhat_mask(wi))
 
 
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
@@ -767,10 +785,11 @@ def test_word_labels_match_per_word_scans_sampled(group_for, type_letter,
 
 def test_word_labels_scan_each_edge_twice_before_the_first_word(
         monkeypatch):
-    """The per-element walk of w0 of B3 takes two scan steps per edge of
-    w's left weak interval, one left and one right, where position i of a
-    word a_1...a_n is the edge from a_i...a_n down to a_(i+1)...a_n.  All
-    of them run before the first word comes out, and none after."""
+    """The scan that the per-element walk of w0 of B3 reads takes two scan
+    steps per edge of w's left weak interval, one left and one right,
+    where position i of a word a_1...a_n is the edge from a_i...a_n down
+    to a_(i+1)...a_n.  All of them run before the first word comes out,
+    and none after."""
     G = fresh_group("B", 3)
     wi = G.order() - 1
     edges = {(G.word_to_idx(word[i:]), word[i])
@@ -784,7 +803,8 @@ def test_word_labels_scan_each_edge_twice_before_the_first_word(
         return step(*args)
 
     monkeypatch.setattr(shellability, "_scan_step", counted)
-    walk = _word_labels_idx(G, wi, G.bruhat_mask(wi))
+    walk = _word_labels_idx(G, wi, scanned_labels(G, wi, G.bruhat_mask(wi)))
+    assert len(steps) == 2 * len(edges)
     next(walk)
     assert len(steps) == 2 * len(edges)
     assert sum(1 for _ in walk) == G.reduced_word_counts()[wi] - 1
@@ -825,28 +845,54 @@ def test_table_labels_match_per_w_scan(group_for, type_letter, rank):
     below w; with no table, the reader gives lambda alone."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
-    whole = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    whole = w0_table(G)
     for wi in range(G.order()):
         xset = G.bruhat_mask(wi)
-        oracle = _edge_labels(G, wi, xset)
-        for table in (whole, _chain_table(G, xset)):
+        oracle = scanned_labels(G, wi, xset)
+        for table in (whole, _chain_table(G, G.order() - 1, xset)):
             assert _interval_labels(G, wi, xset, table) == oracle
         assert _interval_labels(G, wi, xset) == \
             {edge: [lab[0]] for edge, lab in oracle.items()}
 
 
+
+def test_w0_table_does_no_lambda_work(monkeypatch):
+    """The scanner of w0's table multiplies no two elements: lambda, the
+    Bruhat mask of a deletion product, is left to the reader, so the
+    table of w0 of B3 builds with idx_mul refused."""
+    G = fresh_group("B", 3)
+    monkeypatch.setattr(G, "idx_mul", refuse)
+    inc, dec = w0_table(G)
+    assert sum(map(len, inc)) == sum(map(len, dec)) == 72
+
+
+@pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 3)])
+def test_word_table_matches_interval_table(group_for, type_letter, rank):
+    """Every reduced word of every w: the table scanned along the word's
+    chain alone, read through that chain, gives on each of the chain's
+    edges the labels of the table scanned over w's whole interval."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        whole = scanned_labels(G, wi, xset)
+        for word in G._iter_words_idx(wi):
+            edges = [(G.word_to_idx(word[i:]), a) for i, a in enumerate(word)]
+            assert scanned_labels(G, wi, xset, word) == \
+                {edge: whole[edge] for edge in edges}
+
 def test_two_residuals_at_one_node_raise():
     """In A2, w0 has the reduced words 121 and 212.  With s1s2 * s2 made
     s2 instead of s1, the right scan of x = w0 along 121 ends at s2 and
     along 212 at e, so the two edges into w0 bring different residual
-    maps and the per-element walk raises, while the right scan of 212
-    alone never reads the broken entry."""
+    maps and the scan of w's interval raises, while the right scan of
+    212 alone never reads the broken entry."""
     G = fresh_group("A", 2)
     wi = G.order() - 1
     G._rmul[1][G.word_to_idx((1, 2))] = G.word_to_idx((2,))
     assert _one_word_labels(G, wi, (2, 1, 2), 1 << wi)[1] == [0, 0, 0]
     with pytest.raises(InvariantError, match="one product leave different"):
-        list(_word_labels_idx(G, wi, G.bruhat_mask(wi)))
+        scanned_labels(G, wi, G.bruhat_mask(wi))
 
 
 @st.composite
@@ -918,7 +964,7 @@ def test_flags_match_tuple_oracle_exhaustive(group_for, type_letter, rank):
     of the verify sweep."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
-    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    table = w0_table(G)
     for wi in range(G.order()):
         xs = G.lower_interval_idx(wi)
         for word in G._iter_words_idx(wi):
@@ -946,11 +992,13 @@ def test_flags_match_tuple_oracle_sampled(group_for, type_letter, rank):
 
 def verify_w_walk(group, wi, labels=None):
     """(triples, held, violating) of one w from the word walk: every
-    reduced word's flags read off its chain in the _edge_labels of w over
-    all x <= w, or in the given labels; held and violating are bitsets."""
+    reduced word's flags read off its chain in w's own scan over all
+    x <= w, or in the given labels; held and violating are bitsets."""
     xset = group.bruhat_mask(wi)
+    if labels is None:
+        labels = scanned_labels(group, wi, xset)
     triples = held = violating = 0
-    for word, lam, inc, dec in _word_labels_idx(group, wi, xset, labels):
+    for word, lam, inc, dec in _word_labels_idx(group, wi, labels):
         triples += xset.bit_count()
         fails = _failing_flags(lam, inc, dec)
         held |= xset & ~fails[0]
@@ -967,10 +1015,10 @@ def test_flag_dp_matches_word_walk(group_for, type_letter, rank):
     count and (empty) violation list equal the walk's."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
-    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    table = w0_table(G)
     for wi in range(G.order()):
         xset = G.bruhat_mask(wi)
-        labels = _edge_labels(G, wi, xset)
+        labels = scanned_labels(G, wi, xset)
         triples, held, violating = verify_w_walk(G, wi, labels)
         assert _flag_dp(G, wi, xset, labels) == (violating, held)
         got = _verify_w(G, wi, table)
@@ -995,7 +1043,7 @@ def test_flag_dp_under_flipped_edge_bits(group_for, type_letter, rank,
     for _ in range(trials):
         wi = rng.randrange(1, G.order())
         xset = G.bruhat_mask(wi)
-        labels = _edge_labels(G, wi, xset)
+        labels = scanned_labels(G, wi, xset)
         xs = list(_bit_indices(xset))
         edges = list(labels)
         for _ in range(rng.randint(1, 3)):
@@ -1088,7 +1136,7 @@ def test_failing_flags_on_disagreeing_labels():
 
 
 def test_stats_fast_path_computes_no_label(monkeypatch):
-    """The statistics fast path enumerates no reduced word, labels only
+    """The statistics fast path enumerates no reduced word, scans only
     w0, once, into the chain table, and builds no label dict for any w:
     _condition_b_set reads the table itself."""
     G = fresh_group("B", 3)
@@ -1097,13 +1145,13 @@ def test_stats_fast_path_computes_no_label(monkeypatch):
         monkeypatch.setattr(module, "_word_labels_idx", refuse)
         monkeypatch.setattr(module, "_interval_labels", refuse)
     labelled = []
-    label = shellability._edge_labels
+    scan = workbench._chain_table
 
     def recorded(group, wi, *args):
         labelled.append(wi)
-        return label(group, wi, *args)
+        return scan(group, wi, *args)
 
-    monkeypatch.setattr(shellability, "_edge_labels", recorded)
+    monkeypatch.setattr(workbench, "_chain_table", recorded)
     stats_sweep(G, SweepConfig(type_letter="B", rank=3))
     assert labelled == [G.order() - 1]
 
@@ -1341,7 +1389,7 @@ def test_condition_b_set_matches_prefix_walk(group_for, type_letter, rank):
     words (condition_b_mask) ends at e at w."""
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
-    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    table = w0_table(G)
     masks = [condition_b_mask(G, xi) for xi in range(G.order())]
     for wi in range(G.order()):
         assert _condition_b_set(G, wi, table) == \
@@ -1382,7 +1430,7 @@ def test_word_free_searches_under_flipped_edge_bits(group_for, type_letter,
     for _ in range(trials):
         wi = rng.randrange(1, G.order())
         xset = G.bruhat_mask(wi)
-        labels = _edge_labels(G, wi, xset)
+        labels = scanned_labels(G, wi, xset)
         before = [_first_words(G, wi, xset, labels, k) for k in (0, 1)]
         before.append(_good_word_mask(G, wi, xset, labels))
         xs = list(_bit_indices(xset))
@@ -1395,7 +1443,7 @@ def test_word_free_searches_under_flipped_edge_bits(group_for, type_letter,
             after.append({xi: walked[0] for xi, walked in found.items()})
             assert _first_words(G, wi, xset, labels, k) == after[k]
         good = 0
-        for word, lam, _, _ in _word_labels_idx(G, wi, xset, labels):
+        for word, lam, _, _ in _word_labels_idx(G, wi, labels):
             good |= good_word_residuals(G, word, xset, lam)
         assert _good_word_mask(G, wi, xset, labels) == good
         moved += after + [good] != before
@@ -1443,7 +1491,7 @@ def test_lambda_only_functions_scan_nothing(monkeypatch):
     expected = []
     for xi, wi in pairs:
         word = G.canon_of_idx(wi)
-        labels = _edge_labels(G, wi, 1 << xi, word)
+        labels = scanned_labels(G, wi, 1 << xi, word)
         lams = _one_word_labels(G, wi, word, 1 << xi)[0]
         lam = _label_of(lams, xi)
         found = set(gamma_sequence(G, word, lam))
@@ -1602,7 +1650,7 @@ def test_condition_b_pairs_closed_under_inversion(group_for, type_letter,
     G = group_for(type_letter, rank)
     G.ensure_bruhat()
     inv = [G.idx_of(G.inverse(G.elem_of(i))) for i in range(G.order())]
-    table = _chain_table(G, G.bruhat_mask(G.order() - 1))
+    table = w0_table(G)
     cond = [_condition_b_set(G, wi, table) for wi in range(G.order())]
     for wi, xs in enumerate(cond):
         assert bitset(inv[xi] for xi in _bit_indices(xs)) == cond[inv[wi]]

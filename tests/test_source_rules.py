@@ -75,7 +75,9 @@ def test_oracle_only_helpers_not_in_library():
     deletions of w's canonical word replaced, with the group's cache of
     reflection matrices, and the walk over the right weak order that
     decided condition B, with the group's list of right ascents, which the
-    edge DP on w0's chain table replaced."""
+    edge DP on w0's chain table replaced, and the edge labeller, a second
+    builder of label dicts, which the one scanner (_chain_table) and the
+    one reader (_interval_labels) replaced."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
               "bruhat_masks_oracle", "interval", "_greedy_chain_idx",
               "_lambda_sets_idx", "_label_sets_idx",
@@ -83,7 +85,8 @@ def test_oracle_only_helpers_not_in_library():
               "deodhar_slack_idx", "_times_simple", "first_witnesses",
               "_flag_holds", "_good_word_idx", "main_theorem_sweep",
               "one_minus_v_exp", "lower_reflections_idx", "_refl_cache",
-              "condition_b_mask", "right_ascents_idx", "_ascents"}
+              "condition_b_mask", "right_ascents_idx", "_ascents",
+              "_edge_labels"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []
