@@ -78,10 +78,10 @@ class SpectralPoint:
 
     def translate(self, group: WeylGroup, w: WeylElement) -> "SpectralPoint":
         """The point w.z, whose value on alpha_i is z^(w^-1 alpha_i)."""
-        winv = group.inverse(w)
-        n = group.rs.rank
-        z = tuple(self.z_pow(winv.apply_root(group.rs.simple_root(i)))
-                  for i in range(1, n + 1))
+        wi = group.idx_of(w)
+        roots = group.rs.roots
+        z = tuple(self.z_pow(roots[k])
+                  for k in group._root_img[group._inv[wi]])
         return SpectralPoint(self.p, self.u, z)
 
     def __repr__(self):
@@ -154,7 +154,7 @@ def _root_coeff(pt: SpectralPoint, beta: Coords) -> int:
 
 def _mu_beta(group: WeylGroup, b: int, g: int) -> Coords:
     """g^-1 alpha_b, with g given by its index."""
-    return group.elem_of(group._inv[g]).apply_root(group.rs.simple_root(b))
+    return group.rs.roots[group._root_img[group._inv[g]][b - 1]]
 
 
 def _mu_step(group: WeylGroup, f: list[int], b: int, c: int, u: int,

@@ -133,11 +133,6 @@ class RootSystem:
             tuple(row) for row in _cartan_matrix(type_letter, rank))
         self.symmetrizer = _symmetrizer(self.cartan, rank)
 
-        self.simple_root_matrices: tuple[Matrix, ...] = tuple(
-            self._simple_root_matrix(i) for i in range(rank))
-        self.simple_weight_matrices: tuple[Matrix, ...] = tuple(
-            self._simple_weight_matrix(i) for i in range(rank))
-
         self.positive_roots: tuple[Coords, ...] = self._generate_positives()
         expected = _POSITIVE_COUNT[type_letter](rank)
         if len(self.positive_roots) != expected:
@@ -146,6 +141,11 @@ class RootSystem:
                 f"{type_letter}{rank}, expected {expected}")
 
         self._positive_set = frozenset(self.positive_roots)
+        # every root, the positive ones and then their negatives, and the
+        # index of each in that tuple
+        self.roots: tuple[Coords, ...] = self.positive_roots + tuple(
+            tuple(-c for c in a) for a in self.positive_roots)
+        self.root_index = {a: k for k, a in enumerate(self.roots)}
         self._coroot = self._coroot_table()
         # <alpha_j, alpha_vee> for every root, one row per root
         self._pair_row = {
@@ -157,19 +157,6 @@ class RootSystem:
         # shared scratch for operator caches (see groupalg)
         self._demazure_cache: dict = {}
 
-    def _simple_root_matrix(self, i) -> Matrix:
-        n = self.rank
-        rows = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
-        rows[i] = [(1 if j == i else 0) - self.cartan[i][j] for j in range(n)]
-        return tuple(tuple(r) for r in rows)
-
-    def _simple_weight_matrix(self, i) -> Matrix:
-        n = self.rank
-        rows = [[1 if k == j else 0 for j in range(n)] for k in range(n)]
-        for k in range(n):
-            rows[k][i] = (1 if k == i else 0) - self.cartan[k][i]
-        return tuple(tuple(r) for r in rows)
-
     def _generate_positives(self) -> tuple[Coords, ...]:
         n = self.rank
         simples = [tuple(1 if j == i else 0 for j in range(n))
@@ -178,9 +165,11 @@ class RootSystem:
         queue = list(simples)
         while queue:
             a = queue.pop()
-            for m in self.simple_root_matrices:
-                b = tuple(sum(m[k][j] * a[j] for j in range(n))
-                          for k in range(n))
+            for i, row in enumerate(self.cartan):
+                # s_i a = a - <a, alpha_i_vee> alpha_i
+                b = list(a)
+                b[i] -= sum(c * x for c, x in zip(row, a))
+                b = tuple(b)
                 if b not in seen and all(c >= 0 for c in b):
                     seen.add(b)
                     queue.append(b)

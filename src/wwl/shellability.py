@@ -117,8 +117,10 @@ reads, built before the sweep forks so that its workers share it, then
 replaces every w's scans, and checks the residual invariant once for
 every x and every prefix and suffix.  The table keeps the two chain
 labels of w0's |W| * r / 2 edges, |W|^2 * r bits over all of W: about
-19 MB on A6 and 9 MB on B5.  D6 would need about 400 MB, which verify's
-MAX_ORDER keeps out.
+19 MB on A6 and 9 MB on B5.  The build's transient is far larger: on
+D6, w0's table over every 16th x alone took 52 s and peaked at 2.4 GB,
+the scan maps of two length levels holding bigints as wide as their
+highest x index, so verify's MAX_ORDER keeps D6 out.
 
 Flags on the edges.  Each label bit of x at a position depends on the
 position's edge alone (above: a scan sees a prefix or suffix only through
@@ -248,11 +250,12 @@ def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
     _reduced_word_idx(group, word)
+    roots, img = rs.roots, group._root_img
     gammas: dict[int, Coords] = {}
     tail = 0  # the identity
     for i in range(n, 0, -1):
         if i in lam_set:
-            gammas[i] = group.elem_of(tail).apply_root(rs.simple_root(word[i - 1]))
+            gammas[i] = roots[img[tail][word[i - 1] - 1]]
         tail = group.rmul_idx(word[i - 1], tail)
     return tuple(gammas[i] for i in sorted(gammas))
 
@@ -266,10 +269,11 @@ def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
     _reduced_word_idx(group, word)
+    roots, img = rs.roots, group._root_img
     betas = []
     prefix = 0  # the identity
     for i in range(1, n + 1):
-        betas.append(group.elem_of(prefix).apply_root(rs.simple_root(word[i - 1])))
+        betas.append(roots[img[prefix][word[i - 1] - 1]])
         if i not in lam_set:
             prefix = group.rmul_idx(word[i - 1], prefix)
     return tuple(betas)

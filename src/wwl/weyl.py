@@ -1,38 +1,34 @@
 """Weyl group arithmetic: elements, words, length, Bruhat order,
 intervals and reduced-word enumeration.
 
-An element is stored as its integer action matrix on the root lattice (plus
-the matching action on the weight lattice, carried along so that neither
-matrix ever needs to be inverted).  Equality and hashing go through the
-matrices, so elements work as dictionary keys independently of any chosen
-word.  The matrices are actions only (`apply_root`, `apply_weight`): no
-query multiplies two elements, and `WeylElement.__mul__` is kept as the
-matrix oracle the tests check the tables against.
-
+An element is its index in the tables a WeylGroup builds on first use
+(by length, index 0 the identity).  A WeylElement is a light handle on
+one: a group and an index, compared and hashed on (type, rank, index).
 Every element query (length, canonical word, Bruhat order, inverse,
-products, words) reads an indexed layer that a WeylGroup builds on first
-use: the full element list, generator multiplication tables, inverses,
-canonical words, and the Bruhat order as one bitmask per element.  The
+products, words) reads the tables: generator multiplication tables,
+inverses, canonical words, the root images w alpha_j as indices into the
+group's roots, and the Bruhat order as one bitmask per element.  The
 tables are built once and read-only afterwards, so forked workers share
-them all; nothing is memoised per word.
+them all; nothing is memoised per word.  w acts on a root through its
+root images, and on a weight through those of w^-1: coordinate j of
+w lam is <lam, (w^-1 alpha_j)_vee>.
 
-The element list is found on the W-orbit of rho.  Each element w is keyed
+The elements are found on the W-orbit of rho.  Each element w is keyed
 by u = w^-1 rho in fundamental-weight coordinates, which is a bijection
 because rho is regular.  Right multiplication by s_i sends the key to
 u - u[i] alpha_i, and it is an ascent exactly when u[i] > 0 (w s_i > w iff
 <w^-1 rho, alpha_i_vee> > 0), so a breadth-first search over keys finds
 each length level from the previous one with O(r) work per edge.  Each
-element's matrix pair is computed once, from its parent, by a step on
-matrices held as columns (`_column_step`): w s_i changes only column i
-and the Dynkin neighbours of i in the root matrix and only column i in
-the weight matrix, so the step is O(r) too, and the columns it leaves
-alone are shared with the parent.  The columns are held only for the
-level being expanded; each element's row-major WeylElement is built once,
-when its level is sorted.  The ascent edges k -> k s_i of the search give
-the right multiplication table: each fills rmul[i][k] and its reverse,
-once the level is sorted and the indices of its elements are known, and
-every descent is the reverse of an ascent.  The key of w^-1 is w rho, the
-row sums of the weight matrix, which gives the inverse table and with it
+element's root columns w alpha_j are computed once, from its parent's,
+by `_column_step`: w s_i changes only column i and the Dynkin neighbours
+of i, so the step is O(r) too, and the columns it leaves alone are
+shared with the parent.  The columns are held only for the level being
+expanded.  The ascent edges k -> k s_i of the search give the right
+multiplication table: each fills rmul[i][k] and its reverse, once the
+level is sorted and the indices of its elements are known, and every
+descent is the reverse of an ascent.  The key of w^-1 is w rho, carried
+down the search as (w s_i) rho = w rho - w alpha_i; w^-1 lies in the
+level of w, which gives the inverse table level by level, and with it
 left multiplication, s_i w = (w^-1 s_i)^-1.
 
 The Bruhat mask of w is bit(w) OR the masks of the single deletions of
@@ -44,21 +40,22 @@ any reduced word of w.  The deletions ride down the canonical words: if
 canon[w] = (a,) + canon[w1], then w1 = s_a w and the other deletions of w
 are s_a d for the deletions d of w1, O(l(w)) table reads per element.
 
-The table order is by length, then by root-action matrix within a length.
-That is the order of a breadth-first search over matrix products sorted
-per level, so element indices, canonical words and interval order do not
-depend on how the tables were built.
+The table order is by length, then within a length by the root-action
+matrix, whose columns are the root images.  That is the order of a
+breadth-first search over matrix products sorted per level, so element
+indices, canonical words and interval order do not depend on how the
+tables were built.
 
 Groups too large to tabulate fail fast with BudgetError before anything is
 allocated: the element tables stop at MAX_TABLE_ORDER (E6), the Bruhat
-masks at MAX_BRUHAT_BYTES.  So groups above E6 answer no element query;
-only their generators, reflections and root data are available.
+masks at MAX_BRUHAT_BYTES.  So groups above E6 answer no element query,
+and have no elements, not even their generators or reflections; only
+their root data is available.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, InvariantError
 from .roots import Coords, Matrix, RootSystem, Weight
@@ -77,19 +74,6 @@ def _bit_indices(mask: int):
         mask ^= low
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in rng) for j in rng)
-        for i in rng)
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n))
-                 for i in range(n))
-
-
 def _step_neighbours(cartan: Matrix):
     """For each 0-based letter i, the pairs (j, c_ij) and the pairs
     (j, c_ji) over the Dynkin neighbours j of i."""
@@ -99,53 +83,67 @@ def _step_neighbours(cartan: Matrix):
             for i in rng]
 
 
-def _column_step(rcols, wcols, i: int, nbrs):
-    """The root and weight matrices of w s_i (0-based i), each a tuple of
-    columns, from those of w; nbrs is _step_neighbours(cartan)[i].
-
-    Column j of s_i's root action is alpha_j - c_ij alpha_i, so root column
-    j of w s_i is col_j - c_ij col_i: column i negates, the Dynkin
-    neighbours of i move and the rest are shared with w.  The weight action
-    of s_i is the identity with column i replaced, so only weight column i
-    moves, to col_i - sum_j c_ji col_j.  O(r) for a bounded degree."""
-    root_nbrs, weight_nbrs = nbrs
-    ci = rcols[i]
-    rc = list(rcols)
-    rc[i] = tuple([-x for x in ci])
+def _column_step(cols, i: int, root_nbrs):
+    """The root images w s_i alpha_j (0-based i), a tuple of root columns,
+    from those of w; root_nbrs is _step_neighbours(cartan)[i][0].  Since
+    s_i alpha_j = alpha_j - c_ij alpha_i, column j of w s_i is col_j - c_ij
+    col_i: column i negates, the Dynkin neighbours of i move and the rest
+    are shared with w.  O(r) for a bounded degree."""
+    ci = cols[i]
+    out = list(cols)
+    out[i] = tuple([-x for x in ci])
     for j, c in root_nbrs:
-        rc[j] = tuple([x - c * y for x, y in zip(rcols[j], ci)])
-    col = [-x for x in wcols[i]]
-    for j, c in weight_nbrs:
-        col = [x - c * y for x, y in zip(col, wcols[j])]
-    wc = list(wcols)
-    wc[i] = tuple(col)
-    return tuple(rc), tuple(wc)
+        out[j] = tuple([x - c * y for x, y in zip(cols[j], ci)])
+    return tuple(out)
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """Group element as a pair of integer matrices: the action on root
-    coordinates and the action on fundamental-weight coordinates."""
+    """A group element, held as its index in its group's tables.  Handles
+    compare and hash on (type, rank, index), so handles from two instances
+    of one group are equal when their indices are."""
 
-    root_action: Matrix
-    weight_action: Matrix
+    __slots__ = ("group", "idx")
+
+    def __init__(self, group: "WeylGroup", idx: int):
+        self.group = group
+        self.idx = idx
+
+    def _key(self):
+        rs = self.group.rs
+        return rs.type_letter, rs.rank, self.idx
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(_matmul(self.root_action, other.root_action),
-                           _matmul(self.weight_action, other.weight_action))
+        group = self.group
+        return WeylElement(group, group.idx_mul(self.idx, group.idx_of(other)))
 
     def apply_root(self, coords: Coords) -> Coords:
-        m = self.root_action
-        rng = range(len(coords))
-        return tuple(sum(m[i][j] * coords[j] for j in rng) for i in rng)
+        """w beta = sum_j beta_j w alpha_j, from the root-image table."""
+        group = self.group
+        group.ensure_tables()  # the identity is made before the tables
+        roots = group.rs.roots
+        cols = [roots[k] for k in group._root_img[self.idx]]
+        return tuple(sum(b * col[i] for b, col in zip(coords, cols))
+                     for i in range(len(coords)))
 
     def apply_weight(self, lam: Weight) -> Weight:
-        m = self.weight_action
-        rng = range(len(lam))
-        return tuple(sum(m[i][j] * lam[j] for j in rng) for i in rng)
+        """w lam, whose coordinate j is <lam, (w^-1 alpha_j)_vee>."""
+        group = self.group
+        group.ensure_tables()
+        rs = group.rs
+        return tuple(rs.pairing(lam, rs.roots[k])
+                     for k in group._root_img[group._inv[self.idx]])
 
     def __repr__(self):
-        return f"WeylElement({self.root_action})"
+        rs = self.group.rs
+        return f"WeylElement({rs.type_letter}{rs.rank}, {self.idx})"
 
 
 class WeylGroup:
@@ -153,19 +151,14 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        n = rs.rank
-        self.identity = WeylElement(_identity_matrix(n), _identity_matrix(n))
-        self._gens = tuple(
-            WeylElement(rs.simple_root_matrices[i], rs.simple_weight_matrices[i])
-            for i in range(n))
+        self.identity = WeylElement(self, 0)
         # indexed layer, built on first element query
-        self._elements: list[WeylElement] | None = None
-        self._index: dict[Matrix, int] | None = None
         self._len: list[int] | None = None
         self._lmul: list[list[int]] | None = None
         self._rmul: list[list[int]] | None = None
         self._canon: list[tuple[int, ...]] | None = None
         self._inv: list[int] | None = None
+        self._root_img: list[tuple[int, ...]] | None = None
         self._bruhat: list[int] | None = None
         self._nwords: list[int] | None = None
 
@@ -175,31 +168,30 @@ class WeylGroup:
         return self.rs.group_order
 
     def simple_reflection(self, letter: int) -> WeylElement:
-        if not 1 <= letter <= self.rs.rank:
-            raise DomainError(f"generator index {letter} out of range")
-        return self._gens[letter - 1]
+        return self.element_from_word((letter,))
 
     def element_from_word(self, letters) -> WeylElement:
-        idx = self.word_to_idx(letters)  # builds the tables on first use
-        return self._elements[idx]
+        return WeylElement(self, self.word_to_idx(letters))
 
     def reflection(self, alpha: Coords) -> WeylElement:
-        """Reflection s_alpha for an arbitrary positive root."""
+        """Reflection s_alpha for an arbitrary positive root.  Walking alpha
+        down to a simple root alpha_j by simple reflections that lower its
+        height gives alpha = u alpha_j, and s_alpha = u s_j u^-1."""
         rs = self.rs
         if not rs.is_positive_root(alpha):
             raise DomainError(f"{alpha} is not a positive root")
-        n = rs.rank
-        coro = rs.coroot_coords(alpha)
-        wc = rs.root_to_weight_coords(alpha)
-        root_cols = [rs.reflect_root(alpha, tuple(1 if j == i else 0
-                                                  for j in range(n)))
-                     for i in range(n)]
-        root_m = tuple(tuple(root_cols[j][k] for j in range(n))
-                       for k in range(n))
-        weight_m = tuple(tuple((1 if k == j else 0) - coro[j] * wc[k]
-                               for j in range(n))
-                         for k in range(n))
-        return WeylElement(root_m, weight_m)
+        letters = []
+        while sum(alpha) > 1:
+            # a positive non-simple root pairs positively with some simple
+            # coroot, and reflecting there lowers its height
+            for i, row in enumerate(rs.cartan):
+                k = sum(c * x for c, x in zip(row, alpha))
+                if k > 0:
+                    break
+            alpha = alpha[:i] + (alpha[i] - k,) + alpha[i + 1:]
+            letters.append(i + 1)
+        word = letters + [alpha.index(1) + 1] + letters[::-1]
+        return self.element_from_word(word)
 
     def length(self, w: WeylElement) -> int:
         idx = self.idx_of(w)
@@ -207,12 +199,15 @@ class WeylGroup:
 
     def inversion_set(self, w: WeylElement) -> tuple[Coords, ...]:
         """Positive roots sent negative by w^-1 (the set usually written
-        Phi_w), in positive-root order."""
+        Phi_w), in positive-root order: for a reduced word a_1 ... a_l of
+        w, the roots s_a_1 ... s_a_(k-1) alpha_a_k."""
+        word = self.canonical_word(w)  # builds the tables on first use
+        roots, img, rmul = self.rs.roots, self._root_img, self._rmul
         out = []
-        for beta in self.rs.positive_roots:
-            image = w.apply_root(beta)
-            if not self.rs.is_positive_root(image):
-                out.append(tuple(-c for c in image))
+        prefix = 0  # the identity
+        for a in word:
+            out.append(roots[img[prefix][a - 1]])
+            prefix = rmul[a - 1][prefix]
         return tuple(sorted(out, key=lambda c: (sum(c), c)))
 
     def canonical_word(self, w: WeylElement) -> tuple[int, ...]:
@@ -227,7 +222,7 @@ class WeylGroup:
 
     def inverse(self, w: WeylElement) -> WeylElement:
         idx = self.idx_of(w)
-        return self._elements[self._inv[idx]]
+        return WeylElement(self, self._inv[idx])
 
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
         return self.leq_idx(self.idx_of(x), self.idx_of(w))
@@ -255,16 +250,16 @@ class WeylGroup:
 
     def enumerate_group(self) -> list[WeylElement]:
         self.ensure_tables()
-        return list(self._elements)
+        return [WeylElement(self, k) for k in range(len(self._len))]
 
     def longest_element(self) -> WeylElement:
         self.ensure_tables()
-        return self._elements[-1]
+        return WeylElement(self, len(self._len) - 1)
 
     # -- indexed layer --------------------------------------------------------
 
     def ensure_tables(self) -> None:
-        if self._elements is not None:
+        if self._len is not None:
             return
         rs = self.rs
         if rs.group_order > MAX_TABLE_ORDER:
@@ -286,23 +281,24 @@ class WeylGroup:
         rs = self.rs
         n = rs.rank
         rng = range(n)
-        cartan = rs.cartan
-        nbrs = _step_neighbours(cartan)
-        ident = _identity_matrix(n)
+        nbrs = _step_neighbours(rs.cartan)
+        root_index = rs.root_index
+        weight_of = {a: rs.root_to_weight_coords(a) for a in rs.roots}
         rho = rs.rho()
-        key_index = {rho: 0}  # elements[k]^-1 rho -> k
-        elements = [self.identity]
+        simple = tuple(rs.simple_root(i) for i in range(1, n + 1))
         lengths = [0]
         rmul: list[list[int]] = [[0] for _ in rng]
-        # (key, root columns, weight columns) of each element of the level
-        # being expanded, in table order from index start
-        frontier = [(rho, ident, ident)]
+        inv = [0]
+        root_img = [tuple(root_index[a] for a in simple)]
+        # (w^-1 rho, root columns w alpha_j, w rho) of each element of the
+        # level being expanded, in table order from index start
+        frontier = [(rho, simple, rho)]
         start = 0
         while frontier:
             slots: dict[Weight, int] = {}
             found = []
             edges = []  # (k, i, slot) for each ascent k -> k s_i
-            for k, (u, rcols, wcols) in enumerate(frontier, start):
+            for k, (u, cols, wrho) in enumerate(frontier, start):
                 for i in rng:
                     ui = u[i]
                     if ui <= 0:
@@ -316,35 +312,34 @@ class WeylGroup:
                     slot = slots.get(v)
                     if slot is None:
                         slot = slots[v] = len(found)
-                        found.append(
-                            (v,) + _column_step(rcols, wcols, i, nbrs[i]))
+                        # (w s_i) rho = w rho - w alpha_i
+                        found.append((v, _column_step(cols, i, nbrs[i][0]),
+                                      tuple([x - y for x, y in zip(
+                                          wrho, weight_of[cols[i]])])))
                     edges.append((k, i, slot))
-            start = len(elements)
-            rows = [tuple(zip(*rc)) for _, rc, _ in found]
+            start = len(lengths)
+            rows = [tuple(zip(*cols)) for _, cols, _ in found]
+            order = sorted(range(len(found)), key=rows.__getitem__)
             where = [0] * len(found)
-            frontier = []
-            for k, slot in enumerate(sorted(range(len(found)),
-                                            key=rows.__getitem__), start):
+            for k, slot in enumerate(order, start):
                 where[slot] = k
-                entry = found[slot]
-                key_index[entry[0]] = k
-                elements.append(WeylElement(rows[slot], tuple(zip(*entry[2]))))
-                frontier.append(entry)
+            frontier = [found[slot] for slot in order]
             lengths += [lengths[-1] + 1] * len(found)
+            root_img += [tuple([root_index[a] for a in cols])
+                         for _, cols, _ in frontier]
+            # w^-1 has the length of w, and its key is w rho
+            inv += [where[slots[wrho]] for _, _, wrho in frontier]
             for row in rmul:
                 row += [0] * len(found)
             for k, i, slot in edges:
                 row, j = rmul[i], where[slot]
                 row[k] = j
                 row[j] = k
-        if len(elements) != rs.group_order:
+        if len(lengths) != rs.group_order:
             raise InvariantError(
-                f"found {len(elements)} elements of {rs.type_letter}"
+                f"found {len(lengths)} elements of {rs.type_letter}"
                 f"{rs.rank}, expected {rs.group_order}")
-        size = len(elements)
-        # the key of w^-1 is w rho: the row sums of w's weight matrix
-        inv = [key_index[tuple(map(sum, e.weight_action))]
-               for e in elements]
+        size = len(lengths)
         lmul = [[inv[rm[inv[k]]] for k in range(size)] for rm in rmul]
         canon: list[tuple[int, ...]] = [()] * size
         for k in range(1, size):  # ascending length: s_i * w already resolved
@@ -354,12 +349,11 @@ class WeylGroup:
                 if lengths[j] < lw:
                     canon[k] = (i + 1,) + canon[j]
                     break
-        self._elements = elements
-        self._index = {e.root_action: k for k, e in enumerate(elements)}
         self._len = lengths
         self._rmul = rmul
         self._lmul = lmul
         self._inv = inv
+        self._root_img = root_img
         self._canon = canon
 
     def ensure_bruhat(self) -> None:
@@ -397,13 +391,12 @@ class WeylGroup:
 
     def idx_of(self, w: WeylElement) -> int:
         self.ensure_tables()
-        idx = self._index.get(w.root_action)
-        if idx is None:
+        if w._key()[:2] != (self.rs.type_letter, self.rs.rank):
             raise DomainError("element does not belong to this group")
-        return idx
+        return w.idx
 
     def elem_of(self, idx: int) -> WeylElement:
-        return self._elements[idx]
+        return WeylElement(self, idx)
 
     def len_of_idx(self, idx: int) -> int:
         return self._len[idx]
@@ -452,7 +445,7 @@ class WeylGroup:
         if self._nwords is not None:
             return self._nwords
         self.ensure_tables()
-        size = len(self._elements)
+        size = len(self._len)
         counts = [0] * size
         counts[0] = 1
         for w in range(1, size):

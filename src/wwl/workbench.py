@@ -57,15 +57,17 @@ MAX_ORDER = {
     # at two, at 157 MB, most of it w0's chain table, which both modes
     # build; the independent one runs the verify sweep, gated as
     # verify-conjecture below, in 12.4-12.9 s and 8.4-9.1 s.  D6 (23,040
-    # elements) would need a table of about 400 MB
+    # elements) is out: w0's table over every 16th x alone took 52 s and
+    # peaked at 2.4 GB (2-vCPU VM, 8 GB), so the whole table does not fit
     "stats": 5040,
     # A6 (16,913,275,917,601 triples), about 13 s at two threads and
     # 160 MB, and D5 about 2 s and 33 MB, both labelled from w0's table;
     # from D5 to A6 the time grows as about the square of the order and
     # the table's one-process build as about the 2.3rd power (F4 0.13 s,
-    # A6 3.8 s), which puts D6 (23,040 elements, not run) at 5 minutes or
-    # more, with a table of about 400 MB (|W|^2 * r bits).  --budget, not
-    # --large, bounds verify's work below the gate
+    # A6 3.8 s).  D6 (23,040 elements) is out: w0's table over every 16th
+    # x alone took 52 s and peaked at 2.4 GB (2-vCPU VM, 8 GB), the scan
+    # maps of two length levels holding bigints as wide as their highest
+    # x index.  --budget, not --large, bounds verify's work below the gate
     "verify-conjecture": 5040,
     # B4/C4, about 12 s and 140 MB at 8 points; the upper-interval sums
     # grow as the cube of the order, so A5 (720 elements) would take

@@ -316,6 +316,51 @@ def test_tilde_coeffs_expand_spherical(group_for):
         assert total == spherical_whittaker(G, w, lam)
 
 
+def longest_of_parabolic(G, letters):
+    """w0_J for J = letters: climb from e by any letter of J that is a
+    right ascent, until every letter of J is a right descent."""
+    cur = 0
+    while True:
+        ups = [a for a in letters
+               if G.len_of_idx(G.rmul_idx(a, cur)) > G.len_of_idx(cur)]
+        if not ups:
+            return cur
+        cur = G.rmul_idx(ups[0], cur)
+
+
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)])
+def test_parabolic_casselman_shalika(group_for, type_letter, rank):
+    """tilde_coeffs(w) has exactly one nonzero entry exactly when w is the
+    longest element w0_J of a standard parabolic subgroup W_J, one for
+    each of the 2^r subsets J.  The entry sits at x = w0_J and is the
+    product of 1 - v e^(-beta) over inversion_set(w0_J), which holds the
+    positive roots supported on J."""
+    G = group_for(type_letter, rank)
+    G.ensure_tables()
+    rs = G.rs
+    longest = {}
+    for bits in range(1 << rank):
+        letters = [a for a in range(1, rank + 1) if (bits >> (a - 1)) & 1]
+        longest[longest_of_parabolic(G, letters)] = letters
+    assert len(longest) == 2 ** rank
+    single = {}
+    for w in G.enumerate_group():
+        nonzero = {xi: c for xi, c in tilde_coeffs(G, w).items() if c}
+        if len(nonzero) == 1:
+            single[G.idx_of(w)] = nonzero
+    assert set(single) == set(longest)
+    for wi, entry in single.items():
+        roots = G.inversion_set(G.elem_of(wi))
+        assert set(roots) == {beta for beta in rs.positive_roots
+                              if all(c == 0 or a in longest[wi]
+                                     for a, c in enumerate(beta, 1))}
+        prod = GAElement.one(rank)
+        for beta in roots:
+            prod = mul_one_minus_v_exp(rs, beta, prod)
+        assert entry == {wi: prod}
+
+
 # -- product identity at the longest element ------------------------------------------
 
 def test_cs_rank_one_explicit(group_for):

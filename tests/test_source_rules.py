@@ -77,7 +77,11 @@ def test_oracle_only_helpers_not_in_library():
     decided condition B, with the group's list of right ascents, which the
     edge DP on w0's chain table replaced, and the edge labeller, a second
     builder of label dicts, which the one scanner (_chain_table) and the
-    one reader (_interval_labels) replaced."""
+    one reader (_interval_labels) replaced, and the action matrices of
+    an element (matrix product and identity, generator matrices, an
+    element's matrix fields, the element list and its matrix-keyed
+    index), which the index handles and the root-image table replaced
+    and the tests' matrix_oracle keeps."""
     banned = {"covers_down", "char_from_atom_coeffs", "atom_from_char_coeffs",
               "bruhat_masks_oracle", "interval", "_greedy_chain_idx",
               "_lambda_sets_idx", "_label_sets_idx",
@@ -86,7 +90,9 @@ def test_oracle_only_helpers_not_in_library():
               "_flag_holds", "_good_word_idx", "main_theorem_sweep",
               "one_minus_v_exp", "lower_reflections_idx", "_refl_cache",
               "condition_b_mask", "right_ascents_idx", "_ascents",
-              "_edge_labels"}
+              "_edge_labels", "_matmul", "_identity_matrix",
+              "simple_weight_matrices", "simple_root_matrices",
+              "root_action", "weight_action", "_index", "_elements"}
     found = [f"{place}:{name}" for place, name in library_names()
              if name in banned]
     assert found == []
@@ -95,9 +101,9 @@ def test_oracle_only_helpers_not_in_library():
 def test_elements_by_index_inside_library():
     """Inside the library an element is its table index: coefficient
     tables and Hecke elements are keyed by index, so there is no
-    element-keyed table class; a WeylElement is fetched by index only to
-    act on a root or a weight; and no code lists an interval of
-    WeylElements."""
+    element-keyed table class; no WeylElement is fetched by index, not
+    even to act on a root or a weight, since w alpha_b is read from the
+    root-image table; and no code lists an interval of WeylElements."""
     assert [place for place, name in library_names()
             if name == "CoefficientTable"] == []
     paths = sorted(pathlib.Path(wwl.__file__).parent.glob("*.py"))
@@ -105,18 +111,13 @@ def test_elements_by_index_inside_library():
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
-        actions = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and \
-                    node.attr in ("apply_root", "apply_weight"):
-                actions.add(id(node.value))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else \
                 getattr(func, "id", None)
-            if name == "elem_of" and id(node) not in actions:
+            if name == "elem_of":
                 found.append(f"{path.name}:{node.lineno}:elem_of")
             if name == "interval":
                 found.append(f"{path.name}:{node.lineno}:interval")

@@ -1,7 +1,8 @@
 """Group arithmetic checked against independent oracles: one-line
 permutations for type A, the subword criterion and the rank-matrix
-criterion for the Bruhat order, and a matrix-product breadth-first search
-for the element tables."""
+criterion for the Bruhat order, and action matrices built from words
+(`matrix_oracle`) for the element tables, root images, actions, inverses
+and reflections."""
 
 import gc
 import itertools
@@ -9,6 +10,9 @@ import random
 
 import pytest
 
+from matrix_oracle import (generator_matrices, identity_matrix, mat_vec,
+                           matmul, matrix_bfs_tables, reflection_matrices,
+                           table_root_matrix, word_matrices)
 from wwl import DomainError, WeylGroup, build_root_system
 from wwl.errors import BudgetError
 from wwl.weyl import _column_step, _step_neighbours
@@ -68,7 +72,7 @@ def bruhat_masks_oracle(G):
     below s*w, so the mask of w is read off that of s*w by testing every
     y < s*y for membership, O(|W|) bit tests per element."""
     G.ensure_tables()
-    size = len(G._elements)
+    size = G.order()
     lengths, lmul = G._len, G._lmul
     # per generator: the y with y < s*y, each bundled with bit(y)|bit(s*y)
     gen_pairs = [[(y, (1 << y) | (1 << lm[y])) for y in range(size)
@@ -95,50 +99,36 @@ def interval(G, x, w):
             if G.leq_idx(xi, yi)]
 
 
-def matrix_bfs_tables(G):
-    """The element tables built by dense matrix products: a breadth-first
-    search over w * s_i, each level sorted by root-action matrix, whose
-    products also give rmul; lmul by one product per (element, generator);
-    canonical words from the smallest left descent; inverses by reversing
-    the canonical word.  Returns (elements, index, lengths, rmul, lmul,
-    canon, inv)."""
-    n = G.rs.rank
-    gens = [G.simple_reflection(i) for i in range(1, n + 1)]
-    elements = [G.identity]
-    index = {G.identity.root_action: 0}
-    lengths = [0]
-    frontier = [G.identity]
-    right = []  # root actions of w * s_i, one row per element in index order
-    while frontier:
-        nxt = {}
-        for w in frontier:
-            products = [w * g for g in gens]
-            right.append([u.root_action for u in products])
-            for u in products:
-                if u.root_action not in index and u.root_action not in nxt:
-                    nxt[u.root_action] = u
-        frontier = [nxt[k] for k in sorted(nxt)]
-        level = lengths[-1] + 1
-        for u in frontier:
-            index[u.root_action] = len(elements)
-            elements.append(u)
-            lengths.append(level)
-    rmul = [[index[row[i]] for row in right] for i in range(n)]
-    lmul = [[index[(g * w).root_action] for w in elements] for g in gens]
-    canon = [()] * len(elements)
-    for k in range(1, len(elements)):
-        for i in range(n):
-            j = lmul[i][k]
-            if lengths[j] < lengths[k]:
-                canon[k] = (i + 1,) + canon[j]
-                break
-    inv = []
-    for word in canon:
-        cur = 0
-        for letter in reversed(word):
-            cur = rmul[letter - 1][cur]
-        inv.append(cur)
-    return elements, index, lengths, rmul, lmul, canon, inv
+def check_elements_against_word_matrices(G, ks):
+    """For each element index k: its root images, its action on roots and
+    on weights, its products with each generator on both sides and its
+    inverse, checked against the matrices of its canonical word."""
+    G.ensure_tables()
+    rs = G.rs
+    n = rs.rank
+    gens = generator_matrices(rs)
+    weights = [tuple(range(1, n + 1)), tuple((-1) ** j * (j + 2)
+                                             for j in range(n))]
+    for k in ks:
+        root_m, weight_m = word_matrices(rs, G.canon_of_idx(k))
+        w = G.elem_of(k)
+        assert table_root_matrix(G, k) == root_m
+        for beta in rs.roots:
+            assert w.apply_root(beta) == mat_vec(root_m, beta)
+        for lam in weights:
+            assert w.apply_weight(lam) == mat_vec(weight_m, lam)
+        for i, (g_root, _) in enumerate(gens, 1):
+            g = G.simple_reflection(i)
+            assert (w * g).idx == G.rmul_idx(i, k)
+            assert (g * w).idx == G.lmul_idx(i, k)
+            assert table_root_matrix(G, G.rmul_idx(i, k)) == \
+                matmul(root_m, g_root)
+            assert table_root_matrix(G, G.lmul_idx(i, k)) == \
+                matmul(g_root, root_m)
+        winv = G.inverse(w)
+        assert matmul(root_m, table_root_matrix(G, G.idx_of(winv))) == \
+            identity_matrix(n)
+        assert w * winv == G.identity
 
 
 # -- element tables ------------------------------------------------------------------
@@ -149,44 +139,68 @@ def matrix_bfs_tables(G):
     ("D", 4), ("D", 5), ("F", 4), ("G", 2)])
 def test_tables_match_matrix_bfs_oracle(group_for, type_letter, rank):
     G = group_for(type_letter, rank)
-    elements, index, lengths, rmul, lmul, canon, inv = matrix_bfs_tables(G)
-    assert G.enumerate_group() == elements
-    assert G._index == index
+    elements, index, lengths, rmul, lmul, canon, inv = \
+        matrix_bfs_tables(G.rs)
+    handles = G.enumerate_group()
+    assert [table_root_matrix(G, G.idx_of(w)) for w in handles] == \
+        [root_m for root_m, _ in elements]
+    assert {table_root_matrix(G, k): k for k in range(len(handles))} == index
     assert G._len == lengths
     assert G._rmul == rmul
     assert G._lmul == lmul
     assert G._canon == canon
-    assert [G.idx_of(G.inverse(w)) for w in elements] == inv
+    assert [G.idx_of(G.inverse(w)) for w in handles] == inv
+    rs = G.rs
+    weights = [tuple(range(1, rank + 1)), tuple((-1) ** j * (j + 2)
+                                                for j in range(rank))]
+    for w, (root_m, weight_m) in zip(handles, elements):
+        for beta in rs.roots:
+            assert w.apply_root(beta) == mat_vec(root_m, beta)
+        for lam in weights:
+            assert w.apply_weight(lam) == mat_vec(weight_m, lam)
+    for alpha in rs.positive_roots:
+        s = G.reflection(alpha)
+        root_m, weight_m = reflection_matrices(rs, alpha)
+        assert table_root_matrix(G, G.idx_of(s)) == root_m
+        for lam in weights:
+            assert s.apply_weight(lam) == mat_vec(weight_m, lam)
 
 
 def test_b5_sampled_products_and_inverses(group_for):
     G = group_for("B", 5)
-    elements = G.enumerate_group()
-    gens = [G.simple_reflection(i) for i in range(1, 6)]
-    for k in random.Random(3).sample(range(len(elements)), 200):
-        w = elements[k]
-        for i, g in enumerate(gens, 1):
-            assert G.elem_of(G.rmul_idx(i, k)) == w * g
-            assert G.elem_of(G.lmul_idx(i, k)) == g * w
-        assert w * G.inverse(w) == G.identity
+    check_elements_against_word_matrices(
+        G, random.Random(3).sample(range(G.order()), 200))
+
+
+def test_e6_sampled_elements_match_word_matrices():
+    """E6, the largest group whose tables are built, on 200 seeded
+    elements."""
+    G = WeylGroup(build_root_system("E", 6))
+    check_elements_against_word_matrices(
+        G, random.Random(6).sample(range(G.order()), 200))
 
 
 @pytest.mark.parametrize("type_letter,rank",
                          [("B", 3), ("D", 4), ("G", 2), ("F", 4)])
 def test_rank_one_step_matches_product(group_for, type_letter, rank):
-    """The table build's step, a rank-one update of matrices held as
-    columns (only column i and its Dynkin neighbours move), gives the
-    matrix product w * s_i for every element and generator."""
-    G = group_for(type_letter, rank)
-    nbrs = _step_neighbours(G.rs.cartan)
-    for w in G.enumerate_group():
-        rcols = tuple(zip(*w.root_action))
-        wcols = tuple(zip(*w.weight_action))
-        for i in range(rank):
-            rc, wc = _column_step(rcols, wcols, i, nbrs[i])
-            product = w * G.simple_reflection(i + 1)
-            assert tuple(zip(*rc)) == product.root_action
-            assert tuple(zip(*wc)) == product.weight_action
+    """The table build's step, a rank-one update of the root matrix held
+    as columns (only column i and its Dynkin neighbours move), gives the
+    matrix product w * s_i for every element and generator; and the
+    carried w rho, moved by (w s_i) rho = w rho - w alpha_i, is the row
+    sums of the product's weight matrix."""
+    rs = group_for(type_letter, rank).rs
+    nbrs = _step_neighbours(rs.cartan)
+    gens = generator_matrices(rs)
+    elements = matrix_bfs_tables(rs)[0]
+    for root_m, weight_m in elements:
+        cols = tuple(zip(*root_m))
+        wrho = tuple(map(sum, weight_m))
+        for i, (g_root, g_weight) in enumerate(gens):
+            rc = _column_step(cols, i, nbrs[i][0])
+            assert tuple(zip(*rc)) == matmul(root_m, g_root)
+            moved = tuple(x - y for x, y in
+                          zip(wrho, rs.root_to_weight_coords(cols[i])))
+            assert moved == tuple(map(sum, matmul(weight_m, g_weight)))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -219,6 +233,8 @@ def test_table_build_keeps_the_collectors_state(monkeypatch, enabled):
 
 
 def test_size_gates_fire_before_building():
+    """Above E6 nothing is tabulated, and an element is a table index, so
+    E7 and E8 have no generators or reflections either."""
     e7 = WeylGroup(build_root_system("E", 7))
     with pytest.raises(BudgetError):
         e7.ensure_tables()
@@ -226,10 +242,16 @@ def test_size_gates_fire_before_building():
         e7.element_from_word((1,))
     with pytest.raises(BudgetError):
         e7.length(e7.identity)
+    e8 = WeylGroup(build_root_system("E", 8))
+    for G in (e7, e8):
+        with pytest.raises(BudgetError):
+            G.simple_reflection(1)
+        with pytest.raises(BudgetError):
+            G.reflection(G.rs.positive_roots[-1])
     e6 = WeylGroup(build_root_system("E", 6))
     with pytest.raises(BudgetError):
         e6.ensure_bruhat()
-    assert e7._elements is None and e6._elements is None
+    assert e7._len is None and e8._len is None and e6._len is None
 
 
 # -- elements and words ----------------------------------------------------------
@@ -374,7 +396,7 @@ def test_query_on_fresh_group_builds_tables(group_for, query):
         "element_from_word": lambda G: G.element_from_word((2, 1, 2)),
         "is_reduced": lambda G: G.is_reduced((1, 2, 1)),
     }
-    assert fresh._elements is None
+    assert fresh._len is None
     assert calls[query](fresh) == calls[query](tabled)
 
 
@@ -539,6 +561,6 @@ def test_covers_down_matches_definition(group_for):
 def test_foreign_element_rejected(group_for):
     G = group_for("A", 2)
     other = group_for("B", 2)
-    # s_2 of B2 acts with a -2 Cartan entry, so its matrix is not in A2
+    # an element of B2 belongs to no A2, whatever its index
     with pytest.raises(DomainError):
         G.idx_of(other.element_from_word((2,)))
