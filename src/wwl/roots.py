@@ -147,12 +147,6 @@ class RootSystem:
             tuple(-c for c in a) for a in self.positive_roots)
         self.root_index = {a: k for k, a in enumerate(self.roots)}
         self._coroot = self._coroot_table()
-        # <alpha_j, alpha_vee> for every root, one row per root
-        self._pair_row = {
-            a: tuple(sum(cv[i] * self.cartan[i][j] for i in range(rank))
-                     for j in range(rank))
-            for a, cv in self._coroot.items()
-        }
         self.group_order = _GROUP_ORDER[type_letter](rank)
         # shared scratch for operator caches (see groupalg)
         self._demazure_cache: dict = {}
@@ -216,10 +210,7 @@ class RootSystem:
 
     def root_pairing(self, beta: Coords, alpha: Coords) -> int:
         """<beta, alpha_vee> for beta in simple-root coordinates."""
-        row = self._pair_row.get(alpha)
-        if row is None:
-            raise DomainError(f"{alpha} is not a root of {self}")
-        return sum(b * r for b, r in zip(beta, row))
+        return self.pairing(self.root_to_weight_coords(beta), alpha)
 
     def root_to_weight_coords(self, alpha: Coords) -> Weight:
         a = self.cartan

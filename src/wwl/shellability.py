@@ -36,23 +36,26 @@ is_good_word, deodhar_check) read it with no table.  No search over the
 words of w visits them: on the edges, _flag_dp decides the flags of every
 word at once (the verify sweep), _condition_b_set finds the x with flag
 (ii) on some word (the fast statistics and mtx's pairs), _first_words
-each x's first word with flag (i) or (ii) (conditions A and B, mtx's
-witnesses), and _good_word_mask the x with a good word (the good-word
-census).  Only a w with a violation walks its words, to list them
-(_word_labels_idx).  The single-pair conditions A and B read a table
-scanned over w's own interval for their one x, and the single-word
-functions that read a chain label (the two chains, condition_per_word,
-the closed forms and m_product_roots) one scanned along their own word's
-chain (_one_word_labels): for one x or one chain a scan costs less than
-w0's table.
-#S(x,w) is counted from one chain's lambda: position i of a reduced word
+each x's first word with flag (i) or (ii) (conditions A and B), and
+_good_word_mask the x with a good word (the good-word census).  Only a
+w with a violation walks its words, to list them (_word_labels_idx).
+The single-pair conditions A and B read a table scanned over w's own
+interval for their one x, and the single-word functions that read a
+chain label (the two chains, condition_per_word, the closed forms and
+m_product_roots) one scanned along their own word's chain
+(_one_word_labels): for one x or one chain a scan costs less than w0's
+table.
+S(x,w) is read from one chain's lambda: position i of a reduced word
 of w deletes to w*s_(gamma_i) (gamma_sequence), and by strong exchange
-every w*s_alpha < w is such a deletion, so s_set and _deodhar_masks,
-which compares #S(x,w) with l(w) - l(x) for all x at once on a
-bit-sliced counter, read the lambda bits of w's canonical word
-(_canonical_lambda).  Per-x tuples are read from the bitsets (_label_of)
-only where a caller needs them: violation records, closed forms, chain
-roots, and the single-x public functions.
+every w*s_alpha < w is such a deletion, so _s_sets (s_set,
+deodhar_check, mtx's product roots) and _deodhar_masks, which compares
+#S(x,w) with l(w) - l(x) for all x at once on a bit-sliced counter, read
+the lambda bits of w's canonical word (_canonical_lambda).  Where flag
+(ii) holds the flags agree (verify finds no word where they differ on
+the groups mtx accepts), so a witness's increasing label is its lambda
+and mtx needs no witness word.  Per-x tuples are read from the bitsets
+(_label_of) only where a caller needs them: violation records, closed
+forms, chain roots, and the single-x public functions.
 
 Extreme chains from extreme subwords.  The decreasing label is the
 complement of the leftmost reduced subword L of x: scan the word left to
@@ -192,13 +195,10 @@ def is_good_word(group: WeylGroup, x: WeylElement, word) -> bool:
 
 
 def s_set(group: WeylGroup, x: WeylElement, w: WeylElement) -> tuple[Coords, ...]:
-    """{alpha in Phi+ : x <= w*s_alpha < w}, in positive-root order: the
-    gamma roots of lambda_set on w's canonical word, since deleting
-    position i of a reduced word of w gives w*s_(gamma_i), and every
-    w*s_alpha < w is such a deletion (strong exchange)."""
-    _, wi = _checked_pair_idx(group, x, w)
-    word = group.canon_of_idx(wi)
-    found = set(gamma_sequence(group, word, lambda_set(group, x, word)))
+    """{alpha in Phi+ : x <= w*s_alpha < w}, in positive-root order
+    (_s_sets)."""
+    xi, wi = _checked_pair_idx(group, x, w)
+    found = set(_s_sets(group, wi, 1 << xi)[xi])
     return tuple(alpha for alpha in group.rs.positive_roots if alpha in found)
 
 
@@ -244,13 +244,12 @@ def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     """For each position i in lam (ascending), the root obtained by pushing
     the simple root of letter i through the tail of the word:
     gamma_i = s_n ... s_(i+1) applied to alpha_i."""
-    rs = group.rs
     n = len(word)
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
     _reduced_word_idx(group, word)
-    roots, img = rs.roots, group._root_img
+    roots, img = group.rs.roots, group._root_img
     gammas: dict[int, Coords] = {}
     tail = 0  # the identity
     for i in range(n, 0, -1):
@@ -263,13 +262,12 @@ def gamma_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
 def beta_sequence(group: WeylGroup, word, lam) -> tuple[Coords, ...]:
     """Length-n sequence where beta_i is the prefix s_1...s_(i-1), with every
     position of lam below i omitted, applied to alpha_i."""
-    rs = group.rs
     n = len(word)
     lam_set = set(lam)
     if not lam_set <= set(range(1, n + 1)):
         raise DomainError("lambda positions out of range")
     _reduced_word_idx(group, word)
-    roots, img = rs.roots, group._root_img
+    roots, img = group.rs.roots, group._root_img
     betas = []
     prefix = 0  # the identity
     for i in range(1, n + 1):
@@ -411,6 +409,20 @@ def _canonical_lambda(group: WeylGroup, wi: int, labels: dict) -> list:
     chain's edges in labels (of the interval or of that chain)."""
     return [labels[v, a][0] for v, a, _, _ in
             _chain_edges(group, wi, group.canon_of_idx(wi))]
+
+
+def _s_sets(group: WeylGroup, wi: int, xset: int) -> dict:
+    """{xi: S(x,w)} for the x of the bitset xset (each below w), each in
+    word order: the gamma roots of w's canonical word at the lambda bits
+    of its chain, read from the Bruhat masks with no scan.  Deleting
+    position i of a reduced word of w gives w*s_(gamma_i), and every
+    w*s_alpha < w is such a deletion (strong exchange)."""
+    word = group.canon_of_idx(wi)
+    lams = _canonical_lambda(group, wi,
+                             _interval_labels(group, wi, xset, word=word))
+    gammas = gamma_sequence(group, word, range(1, len(word) + 1))
+    return {xi: tuple(g for g, lam in zip(gammas, lams) if lam >> xi & 1)
+            for xi in _bit_indices(xset)}
 
 
 def _one_word_labels(group: WeylGroup, wi: int, word, xset: int):
@@ -620,8 +632,6 @@ def condition_B(group: WeylGroup, x: WeylElement, w: WeylElement):
 def deodhar_check(group: WeylGroup, x: WeylElement, w: WeylElement) -> bool:
     """#S(x,w) >= l(w) - l(x); expected to hold always, a False is a bug."""
     xi, wi = _checked_pair_idx(group, x, w)
-    labels = _interval_labels(group, wi, 1 << xi,
-                              word=group.canon_of_idx(wi))
-    return not _deodhar_masks(group, wi, 1 << xi,
-                              _canonical_lambda(group, wi, labels))[0]
+    return len(_s_sets(group, wi, 1 << xi)[xi]) >= \
+        group.len_of_idx(wi) - group.len_of_idx(xi)
 

@@ -396,12 +396,17 @@ class WeylGroup:
         return w.idx
 
     def elem_of(self, idx: int) -> WeylElement:
+        self.ensure_tables()
+        if not 0 <= idx < len(self._len):
+            raise DomainError(f"index {idx} is outside the element table")
         return WeylElement(self, idx)
 
     def len_of_idx(self, idx: int) -> int:
+        self.ensure_tables()
         return self._len[idx]
 
     def canon_of_idx(self, idx: int) -> tuple[int, ...]:
+        self.ensure_tables()
         return self._canon[idx]
 
     def word_to_idx(self, letters) -> int:
@@ -415,6 +420,7 @@ class WeylGroup:
         return cur
 
     def idx_mul(self, a: int, b: int) -> int:
+        self.ensure_tables()
         cur = a
         rmul = self._rmul
         for letter in self._canon[b]:
@@ -422,9 +428,11 @@ class WeylGroup:
         return cur
 
     def rmul_idx(self, letter: int, idx: int) -> int:
+        self.ensure_tables()
         return self._rmul[letter - 1][idx]
 
     def lmul_idx(self, letter: int, idx: int) -> int:
+        self.ensure_tables()
         return self._lmul[letter - 1][idx]
 
     def leq_idx(self, xi: int, wi: int) -> bool:

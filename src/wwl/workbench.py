@@ -11,8 +11,10 @@ list them.  The sweep scans the chain labels once, on the edges of w0's
 interval (shellability._chain_table), before it forks, and reads every
 w's label dict from that table (shellability._interval_labels); the fast
 statistics and mtx's condition-(B) pairs read the same table, with one
-bitset per node of w's interval (shellability._condition_b_set), and the
-coefficient dump reads a table scanned along its one word's chain.
+bitset per node of w's interval (shellability._condition_b_set); mtx
+multiplies each pair over S(x,w), read from the lambda bits of w's
+canonical chain with no scan (shellability._s_sets), and the coefficient
+dump reads a table scanned along its one word's chain.
 
 Reports are dictionaries of JSON values, except the group-algebra values
 of the coefficient dump, which the command line writes as their
@@ -42,11 +44,10 @@ from .coeffs import (_check_dominant, _closed_form_idx, atom_coeffs,
 from .errors import BudgetError, ConditionError, DomainError, InvariantError
 from .hecke import m_matrix, m_product_value, sample_spectral_point
 from .roots import build_root_system
-from .shellability import (_canonical_lambda, _chain_labels, _chain_table,
-                           _condition_b_set, _deodhar_masks, _failing_flags,
-                           _first_words, _flag_dp, _good_word_mask,
-                           _interval_labels, _label_of, _one_word_labels,
-                           _word_labels_idx, gamma_sequence)
+from .shellability import (_canonical_lambda, _chain_table, _condition_b_set,
+                           _deodhar_masks, _failing_flags, _flag_dp,
+                           _good_word_mask, _interval_labels, _label_of,
+                           _one_word_labels, _s_sets, _word_labels_idx)
 from .weyl import WeylGroup, _bit_indices
 
 DEFAULT_TRIPLE_BUDGET = 2_000_000
@@ -520,24 +521,12 @@ def mtx_report(group: WeylGroup, config: SweepConfig) -> dict:
               for _ in range(config.points)]
     matrices = [m_matrix(group, pt) for pt in points]
     factors = [{} for _ in points]  # per point: gamma -> product factor
-    # condition (B) witnesses, on one _chain_table: each w's pairs are the
-    # x < w of _condition_b_set, then one first-word search over just
-    # those x finds their witnesses, and it must find one for each; each
-    # pair's chain roots are read off its witness word's increasing label,
-    # which flag (ii) makes equal to the decreasing one
+    # each w's condition-(B) pairs are the x < w of _condition_b_set on
+    # w0's chain table, and each pair's product roots are S(x, w)
     table = _chain_table(group, size - 1, group.bruhat_mask(size - 1))
-    roots = []
-    for wi in range(size):
-        xset = _condition_b_set(group, wi, table) & ~(1 << wi)
-        labels = _interval_labels(group, wi, xset, table)
-        found = _first_words(group, wi, xset, labels, 1)
-        if len(found) != xset.bit_count():
-            raise InvariantError(
-                "a condition-(B) pair of the edge search has no witness "
-                "word")
-        roots.append({xi: gamma_sequence(group, word, _label_of(
-            _chain_labels(group, labels, wi, word)[1], xi))
-            for xi, word in found.items()})
+    roots = [_s_sets(group, wi, _condition_b_set(group, wi, table)
+                     & ~(1 << wi))
+             for wi in range(size)]
     pairs = []
     ok = True
     for xi in range(size):

@@ -81,6 +81,8 @@ def test_pairing_rejects_non_roots():
         rs.pairing((1, 0), (2, 0))
     with pytest.raises(DomainError):
         rs.pairing((1, 0), (1, 2))
+    with pytest.raises(DomainError):
+        rs.root_pairing((1, 0), (1, 2))
 
 
 def test_pairing_kronecker_on_simples():

@@ -18,10 +18,10 @@ from wwl.coeffs import closed_form_coeff
 from wwl.errors import InvariantError
 from wwl.hecke import m_product_roots
 from wwl.cli import _emit, main
-from wwl.shellability import (_chain_table, _condition_b_set,
+from wwl.shellability import (_chain_labels, _chain_table, _condition_b_set,
                               _deodhar_masks, _failing_flags, _first_words,
                               _flag_dp, _good_word_mask, _interval_labels,
-                              _label_of, _one_word_labels,
+                              _label_of, _one_word_labels, _s_sets,
                               _word_labels_idx, beta_sequence, condition_A,
                               condition_B, condition_per_word,
                               deodhar_check, gamma_sequence,
@@ -1411,6 +1411,30 @@ def test_condition_b_mask_matches_witness_search(group_for, type_letter,
                                 flag_holds(1))
         assert sorted(found) == [xi for xi in range(G.order())
                                  if (masks[xi] >> wi) & 1]
+
+
+@pytest.mark.parametrize("type_letter,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2)])
+def test_condition_b_witness_roots_are_s_sets(group_for, type_letter, rank):
+    """On every group mtx accepts, the first-word search finds a flag-(ii)
+    witness for exactly the x of _condition_b_set on w0's table, and the
+    gamma roots of each witness's increasing label are S(x,w) as _s_sets
+    reads it: mtx's product roots, taken from _s_sets, are those of the
+    witness words."""
+    G = group_for(type_letter, rank)
+    G.ensure_bruhat()
+    table = w0_table(G)
+    for wi in range(G.order()):
+        xset = G.bruhat_mask(wi)
+        labels = _interval_labels(G, wi, xset, table)
+        found = _first_words(G, wi, xset, labels, 1)
+        assert bitset(found) == _condition_b_set(G, wi, table)
+        sets = _s_sets(G, wi, xset)
+        for xi, word in found.items():
+            inc = _chain_labels(G, labels, wi, word)[1]
+            assert sorted(gamma_sequence(G, word, _label_of(inc, xi))) == \
+                sorted(sets[xi])
 
 
 @pytest.mark.parametrize("type_letter,rank,trials",

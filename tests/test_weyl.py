@@ -400,6 +400,37 @@ def test_query_on_fresh_group_builds_tables(group_for, query):
     assert calls[query](fresh) == calls[query](tabled)
 
 
+INDEX_ACCESSORS = {
+    "canon_of_idx": lambda G: G.canon_of_idx(5),
+    "len_of_idx": lambda G: G.len_of_idx(5),
+    "rmul_idx": lambda G: G.rmul_idx(2, 5),
+    "lmul_idx": lambda G: G.lmul_idx(2, 5),
+    "idx_mul": lambda G: G.idx_mul(5, 7),
+}
+
+
+@pytest.mark.parametrize("accessor", list(INDEX_ACCESSORS))
+def test_index_accessor_on_fresh_group_builds_tables(group_for, accessor):
+    """Each index accessor works as the first call on a new group, and on
+    E7, which is too large to tabulate, raises BudgetError."""
+    call = INDEX_ACCESSORS[accessor]
+    fresh = WeylGroup(build_root_system("B", 3))
+    assert fresh._len is None
+    assert call(fresh) == call(group_for("B", 3))
+    e7 = WeylGroup(build_root_system("E", 7))
+    with pytest.raises(BudgetError):
+        call(e7)
+    assert e7._len is None
+
+
+def test_elem_of_rejects_index_outside_table():
+    G = WeylGroup(build_root_system("B", 3))
+    assert G.elem_of(47) == G.longest_element()
+    for idx in (-1, 48):
+        with pytest.raises(DomainError, match="outside the element table"):
+            G.elem_of(idx)
+
+
 @pytest.mark.parametrize("type_letter,rank", [("A", 3), ("B", 2)])
 def test_z_property(group_for, type_letter, rank):
     """For w1 < s*w1 and w2 < s*w2: w1 <= w2, w1 <= s*w2 and

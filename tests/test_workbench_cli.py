@@ -838,69 +838,39 @@ def test_mtx_a2(capsys):
 
 
 def test_mtx_condition_b_matches_pair_search(monkeypatch):
-    """mtx_report's per-w first-word search gives every B3 pair the
-    condition (B) answer and the first witness word of a walk over the
-    reduced words of w, searches only for pairs that have a witness, and
-    finds each pair's chain roots once for all points."""
+    """mtx_report gives every B3 pair the condition (B) answer of a walk
+    over the reduced words of w, reads each w's product roots with one
+    S-set read for all points, and searches for no witness word."""
     from test_shellability import first_witnesses, flag_holds
 
-    words = {}
+    def no_search(*_args):
+        raise AssertionError("mtx_report searched for a witness word")
 
-    def words_for_all(group, wi, xset, labels, k):
-        found = real_first_words(group, wi, xset, labels, k)
-        assert k == 1 and len(found) == xset.bit_count()
-        return found
+    monkeypatch.setattr(shellability, "_first_words", no_search)
+    read = []
 
-    real_first_words = workbench._first_words
-    monkeypatch.setattr(workbench, "_first_words", words_for_all)
+    def recording_s_sets(group, wi, xset):
+        read.append(wi)
+        return real_s_sets(group, wi, xset)
 
-    def recording_gamma_sequence(group, word, lam):
-        # the chain label determines x: the product of the kept positions
-        xi = group.word_to_idx([a for p, a in enumerate(word, 1)
-                                if p not in lam])
-        key = (group.canon_of_idx(xi),
-               group.canon_of_idx(group.word_to_idx(word)))
-        assert key not in words  # once per pair, not once per point
-        words[key] = word
-        return real_gamma_sequence(group, word, lam)
-
-    real_gamma_sequence = workbench.gamma_sequence
-    monkeypatch.setattr(workbench, "gamma_sequence", recording_gamma_sequence)
+    real_s_sets = workbench._s_sets
+    monkeypatch.setattr(workbench, "_s_sets", recording_s_sets)
     G = WeylGroup(build_root_system("B", 3))
     report = mtx_report(G, SweepConfig("B", 3, points=2))
-    walked = {(G.canon_of_idx(xi), G.canon_of_idx(wi)): found[0]
+    assert read == list(range(G.order()))  # once per w, not once per point
+    walked = {(G.canon_of_idx(xi), G.canon_of_idx(wi))
               for wi in range(G.order())
-              for xi, found in first_witnesses(
-                  G, wi, G.lower_interval_idx(wi)[:-1], flag_holds(1)).items()}
+              for xi in first_witnesses(
+                  G, wi, G.lower_interval_idx(wi)[:-1], flag_holds(1))}
     checked = 0
     for entry in report["pairs"]:
         if "condition_b" not in entry:
             continue
         key = tuple(entry["x"]), tuple(entry["w"])
         assert entry["condition_b"] == (key in walked)
-        assert words.get(key) == walked.get(key)
         checked += 1
     assert checked == sum(len(interval(G, G.identity, w)) - 1
                           for w in G.enumerate_group())
-
-
-def test_mtx_pair_without_witness_raises(monkeypatch):
-    """A condition-(B) pair of the edge DP whose first-word search finds no
-    word, forced by dropping one x from the search's answer for w0 of A2,
-    is a broken invariant: mtx_report raises instead of reporting the pair
-    as failing condition (B)."""
-    real_first_words = workbench._first_words
-
-    def one_dropped(group, wi, xset, labels, k):
-        found = real_first_words(group, wi, xset, labels, k)
-        if wi == group.order() - 1:
-            del found[min(found)]
-        return found
-
-    monkeypatch.setattr(workbench, "_first_words", one_dropped)
-    G = WeylGroup(build_root_system("A", 2))
-    with pytest.raises(InvariantError, match="has no witness word"):
-        mtx_report(G, SweepConfig("A", 2, points=1))
 
 
 # sha256 of the stdout of `mtx --points 8 --threads 1 --seed 0`, as printed
